@@ -20,11 +20,9 @@ from .errors import LayoutMismatch, TooLarge
 
 @dataclass(frozen=True)
 class ShapConfig:
-    n_hvf: int = 1000
     n_permutations: int = 64
     background: tuple = ()
     seed: int = 0
-    include_structure: bool = False
 
     def __post_init__(self):
         if self.n_permutations < 1:
@@ -149,21 +147,19 @@ def class_global_importance(predict, images, test_indices, n_classes, players, c
     """Average per-sample Shapley values over each class's test images."""
     test_indices = np.asarray(test_indices)
     labels = np.asarray(images.labels)
-    shape = images.shape
-    values = np.zeros((n_classes, shape[2], shape[0], shape[1]))
+    values = np.zeros((n_classes, *images.tensors.shape[1:]))
     counts = np.zeros(n_classes, dtype=np.int64)
     background_idx = np.asarray(config.background, dtype=np.int64)
     if background_idx.size == 0:
         raise ValueError("background index set must be non-empty")
-    background_mean = np.mean(
-        [images.images[i].tensor.astype(np.float64) for i in background_idx], axis=0
-    )
+    # shapley_sample takes (P, P, C) tensors
+    background_mean = images.tensors[background_idx].astype(np.float64).mean(axis=0).transpose(1, 2, 0)
     rng = np.random.default_rng(config.seed)
     for idx in test_indices:
         cls = int(labels[idx])
         local = shapley_sample(
             predict,
-            images.images[idx].tensor,
+            images.tensors[idx].transpose(1, 2, 0),
             cls,
             background_mean,
             players,
@@ -195,12 +191,9 @@ def hvf_players(f_layouts, feature_sets):
 
 
 def map_to_features(attr, f_layouts, feature_names_per_modality, class_names,
-                    modality_names=None, s_layout=None, community_offset=None):
-    """Invert the layout permutations back to named features.
-
-    Dummy cells are dropped; structural-channel values (when played) are keyed
-    by community id under modality 'structure'.
-    """
+                    modality_names=None):
+    """Invert the layout permutations back to named features; dummy cells are
+    dropped."""
     if len(f_layouts) != len(feature_names_per_modality):
         raise LayoutMismatch("feature layouts and name lists disagree")
     if modality_names is None:
@@ -221,16 +214,6 @@ def map_to_features(attr, f_layouts, feature_names_per_modality, class_names,
                 raw_rows.append(
                     {"feature": names[j], "modality": mname, "class": cname,
                      "raw": float(attr.values[cls, ch, r, c])}
-                )
-    if s_layout is not None:
-        off = community_offset or 0
-        for comm, (r, c) in enumerate(s_layout.layout.item_to_cell):
-            if (0, r + off, c + off) not in played:
-                continue
-            for cls, cname in enumerate(class_names):
-                raw_rows.append(
-                    {"feature": f"community{comm}", "modality": "structure", "class": cname,
-                     "raw": float(attr.values[cls, 0, r + off, c + off])}
                 )
     # per-class max-|value| normalization for reporting; raw values retained
     for cname in class_names:

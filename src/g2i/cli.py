@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import attribution, cnn, community, imaging, metrics, transport  # noqa: F401
-from .errors import G2IError
+from .errors import G2IError, UnknownNodeId
 from .graph import generate_sbm, load_graph, split_dataset, write_graph
 
 
@@ -54,6 +54,11 @@ class PipelineConfig:
 
 
 def parse_config_file(path):
+    return {key: value for key, (_, value) in _read_config(path).items()}
+
+
+def _read_config(path):
+    """key -> (line number, value text) of a flat key=value file."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -63,36 +68,37 @@ def parse_config_file(path):
             if "=" not in line:
                 raise G2IError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            values[key.strip()] = (lineno, value.strip())
     return values
 
 
+# config keys whose text converts with the type of the field's default
+_SCALARS = {f.name: type(f.default) for f in fields(PipelineConfig)
+            if type(f.default) in (str, int, float)}
+
+
 def build_config(args):
-    raw = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    raw = _read_config(args.config) if getattr(args, "config", None) else {}
     cfg = PipelineConfig()
-    simple = {
-        "edges": str, "features": str, "labels": str, "out": str,
-        "seed": int, "epsilon": float, "restarts": int,
-        "learning_rate": float, "momentum": float, "batch_size": int,
-        "max_epochs": int, "n_hvf": int, "n_permutations": int,
-        "p_in": float, "p_out": float, "k": int, "signal": float,
+    converters = {
+        **_SCALARS, "p": int,
+        "blocks": lambda text: tuple(int(b) for b in text.split(",")),
+        "ratios": lambda text: tuple(float(r) for r in text.split(",")),
     }
-    for key, conv in simple.items():
-        if key in raw:
-            setattr(cfg, key, conv(raw[key]))
-    if "p" in raw:
-        cfg.p_override = int(raw["p"])
-    if "blocks" in raw:
-        cfg.blocks = tuple(int(b) for b in raw["blocks"].split(","))
-    if "ratios" in raw:
-        cfg.ratios = tuple(float(r) for r in raw["ratios"].split(","))
-    for key, value in raw.items():
+    for key, conv in converters.items():
+        if key not in raw:
+            continue
+        lineno, text = raw[key]
+        try:
+            value = conv(text)
+        except ValueError:
+            raise G2IError(f"{args.config}:{lineno}: bad value for {key}: {text!r}") from None
+        setattr(cfg, "p_override" if key == "p" else key, value)
+    for key, (_, value) in raw.items():
         if key.startswith("modality."):
             cfg.modalities[key.split(".", 1)[1]] = value
     # CLI flags override file values
-    for attr in ("edges", "features", "labels", "out", "seed", "epsilon", "restarts",
-                 "learning_rate", "momentum", "batch_size", "max_epochs", "n_hvf",
-                 "n_permutations", "p_in", "p_out", "k", "signal"):
+    for attr in _SCALARS:
         val = getattr(args, attr, None)
         if val is not None:
             setattr(cfg, attr, val)
@@ -151,18 +157,23 @@ def _modality_list(cfg, graph):
     """(name, feature matrix, feature names) per modality; primary first."""
     mods = [("features", graph.features, list(graph.feature_names))]
     for name in sorted(cfg.modalities):
-        ids, F, fnames = _read_feature_csv(cfg.modalities[name], graph.node_ids)
+        F, fnames = _read_feature_csv(cfg.modalities[name], graph.node_ids)
         mods.append((name, F, fnames))
     return mods
 
 
 def _read_feature_csv(path, node_ids):
+    """Feature rows of ``path`` in ``node_ids`` order, and the feature names."""
     from .graph import _read_features
 
     ids, F, names = _read_features(path)
     index = {nid: i for i, nid in enumerate(ids)}
+    missing = [nid for nid in node_ids if nid not in index]
+    if missing:
+        raise UnknownNodeId(f"{path}: no row for {len(missing)} node id(s), first "
+                            f"{', '.join(map(repr, missing[:5]))}")
     rows = np.array([index[nid] for nid in node_ids])
-    return ids, F[rows], names
+    return F[rows], names
 
 
 # --- stages ---
@@ -246,7 +257,6 @@ def stage_render(cfg):
         graph, model, s_layout, f_layouts,
         modalities=[F for _, F, _ in mods],
         channel_names=["structure"] + [name for name, _, _ in mods],
-        provenance={"seed": cfg.seed},
     )
     p = _paths(cfg)
     imaging.write_tensor(image_set, p["images"])
@@ -255,20 +265,19 @@ def stage_render(cfg):
 
 
 def _dump_debug_image(image_set, path):
-    img = image_set.images[0]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# node {img.node_id}\n")
-        for ch, cname in enumerate(img.channel_names):
+        fh.write(f"# node {image_set.node_ids[0]}\n")
+        for cname, channel in zip(image_set.channel_names, image_set.tensors[0]):
             fh.write(f"# channel {cname}\n")
-            for row in img.tensor[:, :, ch]:
+            for row in channel:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _cnn_config(cfg, image_set):
-    shape = image_set.shape
+    _, channels, side, _ = image_set.tensors.shape
     classes = int(np.asarray(image_set.labels).max()) + 1
     return cnn.ConvNetConfig(
-        input_side=shape[0], input_channels=shape[2], classes=classes,
+        input_side=side, input_channels=channels, classes=classes,
         learning_rate=cfg.learning_rate, momentum=cfg.momentum,
         batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
         seed=stage_seed(cfg.seed, "train"),
@@ -279,11 +288,17 @@ def _split_for(cfg, image_set):
     return split_dataset(image_set.labels, cfg.ratios, stage_seed(cfg.seed, "split"))
 
 
+def _read_labeled_images(cfg):
+    path = _paths(cfg)["images"]
+    image_set = imaging.read_tensor(path)
+    if image_set.labels is None:
+        raise G2IError(f"{path}: this stage requires labeled images (ingest with --labels)")
+    return image_set
+
+
 def stage_train(cfg):
     p = _paths(cfg)
-    image_set = imaging.read_tensor(p["images"])
-    if image_set.labels is None:
-        raise G2IError("training requires labeled images")
+    image_set = _read_labeled_images(cfg)
     split = _split_for(cfg, image_set)
     config = _cnn_config(cfg, image_set)
     params, report = cnn.train(image_set, split, config)
@@ -294,7 +309,7 @@ def stage_train(cfg):
 
 def stage_eval(cfg):
     p = _paths(cfg)
-    image_set = imaging.read_tensor(p["images"])
+    image_set = _read_labeled_images(cfg)
     split = _split_for(cfg, image_set)
     config = _cnn_config(cfg, image_set)
     params = cnn.load_checkpoint(p["checkpoint"], config)
@@ -310,8 +325,8 @@ def stage_explain(cfg):
     p = _paths(cfg)
     graph = _load_ingested(cfg)
     model = _load_model(cfg, graph)
-    s_layout, f_layouts, mods = _load_layouts(cfg, graph, model)
-    image_set = imaging.read_tensor(p["images"])
+    _, f_layouts, mods = _load_layouts(cfg, graph, model)
+    image_set = _read_labeled_images(cfg)
     split = _split_for(cfg, image_set)
     config = _cnn_config(cfg, image_set)
     params = cnn.load_checkpoint(p["checkpoint"], config)
@@ -320,8 +335,8 @@ def stage_explain(cfg):
     feature_sets = [attribution.select_hvf(F, cfg.n_hvf) for _, F, _ in mods]
     players = attribution.hvf_players(f_layouts, feature_sets)
     shap_cfg = attribution.ShapConfig(
-        n_hvf=cfg.n_hvf, n_permutations=cfg.n_permutations,
-        background=tuple(range(len(image_set.images))),
+        n_permutations=cfg.n_permutations,
+        background=tuple(range(len(image_set.node_ids))),
         seed=stage_seed(cfg.seed, "explain"),
     )
     class_names = graph.class_names or tuple(
@@ -349,33 +364,14 @@ def stage_explain(cfg):
 
 def stage_metrics(cfg):
     p = _paths(cfg)
-    image_set = imaging.read_tensor(p["images"])
-    if image_set.labels is None:
-        raise G2IError("metrics require labeled images")
-    embedding = np.stack([img.tensor.reshape(-1) for img in image_set.images]).astype(np.float64)
+    image_set = _read_labeled_images(cfg)
+    # flattened in (P, P, C) order, which the silhouette's summation order depends on
+    n = len(image_set.node_ids)
+    embedding = image_set.tensors.transpose(0, 2, 3, 1).reshape(n, -1).astype(np.float64)
     scores = metrics.score_embedding(embedding, image_set.labels,
                                      seed=stage_seed(cfg.seed, "metrics"))
     metrics.write_scores({"g2i": scores}, p["metrics"])
     return scores
-
-
-RUN_ORDER = [
-    ("ingest", stage_ingest),
-    ("cluster", stage_cluster),
-    ("layout", stage_layout),
-    ("render", stage_render),
-    ("train", stage_train),
-    ("eval", stage_eval),
-    ("explain", stage_explain),
-    ("metrics", stage_metrics),
-]
-
-
-def cmd_run(cfg):
-    _require_out(cfg)
-    for name, fn in RUN_ORDER:
-        _run_stage(name, fn, cfg)
-    return 0
 
 
 def _run_stage(name, fn, cfg):
@@ -386,6 +382,7 @@ def _run_stage(name, fn, cfg):
         raise SystemExit(1) from exc
 
 
+# every stage in pipeline order; `run` executes all of them after synth
 STAGES = {
     "synth": stage_synth,
     "ingest": stage_ingest,
@@ -397,6 +394,13 @@ STAGES = {
     "explain": stage_explain,
     "metrics": stage_metrics,
 }
+
+
+def cmd_run(cfg):
+    _require_out(cfg)
+    for name, fn in list(STAGES.items())[1:]:
+        _run_stage(name, fn, cfg)
+    return 0
 
 
 def make_parser():

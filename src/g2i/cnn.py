@@ -218,7 +218,7 @@ def train(images, split, config):
     for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
         if len(idx) == 0:
             raise EmptySplit(f"{name} split is empty")
-    X = images.stacked()
+    X = images.tensors.astype(np.float64)
     y = np.asarray(images.labels)
     params = init_params(config)
     velocity = ConvNetParams(
@@ -292,7 +292,7 @@ def evaluate(params, images, indices):
     indices = np.asarray(indices)
     if len(indices) == 0:
         raise EmptySplit("no indices to evaluate")
-    X = images.stacked()[indices]
+    X = images.tensors[indices].astype(np.float64)
     y = np.asarray(images.labels)[indices]
     preds = predict_proba(params, X).argmax(axis=1)
     return classification_metrics(y, preds, params.config.classes)

@@ -1,6 +1,6 @@
 """Layout construction, per-node image rendering, and tensor serialization.
 
-Each node becomes a P x P x C image: channel 0 carries the node's community's
+Each node becomes a C x P x P image: channel 0 carries the node's community's
 z-scored distances to every community, placed on the master structural layout
 and center-padded; each further channel carries one modality's raw feature
 values at the cells chosen by that modality's feature layout.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, LayoutMismatch, ShapeOverflow, TruncatedFile
+from .errors import BadMagic, LayoutMismatch, ShapeMismatch, ShapeOverflow, TruncatedFile
 from .transport import (
     GridTemplate,
     LayoutPermutation,
@@ -50,25 +50,11 @@ class StructuralLayout:
 
 
 @dataclass(frozen=True)
-class NodeImage:
-    node_id: str
-    tensor: np.ndarray           # (P, P, C) float32
-    channel_names: tuple
-
-
-@dataclass(frozen=True)
 class ImageSet:
-    images: tuple
+    node_ids: tuple
+    tensors: np.ndarray          # (n, C, P, P) float32
     labels: np.ndarray | None
-    provenance: dict
-
-    @property
-    def shape(self):
-        return self.images[0].tensor.shape
-
-    def stacked(self):
-        """(n, C, P, P) float64 view for model consumption."""
-        return np.stack([img.tensor for img in self.images]).transpose(0, 3, 1, 2).astype(np.float64)
+    channel_names: tuple
 
 
 def feature_association(F):
@@ -121,13 +107,15 @@ def _ceil_sqrt(k):
     return s if s * s == k else s + 1
 
 
-def render_node(node, graph, model, s_layout, f_layouts, modalities, channel_names=None):
-    """Render one node's multi-channel image.
+def render_all(graph, model, s_layout, f_layouts, modalities=None, channel_names=None):
+    """Render one image per node, in node order.
 
     Channel 0: the node's community row of Z on the structural grid, centered
     into the P x P frame (top-left bias on odd margins). Channels 1..M: each
     modality's raw feature values at their layout cells, zeros elsewhere.
     """
+    if modalities is None:
+        modalities = [graph.features]
     if len(f_layouts) != len(modalities):
         raise LayoutMismatch("one feature layout required per modality")
     sides = {fl.grid_side for fl in f_layouts}
@@ -141,44 +129,24 @@ def render_node(node, graph, model, s_layout, f_layouts, modalities, channel_nam
     if model.P != Z.shape[0] or len(s_layout.layout.item_to_cell) != model.P:
         raise LayoutMismatch("structural layout was built for a different community count")
 
-    C = len(modalities) + 1
-    tensor = np.zeros((P, P, C), dtype=np.float64)
-
-    c_own = int(model.assignment[node])
-    block = np.zeros((P_s, P_s))
-    for comm, (r, c) in enumerate(s_layout.layout.item_to_cell):
-        block[r, c] = Z[c_own, comm]
+    tensors = np.zeros((graph.n, len(modalities) + 1, P, P), dtype=np.float32)
+    rows, cols = np.array(s_layout.layout.item_to_cell).T
     off = (P - P_s) // 2
-    tensor[off : off + P_s, off : off + P_s, 0] = block
-
+    tensors[:, 0, rows + off, cols + off] = Z[model.assignment]
     for ch, (fl, Fm) in enumerate(zip(f_layouts, modalities), start=1):
         if Fm.shape[1] != len(fl.layout.item_to_cell):
             raise LayoutMismatch(
                 f"modality {ch-1} has {Fm.shape[1]} features, layout has "
                 f"{len(fl.layout.item_to_cell)}"
             )
-        for j, (r, c) in enumerate(fl.layout.item_to_cell):
-            tensor[r, c, ch] = Fm[node, j]
+        rows, cols = np.array(fl.layout.item_to_cell).T
+        tensors[:, ch, rows, cols] = Fm
 
     if channel_names is None:
         channel_names = ["structure"] + [f"modality{m}" for m in range(len(modalities))]
-    return NodeImage(
-        node_id=graph.node_ids[node],
-        tensor=tensor.astype(np.float32),
-        channel_names=tuple(channel_names),
-    )
-
-
-def render_all(graph, model, s_layout, f_layouts, modalities=None, channel_names=None, provenance=None):
-    """Render images for every node in node order."""
-    if modalities is None:
-        modalities = [graph.features]
-    images = tuple(
-        render_node(i, graph, model, s_layout, f_layouts, modalities, channel_names)
-        for i in range(graph.n)
-    )
     labels = None if graph.labels is None else np.asarray(graph.labels)
-    return ImageSet(images=images, labels=labels, provenance=dict(provenance or {}))
+    return ImageSet(node_ids=tuple(graph.node_ids), tensors=tensors, labels=labels,
+                    channel_names=tuple(channel_names))
 
 
 # --- serialization ---
@@ -259,29 +227,22 @@ def read_named_tensors(path):
 
 def write_tensor(image_set, path):
     """Serialize an ImageSet bit-exactly."""
-    entries = []
-    for i, img in enumerate(image_set.images):
-        label = -1 if image_set.labels is None else int(image_set.labels[i])
-        # stored channel-major, row-major
-        entries.append((img.node_id, label, img.tensor.transpose(2, 0, 1)))
-    channel_names = image_set.images[0].channel_names if image_set.images else ()
-    write_named_tensors(entries, channel_names, path)
+    labels = image_set.labels if image_set.labels is not None else [-1] * len(image_set.node_ids)
+    entries = zip(image_set.node_ids, labels, image_set.tensors)
+    write_named_tensors(list(entries), image_set.channel_names, path)
 
 
 def read_tensor(path):
     entries, channel_names = read_named_tensors(path)
-    images = []
-    labels = []
-    for name, label, arr in entries:
-        if arr.ndim != 3:
-            raise ShapeOverflow(f"{path}: image tensor {name!r} has {arr.ndim} dims, expected 3")
-        images.append(
-            NodeImage(node_id=name, tensor=arr.transpose(1, 2, 0), channel_names=channel_names)
-        )
-        labels.append(label)
+    shapes = sorted({arr.shape for _, _, arr in entries})
+    if len(shapes) != 1 or len(shapes[0]) != 3:
+        raise ShapeMismatch(f"{path}: expected images of one 3-D shape, found "
+                            f"{len(shapes)} shape(s), e.g. {shapes[:3]}")
+    node_ids, labels, tensors = zip(*entries)
     labels = np.asarray(labels, dtype=np.int64)
-    label_arr = None if np.all(labels == -1) else labels
-    return ImageSet(images=tuple(images), labels=label_arr, provenance={})
+    return ImageSet(node_ids=node_ids, tensors=np.stack(tensors),
+                    labels=None if np.all(labels == -1) else labels,
+                    channel_names=channel_names)
 
 
 # --- layout CSV I/O ---

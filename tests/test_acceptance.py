@@ -127,12 +127,12 @@ def test_criterion_5_rendering_invariants(tmp_path):
         a = model.assignment
         for c in range(P):
             members = np.flatnonzero(a == c)
-            rep = images.images[members[0]].tensor[:, :, 0]
+            rep = images.tensors[members[0], 0]
             for m_ in members[1:]:
-                if not np.array_equal(images.images[m_].tensor[:, :, 0], rep):
+                if not np.array_equal(images.tensors[m_, 0], rep):
                     ok = False
         for node in range(g.n):
-            feat_sum = images.images[node].tensor[:, :, 1].astype(np.float64).sum()
+            feat_sum = images.tensors[node, 1].astype(np.float64).sum()
             expected = g.features[node].astype(np.float32).astype(np.float64).sum()
             if abs(feat_sum - expected) > 1e-4:
                 ok = False
@@ -140,9 +140,9 @@ def test_criterion_5_rendering_invariants(tmp_path):
         path = tmp_path / f"imgs_{trial}.g2t"
         write_tensor(images, path)
         loaded = read_tensor(path)
-        for x, y in zip(images.images, loaded.images):
-            if x.node_id != y.node_id or not np.array_equal(x.tensor, y.tensor):
-                ok = False
+        if (images.node_ids != loaded.node_ids
+                or not np.array_equal(images.tensors, loaded.tensors)):
+            ok = False
     _report(5, "rendering invariants", ok)
 
 
@@ -176,7 +176,7 @@ def test_criterion_6_cnn_gradient_check():
 
 
 def _separable_images(n=200, side=8, seed=42):
-    from g2i.imaging import ImageSet, NodeImage
+    from g2i.imaging import ImageSet
 
     rng = np.random.default_rng(seed)
     labels = np.repeat([0, 1], n // 2)
@@ -188,9 +188,9 @@ def _separable_images(n=200, side=8, seed=42):
     imgs = []
     for i in range(n):
         t = pat[labels[i]] + rng.normal(0, 0.5, (side, side, 2))
-        imgs.append(NodeImage(node_id=f"n{i}", tensor=t.astype(np.float32),
-                              channel_names=("a", "b")))
-    return ImageSet(images=tuple(imgs), labels=labels, provenance={})
+        imgs.append(t.astype(np.float32).transpose(2, 0, 1))
+    return ImageSet(node_ids=tuple(f"n{i}" for i in range(n)), tensors=np.stack(imgs),
+                    labels=labels, channel_names=("a", "b"))
 
 
 def test_criterion_7_cnn_learning():

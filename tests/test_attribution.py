@@ -17,7 +17,7 @@ from g2i.attribution import (
     ShapConfig,
 )
 from g2i.errors import TooLarge
-from g2i.imaging import FeatureLayout, ImageSet, NodeImage
+from g2i.imaging import FeatureLayout, ImageSet
 from g2i.transport import LayoutPermutation
 
 
@@ -194,11 +194,9 @@ class TestShapleySample:
 
 
 def _image_set(tensors, labels):
-    imgs = tuple(
-        NodeImage(node_id=f"n{i}", tensor=t.astype(np.float32), channel_names=("s", "f"))
-        for i, t in enumerate(tensors)
-    )
-    return ImageSet(images=imgs, labels=np.asarray(labels), provenance={})
+    imgs = np.stack([t.astype(np.float32).transpose(2, 0, 1) for t in tensors])
+    return ImageSet(node_ids=tuple(f"n{i}" for i in range(len(tensors))), tensors=imgs,
+                    labels=np.asarray(labels), channel_names=("s", "f"))
 
 
 class TestClassGlobal:
@@ -213,9 +211,9 @@ class TestClassGlobal:
         with pytest.warns(UserWarning):   # class 0 has no test samples here
             attr = class_global_importance(predict, images, np.array([1]), 2, players, cfg)
         assert attr.counts.tolist() == [0, 1]
-        bg_mean = np.mean([img.tensor.astype(np.float64) for img in images.images], axis=0)
+        bg_mean = np.mean(images.tensors.astype(np.float64), axis=0).transpose(1, 2, 0)
         rng_check = np.random.default_rng(5)
-        local = shapley_sample(predict, images.images[1].tensor, 1, bg_mean, players,
+        local = shapley_sample(predict, images.tensors[1].transpose(1, 2, 0), 1, bg_mean, players,
                                16, int(rng_check.integers(2**32)))
         for val, (ch, r, c) in zip(local, players):
             assert attr.values[1, ch, r, c] == pytest.approx(val, abs=1e-12)

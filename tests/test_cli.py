@@ -40,6 +40,13 @@ class TestConfig:
         with pytest.raises(G2IError):
             build_config(args)
 
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        path.write_text("seed=1\nrestarts=abc\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:2" in err and "restarts" in err
+
     def test_stage_seed_stable_and_distinct(self):
         assert stage_seed(7, "cluster") == stage_seed(7, "cluster")
         names = ["synth", "split", "cluster", "layout", "train", "explain", "metrics"]
@@ -95,3 +102,27 @@ class TestPipeline:
         for name in ("edges.tsv", "images.g2t", "checkpoint.g2t", "report.csv",
                      "eval.csv", "importance.csv", "metrics.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_unlabeled_images_rejected_by_eval_and_explain(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth", *_small_args(data)]) == 0
+        unlabeled = ["--edges", str(data / "edges.tsv"), "--features", str(data / "features.csv")]
+        for stage in ("ingest", "cluster", "layout", "render"):
+            assert main([stage, *_small_args(out), *unlabeled]) == 0
+        for stage in ("eval", "explain"):
+            capsys.readouterr()
+            assert main([stage, *_small_args(out), *unlabeled]) == 1
+            err = capsys.readouterr().err
+            assert f"error in stage {stage}" in err and "requires labeled images" in err
+
+    def test_modality_missing_node_is_named(self, tmp_path, capsys):
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        lines = (tmp_path / "features.csv").read_text().splitlines()
+        dropped = lines[5].split(",")[0]
+        extra = tmp_path / "extra.csv"
+        extra.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        rc = main(["run", *_small_args(tmp_path), *_data_args(tmp_path),
+                   "--modality", f"extra={extra}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "extra.csv" in err and repr(dropped) in err

@@ -15,7 +15,7 @@ from g2i.cnn import (
 )
 from g2i.errors import EmptySplit, ShapeMismatch
 from g2i.graph import split_dataset
-from g2i.imaging import ImageSet, NodeImage
+from g2i.imaging import ImageSet
 
 
 def _tiny_config(**kw):
@@ -37,9 +37,9 @@ def _image_fixture(n=200, side=8, noise=0.5, seed=42):
     imgs = []
     for i in range(n):
         t = pat[labels[i]] + rng.normal(0, noise, (side, side, 2))
-        imgs.append(NodeImage(node_id=f"n{i}", tensor=t.astype(np.float32),
-                              channel_names=("a", "b")))
-    return ImageSet(images=tuple(imgs), labels=labels, provenance={})
+        imgs.append(t.astype(np.float32).transpose(2, 0, 1))
+    return ImageSet(node_ids=tuple(f"n{i}" for i in range(n)), tensors=np.stack(imgs),
+                    labels=labels, channel_names=("a", "b"))
 
 
 class TestConfig:

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from g2i.community import association_matrix, community_count, fit_communities
-from g2i.errors import BadMagic, LayoutMismatch, TruncatedFile
+from g2i.errors import BadMagic, G2IError, LayoutMismatch, TruncatedFile
 from g2i.graph import generate_sbm
 from g2i.imaging import (
     FeatureLayout,
-    ImageSet,
-    NodeImage,
     build_feature_layout,
     build_structural_layout,
     feature_association,
     read_named_tensors,
     read_tensor,
     render_all,
-    render_node,
     write_named_tensors,
     write_tensor,
 )
@@ -123,32 +120,31 @@ class TestStructuralLayoutBuild:
 class TestRender:
     def test_channel_count_and_shape(self):
         g, model, _, s_layout, f_layout = _fixture()
-        img = render_node(0, g, model, s_layout, [f_layout], [g.features])
+        images = render_all(g, model, s_layout, [f_layout], [g.features])
         P = f_layout.grid_side
-        assert img.tensor.shape == (P, P, 2)
-        assert img.channel_names[0] == "structure"
+        assert images.tensors[0].shape == (2, P, P)
+        assert images.channel_names[0] == "structure"
 
     def test_same_community_same_structural_channel(self):
         g, model, _, s_layout, f_layout = _fixture()
         a = model.assignment
         pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if a[i] == a[j]]
         i, j = pairs[0]
-        img_i = render_node(i, g, model, s_layout, [f_layout], [g.features])
-        img_j = render_node(j, g, model, s_layout, [f_layout], [g.features])
-        assert np.array_equal(img_i.tensor[:, :, 0], img_j.tensor[:, :, 0])
+        tensors = render_all(g, model, s_layout, [f_layout], [g.features]).tensors
+        assert np.array_equal(tensors[i, 0], tensors[j, 0])
 
     def test_feature_cells_hold_raw_values(self):
         g, model, _, s_layout, f_layout = _fixture()
         node = 3
-        img = render_node(node, g, model, s_layout, [f_layout], [g.features])
+        tensors = render_all(g, model, s_layout, [f_layout], [g.features]).tensors
         for j, (r, c) in enumerate(f_layout.layout.item_to_cell):
-            assert img.tensor[r, c, 1] == np.float32(g.features[node, j])
+            assert tensors[node, 1, r, c] == np.float32(g.features[node, j])
 
     def test_feature_channel_sum_identity(self):
         g, model, _, s_layout, f_layout = _fixture()
-        img = render_node(2, g, model, s_layout, [f_layout], [g.features])
+        tensors = render_all(g, model, s_layout, [f_layout], [g.features]).tensors
         expected = g.features[2].astype(np.float32).astype(np.float64).sum()
-        assert img.tensor[:, :, 1].astype(np.float64).sum() == pytest.approx(expected, abs=1e-5)
+        assert tensors[2, 1].astype(np.float64).sum() == pytest.approx(expected, abs=1e-5)
 
     def test_structural_block_centered(self):
         # P=4 feature grid with a 2x2 structural grid sits at rows/cols 1..2
@@ -158,8 +154,7 @@ class TestRender:
         s_layout = build_structural_layout(assoc, seed=2)
         f_layout = build_feature_layout(g.features, seed=2)
         assert f_layout.grid_side == 4 and s_layout.grid_side == 2
-        img = render_node(0, g, model, s_layout, [f_layout], [g.features])
-        structural = img.tensor[:, :, 0]
+        structural = render_all(g, model, s_layout, [f_layout], [g.features]).tensors[0, 0]
         assert np.all(structural[0, :] == 0) and np.all(structural[3, :] == 0)
         assert np.all(structural[:, 0] == 0) and np.all(structural[:, 3] == 0)
         Z = assoc.values
@@ -180,10 +175,10 @@ class TestRender:
         assoc = association_matrix(model)
         s_layout = build_structural_layout(assoc, seed=0)
         f_layout = build_feature_layout(g.features, seed=0)
-        img = render_node(1, g, model, s_layout, [f_layout], [g.features])
-        assert img.tensor.shape == (1, 1, 2)
-        assert img.tensor[0, 0, 0] == 0.0
-        assert img.tensor[0, 0, 1] == np.float32(g.features[1, 0])
+        tensors = render_all(g, model, s_layout, [f_layout], [g.features]).tensors
+        assert tensors[1].shape == (2, 1, 1)
+        assert tensors[1, 0, 0, 0] == 0.0
+        assert tensors[1, 1, 0, 0] == np.float32(g.features[1, 0])
 
     def test_layout_mismatch(self):
         g, model, _, s_layout, f_layout = _fixture()
@@ -193,13 +188,13 @@ class TestRender:
             grid_side=f_layout.grid_side,
         )
         with pytest.raises(LayoutMismatch):
-            render_node(0, g, model, s_layout, [wrong], [g.features])
+            render_all(g, model, s_layout, [wrong], [g.features])
 
     def test_render_all_order_and_labels(self):
         g, model, _, s_layout, f_layout = _fixture()
         image_set = render_all(g, model, s_layout, [f_layout])
-        assert len(image_set.images) == g.n
-        assert [img.node_id for img in image_set.images] == list(g.node_ids)
+        assert len(image_set.tensors) == g.n
+        assert list(image_set.node_ids) == list(g.node_ids)
         assert np.array_equal(image_set.labels, g.labels)
 
 
@@ -210,11 +205,10 @@ class TestSerialization:
         path = tmp_path / "imgs.g2t"
         write_tensor(image_set, path)
         loaded = read_tensor(path)
-        assert len(loaded.images) == len(image_set.images)
-        for a, b in zip(image_set.images, loaded.images):
-            assert a.node_id == b.node_id
-            assert np.array_equal(a.tensor, b.tensor)
-            assert a.channel_names == b.channel_names
+        assert len(loaded.tensors) == len(image_set.tensors)
+        assert loaded.node_ids == image_set.node_ids
+        assert np.array_equal(loaded.tensors, image_set.tensors)
+        assert loaded.channel_names == image_set.channel_names
         assert np.array_equal(image_set.labels, loaded.labels)
 
     def test_write_is_deterministic(self, tmp_path):
@@ -257,10 +251,25 @@ class TestSerialization:
         path = tmp_path / "mini.g2t"
         path.write_bytes(payload)
         loaded = read_tensor(path)
-        assert loaded.images[0].node_id == "x"
+        assert loaded.node_ids[0] == "x"
         assert loaded.labels[0] == 7
-        assert loaded.images[0].tensor[0, 0, 0] == np.float32(2.5)
-        assert loaded.images[0].channel_names == ("c",)
+        assert loaded.tensors[0, 0, 0, 0] == np.float32(2.5)
+        assert loaded.channel_names == ("c",)
+
+    def test_mixed_image_shapes_rejected(self, tmp_path):
+        import struct
+
+        # two images, 1x1x1 and 1x2x2, which cannot form one image array
+        payload = b"G2IM" + struct.pack("<HI", 1, 2)
+        for name, side in ((b"a", 1), (b"b", 2)):
+            payload += struct.pack("<H", 1) + name
+            payload += struct.pack("<iB", 0, 3) + struct.pack("<3I", 1, side, side)
+            payload += struct.pack(f"<{side * side}f", *([1.0] * side * side))
+        payload += struct.pack("<H", 0)
+        path = tmp_path / "mixed.g2t"
+        path.write_bytes(payload)
+        with pytest.raises(G2IError, match="mixed.g2t"):
+            read_tensor(path)
 
     def test_named_tensor_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -283,4 +292,4 @@ class TestMultiModality:
         fl2 = build_feature_layout(F2, seed=0, grid_side=f_layout.grid_side)
         image_set = render_all(g, model, s_layout, [f_layout, fl2],
                                modalities=[g.features, F2])
-        assert image_set.shape[2] == 3
+        assert image_set.tensors.shape[1] == 3
