@@ -62,6 +62,10 @@ class GridTooSmall(G2IError):
     pass
 
 
+class BadSolverArgument(G2IError):
+    pass
+
+
 # --- imaging / serialization ---
 
 class LayoutMismatch(G2IError):

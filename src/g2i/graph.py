@@ -11,6 +11,7 @@ File formats:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,8 @@ def load_graph(edge_path, feature_path, label_path=None):
                 w = float(wtext)
             except ValueError:
                 raise MalformedLine(edge_path, lineno, f"bad weight {wtext!r}") from None
+            if not math.isfinite(w):
+                raise MalformedLine(edge_path, lineno, f"non-finite weight {wtext!r}")
             if w < 0:
                 raise MalformedLine(edge_path, lineno, f"negative weight {w}")
             if src == dst:
@@ -149,13 +152,14 @@ def _read_features(path):
         if not header or header[0] != "node_id":
             raise MalformedLine(path, 1, "feature header must start with 'node_id'")
         feature_names = header[1:]
-        node_ids, rows = [], []
+        node_ids, rows, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise MalformedLine(path, lineno, f"expected {len(header)} fields, got {len(row)}")
             node_ids.append(row[0])
+            linenos.append(lineno)
             try:
                 rows.append([float(v) for v in row[1:]])
             except ValueError:
@@ -163,6 +167,11 @@ def _read_features(path):
     if len(set(node_ids)) != len(node_ids):
         raise MalformedLine(path, 0, "duplicate node id in feature file")
     features = np.asarray(rows, dtype=np.float64).reshape(len(node_ids), len(feature_names))
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        r, c = bad[0]
+        raise MalformedLine(path, linenos[r],
+                            f"non-finite value {features[r, c]} in column {feature_names[c]!r}")
     return node_ids, features, feature_names
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
+    BadSolverArgument,
     DimensionMismatch,
     GridTooSmall,
     NumericalUnderflow,
@@ -136,23 +137,76 @@ def _perm_objective(C1, C2, perm):
     return float(np.sum((C1 - C2p) ** 2)) / (m * m)
 
 
+def _swap_deltas(X, Y, s, i, start):
+    """Exact change of the permutation objective from swapping item i with
+    each item j >= ``start``.
+
+    ``X = [C1, C1.T]`` and ``Y = [B, B.T]`` side by side, with ``B =
+    C2[perm][:, perm]``, and ``s`` the row sums of ``X * Y``. A swap exchanges
+    rows and columns i and j of ``B``, so only the terms of ``sum(C1 * B)`` in
+    those rows and columns change; ``sum(C1**2)`` and ``sum(B**2)`` do not.
+    Row k of ``X`` and ``Y`` holds row and column k of ``C1`` and ``B``, so
+    ``full[j] = sum((X[i] - X[j]) * (Y[i] - Y[j]))`` covers them, except that
+    it miscounts the four entries where rows i, j meet columns i, j;
+    ``meet_c1 * meet_b`` corrects exactly those.
+    """
+    m = X.shape[0]
+    full = s[i] + s[start:] - X[start:] @ Y[i] - Y[start:] @ X[i]
+    meet_c1 = X[i, start:m] + X[i, m + start:] - X[i, i] - np.diagonal(X)[start:]
+    meet_b = Y[i, start:m] + Y[i, m + start:] - Y[i, i] - np.diagonal(Y)[start:]
+    return 2.0 * (full - meet_c1 * meet_b) / (m * m)
+
+
 def _two_opt(C1, C2, perm):
-    """Pairwise-exchange descent on the permutation objective."""
+    """Pairwise-exchange descent on the permutation objective.
+
+    Swaps are tried in (i, j) order, and one is kept when the recomputed
+    objective falls by more than 1e-15. The exact swap delta decides most
+    swaps without recomputing it: the delta's rounding error is far below
+    ``band``, so a swap whose delta is at least ``band`` would fail that test
+    and one whose delta is below ``-band`` would pass it. Only the swaps in
+    between are recomputed. After a swap kept on its delta alone, ``obj`` is
+    stale until the next recompute; the objective only falls meanwhile, so
+    the stale value sets a band at least as wide as the current one.
+    """
     perm = np.array(perm, dtype=np.int64)
     obj = _perm_objective(C1, C2, perm)
+    stale = False
     m = len(perm)
+    B = C2[np.ix_(perm, perm)]
+    X = np.hstack([C1, C1.T])
+    Y = np.hstack([B, B.T])
+    s = np.einsum("ab,ab->a", X, Y)
     improved = True
     while improved:
         improved = False
-        for i in range(m):
-            for j in range(i + 1, m):
-                perm[i], perm[j] = perm[j], perm[i]
-                cand = _perm_objective(C1, C2, perm)
-                if cand < obj - 1e-15:
-                    obj = cand
+        for i in range(m - 1):
+            start = i + 1
+            while start < m:
+                band = 1e-9 * max(1.0, abs(obj))
+                deltas = _swap_deltas(X, Y, s, i, start)
+                first, start = start, m
+                for j in first + np.flatnonzero(deltas < band):
+                    if deltas[j - first] >= -band:
+                        if stale:
+                            obj, stale = _perm_objective(C1, C2, perm), False
+                        perm[[i, j]] = perm[[j, i]]
+                        cand = _perm_objective(C1, C2, perm)
+                        if not cand < obj - 1e-15:
+                            perm[[i, j]] = perm[[j, i]]
+                            continue
+                        obj = cand
+                    else:
+                        perm[[i, j]] = perm[[j, i]]
+                        stale = True
                     improved = True
-                else:
-                    perm[i], perm[j] = perm[j], perm[i]
+                    Y[[i, j]] = Y[[j, i]]
+                    Y[:, [i, j, m + i, m + j]] = Y[:, [j, i, m + j, m + i]]
+                    s = np.einsum("ab,ab->a", X, Y)
+                    start = j + 1  # the rest of row i sees the new permutation
+                    break
+    if stale:
+        obj = _perm_objective(C1, C2, perm)
     return perm, obj
 
 
@@ -163,6 +217,10 @@ def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, r
     doubly-stochastic perturbations) and keeps the lowest-objective result.
     At epsilon=0 the returned plan is a permutation scaled by 1/m.
     """
+    if not restarts >= 1:
+        raise BadSolverArgument(f"restarts must be at least 1, got {restarts}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise BadSolverArgument(f"epsilon must be finite and >= 0, got {epsilon}")
     C1, C2 = _check_pair(C_item, C_grid)
     m = C1.shape[0]
     p = np.full(m, 1.0 / m)
@@ -272,7 +330,9 @@ def resolve_assignment(T, n_items=None, grid_side=None):
     m = M.shape[0]
     if M.shape != (m, m):
         raise DimensionMismatch(f"plan is not square: {M.shape}")
-    perm = _lexmin_max_assignment(M)
+    perm = _plan_permutation(M)
+    if perm is None:
+        perm = _lexmin_max_assignment(M)
     g = grid_side if grid_side is not None else math.isqrt(m)
     if g * g != m and grid_side is None:
         raise DimensionMismatch(f"plan size {m} is not a perfect square; pass grid_side")
@@ -281,13 +341,34 @@ def resolve_assignment(T, n_items=None, grid_side=None):
     return LayoutPermutation(item_to_cell=cells, n_items=n_items, n_dummy=m - n_items)
 
 
+def _tie_tolerance(M, eps_scale=1e-9):
+    return eps_scale * max(1.0, float(np.abs(M).max()))
+
+
+def _plan_permutation(M):
+    """The permutation held by a plan with one positive entry per row and
+    column, or None for any other plan.
+
+    Any other assignment gives up at least two of those entries, so when the
+    smallest one exceeds the tie tolerance this permutation is the unique
+    max-mass assignment, the one ``_lexmin_max_assignment`` returns.
+    """
+    m = M.shape[0]
+    rows, cols = np.nonzero(M > 0)
+    if not (np.array_equal(rows, np.arange(m)) and len(np.unique(cols)) == m):
+        return None
+    if not np.all(np.isfinite(M)) or M[rows, cols].min() <= _tie_tolerance(M):
+        return None
+    return cols
+
+
 def _lexmin_max_assignment(M, eps_scale=1e-9):
     """Max-total-mass assignment, lexicographically smallest among optima."""
     m = M.shape[0]
     cost = -M
     rows, cols = linear_sum_assignment(cost)
     best = cost[rows, cols].sum()
-    eps = eps_scale * max(1.0, float(np.abs(M).max()))
+    eps = _tie_tolerance(M, eps_scale)
     perm = np.full(m, -1, dtype=np.int64)
     free_cols = list(range(m))
     fixed = 0.0

@@ -126,3 +126,39 @@ class TestPipeline:
         assert rc == 1
         err = capsys.readouterr().err
         assert "extra.csv" in err and repr(dropped) in err
+
+    def test_nan_edge_weight_names_file_and_line(self, tmp_path, capsys):
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        edges = tmp_path / "edges.tsv"
+        lines = edges.read_text().splitlines()
+        src, dst, _ = lines[2].split("\t")
+        lines[2] = f"{src}\t{dst}\tnan"
+        edges.write_text("\n".join(lines) + "\n")
+        assert main(["run", *_small_args(tmp_path), *_data_args(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{edges}:3" in err and "non-finite weight" in err
+
+    def test_inf_feature_names_file_line_and_column(self, tmp_path, capsys):
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        features = tmp_path / "features.csv"
+        lines = features.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[4].split(",")
+        row[3] = "inf"
+        lines[4] = ",".join(row)
+        features.write_text("\n".join(lines) + "\n")
+        assert main(["run", *_small_args(tmp_path), *_data_args(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{features}:5" in err and repr(header[3]) in err and "non-finite" in err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--restarts", "0", "--epsilon", "0.5"], "restarts"),
+        (["--epsilon", "-1"], "epsilon"),
+        (["--epsilon", "nan"], "epsilon"),
+    ])
+    def test_bad_solver_argument_is_named(self, tmp_path, capsys, flags, name):
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        rc = main(["run", *_small_args(tmp_path), *_data_args(tmp_path), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error in stage layout" in err and f"{name} must be" in err

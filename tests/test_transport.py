@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+from g2i import transport
 from g2i.errors import DimensionMismatch, GridTooSmall, NonConvergence, TooLarge
+from g2i.imaging import build_feature_layout
 from g2i.transport import (
     GridTemplate,
     TransportPlan,
+    _lexmin_max_assignment,
+    _perm_objective,
+    _plan_permutation,
+    _swap_deltas,
+    _two_opt,
     brute_force_gw,
     gw_objective,
     pad_to_square,
@@ -138,6 +145,69 @@ class TestSolve:
         assert entropy(soft.matrix) > entropy(exact.matrix)
 
 
+def _reference_two_opt(C1, C2, perm):
+    """Pairwise-exchange descent that recomputes the objective for every swap."""
+    perm = np.array(perm, dtype=np.int64)
+    obj = _perm_objective(C1, C2, perm)
+    m = len(perm)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(m):
+            for j in range(i + 1, m):
+                perm[i], perm[j] = perm[j], perm[i]
+                cand = _perm_objective(C1, C2, perm)
+                if cand < obj - 1e-15:
+                    obj = cand
+                    improved = True
+                else:
+                    perm[i], perm[j] = perm[j], perm[i]
+    return perm, obj
+
+
+class TestTwoOpt:
+    def test_swap_deltas_match_recomputed_objective(self):
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            m = int(rng.integers(2, 12))
+            C1 = rng.random((m, m)) * 3.0       # asymmetric, nonzero diagonal
+            C2 = rng.random((m, m))
+            perm = rng.permutation(m)
+            B = C2[np.ix_(perm, perm)]
+            X, Y = np.hstack([C1, C1.T]), np.hstack([B, B.T])
+            s = np.einsum("ab,ab->a", X, Y)
+            base = _perm_objective(C1, C2, perm)
+            for i in range(m - 1):
+                deltas = _swap_deltas(X, Y, s, i, i + 1)
+                for j in range(i + 1, m):
+                    swapped = perm.copy()
+                    swapped[[i, j]] = swapped[[j, i]]
+                    expected = _perm_objective(C1, C2, swapped) - base
+                    assert deltas[j - i - 1] == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_full_recompute(self):
+        rng = np.random.default_rng(32)
+        for trial in range(240):
+            kind = trial % 4
+            m = int(rng.integers(1, 30))
+            g = int(np.ceil(np.sqrt(m)))
+            C1 = _rand_sym(rng, m)
+            C2 = GridTemplate.square(g).cost
+            if kind == 1:       # rounded item costs: many exact ties
+                C1 = np.round(C1 * 2.0) / 2.0
+            elif kind == 2:     # rounded random lattice costs
+                C2 = np.round(_rand_sym(rng, g * g, scale=3.0))
+            elif kind == 3:     # no symmetry to lean on
+                C1 = rng.random((m, m))
+                C2 = rng.random((g * g, g * g))
+            padded, _ = pad_to_square(C1, g)   # zero-distance dummies
+            start = rng.permutation(g * g)
+            want_perm, want_obj = _reference_two_opt(padded, C2, start)
+            got_perm, got_obj = _two_opt(padded, C2, start)
+            assert np.array_equal(got_perm, want_perm), trial
+            assert got_obj == want_obj, trial
+
+
 class TestSinkhorn:
     def test_zero_cost_gives_outer_product(self):
         p = np.full(3, 1.0 / 3)
@@ -199,6 +269,38 @@ class TestResolve:
         T = np.full((3, 3), 1.0 / 9)
         layout = resolve_assignment(_plan(T), grid_side=3)
         assert _perm(layout, 3) == [0, 1, 2]
+
+
+class TestPermutationPlan:
+    def test_matches_lexmin_on_permutation_plans(self):
+        rng = np.random.default_rng(33)
+        for trial in range(50):
+            m = int(rng.integers(1, 8))
+            M = np.zeros((m, m))
+            M[np.arange(m), rng.permutation(m)] = rng.uniform(0.01, 1.0, m)
+            got = _plan_permutation(M)
+            assert got is not None
+            assert np.array_equal(got, _lexmin_max_assignment(M))
+
+    def test_defers_on_tied_plan(self):
+        T = np.array([[0.25, 0.25], [0.25, 0.25]])
+        assert _plan_permutation(T) is None
+
+    def test_defers_below_tie_tolerance(self):
+        # mass 1e-12 on the swap of items 0 and 1 is a tie with the identity
+        T = np.diag([0.0, 0.0, 0.5, 0.5])
+        T[0, 1] = T[1, 0] = 1e-12
+        assert _plan_permutation(T) is None
+        assert _perm(resolve_assignment(_plan(T), grid_side=4), 4) == [0, 1, 2, 3]
+
+    def test_exact_feature_layout_skips_lexmin(self, monkeypatch):
+        def forbidden(M, eps_scale=1e-9):
+            raise AssertionError("lexmin search run on a permutation plan")
+
+        monkeypatch.setattr(transport, "_lexmin_max_assignment", forbidden)
+        F = np.random.default_rng(34).standard_normal((40, 121))
+        layout = build_feature_layout(F, seed=7, epsilon=0.0, restarts=2)
+        assert len(set(layout.layout.item_to_cell)) == 121
 
 
 def _plan(T):
