@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayoutMismatch, TooLarge
+from .errors import BadArgument, LayoutMismatch, TooLarge
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class ShapConfig:
 
     def __post_init__(self):
         if self.n_permutations < 1:
-            raise ValueError("n_permutations must be >= 1")
+            raise BadArgument(f"n_permutations must be >= 1, got {self.n_permutations}")
 
 
 @dataclass
@@ -49,11 +49,6 @@ class FeatureImportanceTable:
                     [r["feature"], r["modality"], r["class"], repr(float(r["raw"])), repr(float(r["normalized"]))]
                 )
 
-    def top_feature(self, class_name, modality=None):
-        rows = [r for r in self.rows if r["class"] == class_name
-                and (modality is None or r["modality"] == modality)]
-        return max(rows, key=lambda r: r["raw"])
-
 
 @dataclass(frozen=True)
 class Dendrogram:
@@ -70,7 +65,7 @@ def select_hvf(F, m):
     """
     F = np.asarray(F, dtype=np.float64)
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadArgument(f"n_hvf must be >= 1, got {m}")
     X = np.log1p(F - F.min(axis=0))
     means = X.mean(axis=0)
     variances = X.var(axis=0)
@@ -83,16 +78,17 @@ def select_hvf(F, m):
     return order[: min(m, F.shape[1])]
 
 
-def _coalition_scores(predict, tensors, class_idx):
-    batch = np.stack(tensors).transpose(0, 3, 1, 2)
-    return predict(batch)[:, class_idx]
+def _cells(players):
+    """(channels, rows, cols) index arrays of a player list."""
+    return tuple(np.asarray(players, dtype=np.int64).reshape(-1, 3).T)
 
 
 def shapley_sample(predict, image, class_idx, background_mean, players, M, seed):
     """Permutation-sampling Shapley estimates for the given cells.
 
     ``predict`` maps a (B, C, P, P) batch to (B, classes) probabilities;
-    ``image`` and ``background_mean`` are (P, P, C) tensors.
+    ``image`` and ``background_mean`` are (C, P, P) tensors; ``players`` are
+    distinct (channel, row, col) cells. Each permutation is one predict batch.
     """
     players = list(players)
     if not players:
@@ -100,22 +96,23 @@ def shapley_sample(predict, image, class_idx, background_mean, players, M, seed)
     rng = np.random.default_rng(seed)
     image = np.asarray(image, dtype=np.float64)
     background = np.asarray(background_mean, dtype=np.float64)
-    values = np.zeros(len(players))
+    ch, r, c = _cells(players)
+    n = len(players)
+    values = np.zeros(n)
     for _ in range(M):
-        order = rng.permutation(len(players))
-        current = background.copy()
-        tensors = [current.copy()]
-        for pi in order:
-            ch, r, c = players[pi]
-            current[r, c, ch] = image[r, c, ch]
-            tensors.append(current.copy())
-        scores = _coalition_scores(predict, tensors, class_idx)
+        order = rng.permutation(n)
+        # coalition t holds the players ranked below t in this permutation
+        played = np.argsort(order) < np.arange(n + 1)[:, None]
+        batch = np.repeat(background[None], n + 1, axis=0)
+        batch[:, ch, r, c] = np.where(played, image[ch, r, c], background[ch, r, c])
+        scores = predict(batch)[:, class_idx]
         values[order] += np.diff(scores)
     return values / M
 
 
 def shapley_exact(predict, image, class_idx, background_mean, players):
-    """Exact Shapley values by subset enumeration (<= 8 players)."""
+    """Exact Shapley values by subset enumeration (<= 8 players); ``image``
+    and ``background_mean`` are (C, P, P) tensors."""
     players = list(players)
     P = len(players)
     if P > 8:
@@ -128,9 +125,9 @@ def shapley_exact(predict, image, class_idx, background_mean, players):
         for pi in range(P):
             if mask >> pi & 1:
                 ch, r, c = players[pi]
-                t[r, c, ch] = image[r, c, ch]
+                t[ch, r, c] = image[ch, r, c]
         tensors.append(t)
-    scores = _coalition_scores(predict, tensors, class_idx)
+    scores = predict(np.stack(tensors))[:, class_idx]
     fact = [math.factorial(i) for i in range(P + 1)]
     values = np.zeros(P)
     for pi in range(P):
@@ -152,22 +149,21 @@ def class_global_importance(predict, images, test_indices, n_classes, players, c
     background_idx = np.asarray(config.background, dtype=np.int64)
     if background_idx.size == 0:
         raise ValueError("background index set must be non-empty")
-    # shapley_sample takes (P, P, C) tensors
-    background_mean = images.tensors[background_idx].astype(np.float64).mean(axis=0).transpose(1, 2, 0)
+    background_mean = images.tensors[background_idx].astype(np.float64).mean(axis=0)
+    ch, r, c = _cells(players)
     rng = np.random.default_rng(config.seed)
     for idx in test_indices:
         cls = int(labels[idx])
         local = shapley_sample(
             predict,
-            images.tensors[idx].transpose(1, 2, 0),
+            images.tensors[idx],
             cls,
             background_mean,
             players,
             config.n_permutations,
             int(rng.integers(2**32)),
         )
-        for val, (ch, r, c) in zip(local, players):
-            values[cls, ch, r, c] += val
+        np.add.at(values, (cls, ch, r, c), local)
         counts[cls] += 1
     for cls in range(n_classes):
         if counts[cls] == 0:

@@ -75,25 +75,29 @@ def _read_config(path):
 # config keys whose text converts with the type of the field's default
 _SCALARS = {f.name: type(f.default) for f in fields(PipelineConfig)
             if type(f.default) in (str, int, float)}
+_CONVERTERS = {
+    **_SCALARS, "p": int,
+    "blocks": lambda text: tuple(int(b) for b in text.split(",")),
+    "ratios": lambda text: tuple(float(r) for r in text.split(",")),
+}
+
+
+def _convert(key, text, where):
+    """``text`` as the value of config key ``key``; ``where`` names its source."""
+    try:
+        return _CONVERTERS[key](text)
+    except ValueError:
+        raise G2IError(f"{where}: bad value for {key}: {text!r}") from None
 
 
 def build_config(args):
     raw = _read_config(args.config) if getattr(args, "config", None) else {}
     cfg = PipelineConfig()
-    converters = {
-        **_SCALARS, "p": int,
-        "blocks": lambda text: tuple(int(b) for b in text.split(",")),
-        "ratios": lambda text: tuple(float(r) for r in text.split(",")),
-    }
-    for key, conv in converters.items():
-        if key not in raw:
-            continue
-        lineno, text = raw[key]
-        try:
-            value = conv(text)
-        except ValueError:
-            raise G2IError(f"{args.config}:{lineno}: bad value for {key}: {text!r}") from None
-        setattr(cfg, "p_override" if key == "p" else key, value)
+    for key in _CONVERTERS:
+        if key in raw:
+            lineno, text = raw[key]
+            value = _convert(key, text, f"{args.config}:{lineno}")
+            setattr(cfg, "p_override" if key == "p" else key, value)
     for key, (_, value) in raw.items():
         if key.startswith("modality."):
             cfg.modalities[key.split(".", 1)[1]] = value
@@ -105,7 +109,7 @@ def build_config(args):
     if getattr(args, "p", None) is not None:
         cfg.p_override = args.p
     if getattr(args, "blocks", None):
-        cfg.blocks = tuple(int(b) for b in args.blocks.split(","))
+        cfg.blocks = _convert("blocks", args.blocks, "--blocks")
     if getattr(args, "modality", None):
         for entry in args.modality:
             name, _, path = entry.partition("=")
@@ -225,7 +229,7 @@ def stage_layout(cfg):
     p = _paths(cfg)
     imaging.write_layout(s_layout.layout, [f"community{i}" for i in range(model.P)], p["s_layout"])
     mods = _modality_list(cfg, graph)
-    side = max(imaging._ceil_sqrt(F.shape[1]) for _, F, _ in mods)
+    side = max(community.community_count(F.shape[1]) for _, F, _ in mods)
     for i, (name, F, fnames) in enumerate(mods):
         fl = imaging.build_feature_layout(F, stage_seed(cfg.seed, f"layout.{name}"),
                                           cfg.epsilon, cfg.restarts, grid_side=side)
@@ -236,11 +240,11 @@ def stage_layout(cfg):
 def _load_layouts(cfg, graph, model):
     p = _paths(cfg)
     assoc = community.association_matrix(model)
-    P_s = imaging._ceil_sqrt(model.P)
+    P_s = community.community_count(model.P)
     s_raw, _ = imaging.read_layout(p["s_layout"], P_s)
     s_layout = imaging.StructuralLayout(layout=s_raw, grid_side=P_s, association=assoc)
     mods = _modality_list(cfg, graph)
-    side = max(imaging._ceil_sqrt(F.shape[1]) for _, F, _ in mods)
+    side = max(community.community_count(F.shape[1]) for _, F, _ in mods)
     f_layouts = []
     for name, F, fnames in mods:
         raw, _ = imaging.read_layout(_f_layout_path(cfg, name), side)

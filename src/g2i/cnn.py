@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySplit, ShapeMismatch
+from .errors import BadArgument, EmptySplit, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ class ConvNetConfig:
 
     def __post_init__(self):
         if self.kernel % 2 == 0:
-            raise ValueError("kernel must be odd for same padding")
+            raise BadArgument(f"kernel must be odd for same padding, got {self.kernel}")
         for name in ("input_side", "input_channels", "classes", "conv_layers", "kernel",
                      "filters", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise BadArgument(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData
+from .errors import BadArgument, DegenerateData
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,10 @@ class AssociationMatrix:
 
 
 def community_count(k):
-    """Number of communities for k features: ceil(sqrt(k))."""
+    """ceil(sqrt(k)): the number of communities for k features, and the side
+    of the smallest square grid with k cells."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise BadArgument(f"k must be >= 1, got {k}")
     s = math.isqrt(k)
     return s if s * s == k else s + 1
 

@@ -5,6 +5,10 @@ class G2IError(Exception):
     """Base class for all g2i errors."""
 
 
+class BadArgument(G2IError, ValueError):
+    """A setting or argument outside its valid range; the message names it."""
+
+
 # --- ingestion ---
 
 class MalformedLine(G2IError):
@@ -59,10 +63,6 @@ class TooLarge(G2IError):
 
 
 class GridTooSmall(G2IError):
-    pass
-
-
-class BadSolverArgument(G2IError):
     pass
 
 

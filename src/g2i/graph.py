@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricDuplicate,
+    BadArgument,
     ClassTooSmall,
     MalformedLine,
     SelfLoop,
@@ -152,25 +153,26 @@ def _read_features(path):
         if not header or header[0] != "node_id":
             raise MalformedLine(path, 1, "feature header must start with 'node_id'")
         feature_names = header[1:]
-        node_ids, rows, linenos = [], [], []
+        line_of, rows = {}, []       # node id -> line number, in file order
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise MalformedLine(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-            node_ids.append(row[0])
-            linenos.append(lineno)
+            if row[0] in line_of:
+                raise MalformedLine(path, lineno, f"duplicate node id {row[0]!r}, "
+                                                  f"first on line {line_of[row[0]]}")
+            line_of[row[0]] = lineno
             try:
                 rows.append([float(v) for v in row[1:]])
             except ValueError:
                 raise MalformedLine(path, lineno, "non-numeric feature value") from None
-    if len(set(node_ids)) != len(node_ids):
-        raise MalformedLine(path, 0, "duplicate node id in feature file")
+    node_ids = list(line_of)
     features = np.asarray(rows, dtype=np.float64).reshape(len(node_ids), len(feature_names))
     bad = np.argwhere(~np.isfinite(features))
     if len(bad):
         r, c = bad[0]
-        raise MalformedLine(path, linenos[r],
+        raise MalformedLine(path, line_of[node_ids[r]],
                             f"non-finite value {features[r, c]} in column {feature_names[c]!r}")
     return node_ids, features, feature_names
 
@@ -198,7 +200,8 @@ def _read_labels(path, index):
             labels[index[nid]] = class_index[name]
     if np.any(labels < 0):
         missing = [nid for nid, i in index.items() if labels[i] < 0]
-        raise MalformedLine(path, 0, f"nodes without labels: {missing[:5]}")
+        raise UnknownNodeId(f"{path}: no label for {len(missing)} node id(s), first "
+                            f"{', '.join(map(repr, missing[:5]))}")
     return labels, tuple(class_names)
 
 
@@ -270,11 +273,13 @@ def generate_sbm(blocks, p_in, p_out, feature_dim, signal, seed):
     added on the block's coordinate subset; labels are block indices.
     """
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
-        raise ValueError("p_in and p_out must lie in [0, 1]")
+        raise BadArgument(f"p_in and p_out must lie in [0, 1], got {p_in} and {p_out}")
     if signal < 0:
-        raise ValueError("signal must be non-negative")
-    rng = np.random.default_rng(seed)
+        raise BadArgument(f"signal must be non-negative, got {signal}")
     blocks = list(blocks)
+    if min(blocks, default=0) < 1:
+        raise BadArgument(f"blocks must be positive sizes, got {blocks}")
+    rng = np.random.default_rng(seed)
     n = sum(blocks)
     labels = np.repeat(np.arange(len(blocks)), blocks)
 

@@ -16,12 +16,12 @@ Binary tensor container (little-endian):
 from __future__ import annotations
 
 import csv
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .community import community_count
 from .errors import BadMagic, LayoutMismatch, ShapeMismatch, ShapeOverflow, TruncatedFile
 from .transport import (
     GridTemplate,
@@ -77,7 +77,7 @@ def build_feature_layout(F, seed, epsilon=0.0, restarts=20, grid_side=None):
     """Lay out the k features on a P x P grid (P = ceil(sqrt(k)) by default)."""
     assoc = feature_association(F)
     k = assoc.shape[0]
-    P = grid_side if grid_side is not None else _ceil_sqrt(k)
+    P = grid_side if grid_side is not None else community_count(k)
     # GW aligns two distance matrices, so the correlation matrix enters as the
     # dissimilarity 1 - r: perfectly correlated features are at distance 0 and
     # land on nearby grid cells.
@@ -94,17 +94,12 @@ def build_structural_layout(assoc, seed, epsilon=0.0, restarts=20):
     """Master community layout on a P_s x P_s grid, P_s = ceil(sqrt(P))."""
     Z = assoc.values
     P = Z.shape[0]
-    P_s = _ceil_sqrt(P)
+    P_s = community_count(P)
     padded, _ = pad_to_square(Z, P_s)
     grid = GridTemplate.square(P_s)
     plan = solve_gw(padded, grid.cost, epsilon=epsilon, seed=seed, restarts=restarts)
     layout = resolve_assignment(plan, n_items=P, grid_side=P_s)
     return StructuralLayout(layout=layout, grid_side=P_s, association=assoc)
-
-
-def _ceil_sqrt(k):
-    s = math.isqrt(k)
-    return s if s * s == k else s + 1
 
 
 def render_all(graph, model, s_layout, f_layouts, modalities=None, channel_names=None):

@@ -126,17 +126,15 @@ def silhouette(points, assignment):
     clusters = np.unique(labels)
     if len(clusters) < 2:
         raise SingleCluster("silhouette requires at least 2 clusters")
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
     scores = np.zeros(len(X))
     for i in range(len(X)):
         own = labels == labels[i]
         n_own = own.sum()
         if n_own == 1:
-            scores[i] = 0.0
             continue
-        a = dist[i, own].sum() / (n_own - 1)
-        b = min(dist[i, labels == c].mean() for c in clusters if c != labels[i])
+        dist = np.sqrt(np.sum((X - X[i]) ** 2, axis=1))
+        a = dist[own].sum() / (n_own - 1)
+        b = min(dist[labels == c].mean() for c in clusters if c != labels[i])
         scores[i] = (b - a) / max(a, b)
     return float(scores.mean())
 

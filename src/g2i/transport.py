@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (
-    BadSolverArgument,
+    BadArgument,
     DimensionMismatch,
     GridTooSmall,
     NumericalUnderflow,
@@ -58,9 +58,6 @@ class LayoutPermutation:
     item_to_cell: tuple          # ((row, col), ...) for the real items
     n_items: int
     n_dummy: int
-
-    def cell_to_item(self):
-        return {cell: i for i, cell in enumerate(self.item_to_cell)}
 
 
 def _check_pair(C_item, C_grid):
@@ -218,9 +215,9 @@ def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, r
     At epsilon=0 the returned plan is a permutation scaled by 1/m.
     """
     if not restarts >= 1:
-        raise BadSolverArgument(f"restarts must be at least 1, got {restarts}")
+        raise BadArgument(f"restarts must be at least 1, got {restarts}")
     if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise BadSolverArgument(f"epsilon must be finite and >= 0, got {epsilon}")
+        raise BadArgument(f"epsilon must be finite and >= 0, got {epsilon}")
     C1, C2 = _check_pair(C_item, C_grid)
     m = C1.shape[0]
     p = np.full(m, 1.0 / m)

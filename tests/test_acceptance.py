@@ -226,8 +226,8 @@ def test_criterion_8_shapley_oracle():
     values = shapley_exact(predict, image, 1, background, players)
 
     # efficiency
-    f_full = predict(image.transpose(2, 0, 1)[None])[0, 1]
-    f_bg = predict(background.transpose(2, 0, 1)[None])[0, 1]
+    f_full = predict(image[None])[0, 1]
+    f_bg = predict(background[None])[0, 1]
     if abs(values.sum() - (f_full - f_bg)) > 1e-12:
         ok = False
 
@@ -243,10 +243,10 @@ def test_criterion_8_shapley_oracle():
         s = batch[:, 0, 0, 0] + batch[:, 0, 0, 1]
         return np.column_stack([-s, s])
 
-    sym_img = np.zeros((2, 2, 1))
+    sym_img = np.zeros((1, 2, 2))
     sym_img[0, 0, 0] = 2.0
-    sym_img[0, 1, 0] = 2.0
-    sym_vals = shapley_exact(sym_predict, sym_img, 1, np.zeros((2, 2, 1)),
+    sym_img[0, 0, 1] = 2.0
+    sym_vals = shapley_exact(sym_predict, sym_img, 1, np.zeros((1, 2, 2)),
                              [(0, 0, 0), (0, 0, 1)])
     if abs(sym_vals[0] - sym_vals[1]) > 1e-12:
         ok = False
@@ -260,7 +260,7 @@ def test_criterion_8_shapley_oracle():
     sampled = shapley_sample(linear_predict, image, 1, background, players,
                              M=2000, seed=0)
     for val, (ch, r, c) in zip(sampled, players):
-        expected = w[ch, r, c] * (image[r, c, ch] - background[r, c, ch])
+        expected = w[ch, r, c] * (image[ch, r, c] - background[ch, r, c])
         if abs(expected) > 1e-9 and abs(val - expected) / abs(expected) > 0.02:
             ok = False
     _report(8, "shapley oracle", ok)

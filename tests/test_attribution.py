@@ -96,22 +96,22 @@ class TestShapleyExact:
         rng = np.random.default_rng(0)
         w = rng.normal(size=(2, 3, 3))
         predict = _linear_predict(w)
-        image = rng.normal(size=(3, 3, 2))
-        background = rng.normal(size=(3, 3, 2))
+        image = rng.normal(size=(2, 3, 3))
+        background = rng.normal(size=(2, 3, 3))
         players = [(ch, r, c) for ch in range(2) for r in range(2) for c in range(2)]
         values = shapley_exact(predict, image, 1, background, players)
         full = background.copy()
         for ch, r, c in players:
-            full[r, c, ch] = image[r, c, ch]
-        f_full = predict(full.transpose(2, 0, 1)[None])[0, 1]
-        f_bg = predict(background.transpose(2, 0, 1)[None])[0, 1]
+            full[ch, r, c] = image[ch, r, c]
+        f_full = predict(full[None])[0, 1]
+        f_bg = predict(background[None])[0, 1]
         assert values.sum() == pytest.approx(f_full - f_bg, abs=1e-12)
 
     def test_null_player(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=(2, 3, 3))
         predict = _linear_predict(w)
-        background = rng.normal(size=(3, 3, 2))
+        background = rng.normal(size=(2, 3, 3))
         image = background.copy()
         image[0, 0, 0] += 1.0  # only one cell differs
         players = [(0, 0, 0), (0, 0, 1), (1, 1, 1)]
@@ -125,10 +125,10 @@ class TestShapleyExact:
             s = batch[:, 0, 0, 0] + batch[:, 0, 0, 1]
             return np.column_stack([-s, s])
 
-        image = np.zeros((2, 2, 1))
+        image = np.zeros((1, 2, 2))
         image[0, 0, 0] = 3.0
-        image[0, 1, 0] = 3.0
-        background = np.zeros((2, 2, 1))
+        image[0, 0, 1] = 3.0
+        background = np.zeros((1, 2, 2))
         players = [(0, 0, 0), (0, 0, 1)]
         values = shapley_exact(predict, image, 1, background, players)
         assert abs(values[0] - values[1]) <= 1e-12
@@ -137,7 +137,7 @@ class TestShapleyExact:
         predict = _raw_linear_predict(np.zeros((2, 3, 3)))
         players = _players_chain(9)
         with pytest.raises(TooLarge):
-            shapley_exact(predict, np.zeros((3, 3, 2)), 1, np.zeros((3, 3, 2)), players)
+            shapley_exact(predict, np.zeros((2, 3, 3)), 1, np.zeros((2, 3, 3)), players)
 
 
 class TestShapleySample:
@@ -145,12 +145,12 @@ class TestShapleySample:
         rng = np.random.default_rng(3)
         w = rng.normal(size=(2, 3, 3))
         predict = _linear_predict(w)
-        image = rng.normal(size=(3, 3, 2))
-        background = rng.normal(size=(3, 3, 2))
+        image = rng.normal(size=(2, 3, 3))
+        background = rng.normal(size=(2, 3, 3))
         players = [(ch, r, c) for ch in range(2) for r in range(3) for c in range(3)]
         values = shapley_sample(predict, image, 1, background, players, M=7, seed=0)
-        full = image.transpose(2, 0, 1)[None]
-        bg = background.transpose(2, 0, 1)[None]
+        full = image[None]
+        bg = background[None]
         gap = predict(full)[0, 1] - predict(bg)[0, 1]
         assert values.sum() == pytest.approx(gap, abs=1e-9)
 
@@ -158,23 +158,23 @@ class TestShapleySample:
         rng = np.random.default_rng(4)
         w = rng.normal(size=(2, 3, 3))
         predict = _raw_linear_predict(w)
-        image = rng.normal(size=(3, 3, 2))
-        background = rng.normal(size=(3, 3, 2))
+        image = rng.normal(size=(2, 3, 3))
+        background = rng.normal(size=(2, 3, 3))
         players = [(ch, r, c) for ch in range(2) for r in range(3) for c in range(3)]
         values = shapley_sample(predict, image, 1, background, players, M=50, seed=1)
         # for a linear game every permutation gives the same marginal, so even
         # small M is exact
         w_chw = w  # weights indexed (channel, row, col) to match flatten order
         for val, (ch, r, c) in zip(values, players):
-            expected = w_chw[ch, r, c] * (image[r, c, ch] - background[r, c, ch])
+            expected = w_chw[ch, r, c] * (image[ch, r, c] - background[ch, r, c])
             assert val == pytest.approx(expected, abs=1e-9)
 
     def test_matches_exact_oracle(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=(1, 2, 2))
         predict = _linear_predict(w)
-        image = rng.normal(size=(2, 2, 1))
-        background = rng.normal(size=(2, 2, 1))
+        image = rng.normal(size=(1, 2, 2))
+        background = rng.normal(size=(1, 2, 2))
         players = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
         exact = shapley_exact(predict, image, 1, background, players)
         sampled = shapley_sample(predict, image, 1, background, players,
@@ -185,16 +185,77 @@ class TestShapleySample:
         rng = np.random.default_rng(6)
         w = rng.normal(size=(1, 2, 2))
         predict = _linear_predict(w)
-        image = rng.normal(size=(2, 2, 1))
-        background = np.zeros((2, 2, 1))
+        image = rng.normal(size=(1, 2, 2))
+        background = np.zeros((1, 2, 2))
         players = [(0, 0, 0), (0, 1, 1)]
         a = shapley_sample(predict, image, 1, background, players, M=10, seed=9)
         b = shapley_sample(predict, image, 1, background, players, M=10, seed=9)
         assert np.array_equal(a, b)
 
 
+def _loop_shapley_sample(predict, image, class_idx, background_mean, players, M, seed):
+    """Reference: the estimator that copies out each coalition one player at a
+    time, on (C, P, P) tensors."""
+    players = list(players)
+    rng = np.random.default_rng(seed)
+    image = np.asarray(image, dtype=np.float64)
+    background = np.asarray(background_mean, dtype=np.float64)
+    values = np.zeros(len(players))
+    for _ in range(M):
+        order = rng.permutation(len(players))
+        current = background.copy()
+        tensors = [current.copy()]
+        for pi in order:
+            ch, r, c = players[pi]
+            current[ch, r, c] = image[ch, r, c]
+            tensors.append(current.copy())
+        scores = predict(np.stack(tensors))[:, class_idx]
+        values[order] += np.diff(scores)
+    return values / M
+
+
+def _recording(predict):
+    """``predict`` that also keeps a copy of every batch it is given."""
+    batches = []
+
+    def wrapped(batch):
+        batches.append(np.array(batch))
+        return predict(batch)
+
+    return wrapped, batches
+
+
+class TestShapleySampleReference:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            C, P = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            n = 1 if trial % 4 == 0 else int(rng.integers(1, C * P * P + 1))
+            cells = np.unravel_index(rng.choice(C * P * P, size=n, replace=False), (C, P, P))
+            players = [tuple(int(v) for v in cell) for cell in zip(*cells)]
+            w = rng.normal(size=(C, P, P))
+            image = rng.normal(size=(C, P, P))
+            if trial % 3 == 0:
+                image = image.astype(np.float32)
+            background = rng.normal(size=(C, P, P))
+            yield w, image, background, players, int(rng.integers(1, 6)), int(rng.integers(2**32))
+
+    def test_equals_loop_reference_exactly(self):
+        for w, image, background, players, M, seed in self._cases():
+            got_predict, got_batches = _recording(_linear_predict(w))
+            ref_predict, ref_batches = _recording(_linear_predict(w))
+            got = shapley_sample(got_predict, image, 1, background, players, M, seed)
+            ref = _loop_shapley_sample(ref_predict, image, 1, background, players, M, seed)
+            assert np.array_equal(got, ref)
+            assert len(got_batches) == len(ref_batches) == M
+            for a, b in zip(got_batches, ref_batches):
+                assert a.shape == (len(players) + 1, *image.shape)
+                assert np.array_equal(a, b)
+
+
 def _image_set(tensors, labels):
-    imgs = np.stack([t.astype(np.float32).transpose(2, 0, 1) for t in tensors])
+    imgs = np.stack([t.astype(np.float32) for t in tensors])
     return ImageSet(node_ids=tuple(f"n{i}" for i in range(len(tensors))), tensors=imgs,
                     labels=np.asarray(labels), channel_names=("s", "f"))
 
@@ -211,9 +272,9 @@ class TestClassGlobal:
         with pytest.warns(UserWarning):   # class 0 has no test samples here
             attr = class_global_importance(predict, images, np.array([1]), 2, players, cfg)
         assert attr.counts.tolist() == [0, 1]
-        bg_mean = np.mean(images.tensors.astype(np.float64), axis=0).transpose(1, 2, 0)
+        bg_mean = np.mean(images.tensors.astype(np.float64), axis=0)
         rng_check = np.random.default_rng(5)
-        local = shapley_sample(predict, images.tensors[1].transpose(1, 2, 0), 1, bg_mean, players,
+        local = shapley_sample(predict, images.tensors[1], 1, bg_mean, players,
                                16, int(rng_check.integers(2**32)))
         for val, (ch, r, c) in zip(local, players):
             assert attr.values[1, ch, r, c] == pytest.approx(val, abs=1e-12)

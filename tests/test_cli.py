@@ -162,3 +162,39 @@ class TestPipeline:
         assert rc == 1
         err = capsys.readouterr().err
         assert "error in stage layout" in err and f"{name} must be" in err
+
+    @pytest.mark.parametrize("command, flags, name", [
+        ("synth", ["--blocks", "12,x"], "blocks"),
+        ("synth", ["--blocks=-5,3"], "blocks"),
+        ("synth", ["--p-in", "2"], "p_in"),
+        ("run", ["--n-permutations", "0"], "n_permutations"),
+        ("run", ["--max-epochs", "0"], "max_epochs"),
+        ("run", ["--n-hvf", "0"], "n_hvf"),
+    ])
+    def test_bad_setting_is_named(self, tmp_path, capsys, command, flags, name):
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        data = _data_args(tmp_path) if command == "run" else []
+        assert main([command, *_small_args(tmp_path), *data, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error") and name in err
+
+    def test_duplicate_feature_id_names_both_lines(self, tmp_path, capsys):
+        edges, features = tmp_path / "e.tsv", tmp_path / "f.csv"
+        edges.write_text("a\tb\t1\n")
+        features.write_text("node_id,x\na,1\na,2\n")
+        rc = main(["ingest", "--out", str(tmp_path / "out"),
+                   "--edges", str(edges), "--features", str(features)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{features}:3" in err and "'a'" in err and "line 2" in err
+
+    def test_unlabeled_node_names_label_file(self, tmp_path, capsys):
+        edges, features, labels = tmp_path / "e.tsv", tmp_path / "f.csv", tmp_path / "l.csv"
+        edges.write_text("a\tb\t1\n")
+        features.write_text("node_id,x\na,1\nb,2\n")
+        labels.write_text("node_id,label\na,c0\n")
+        rc = main(["ingest", "--out", str(tmp_path / "out"), "--edges", str(edges),
+                   "--features", str(features), "--labels", str(labels)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{labels}:" in err and f"{labels}:0" not in err and "'b'" in err

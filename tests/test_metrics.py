@@ -166,6 +166,25 @@ class TestHCV:
             assert -1e-12 <= val <= 1.0 + 1e-12
 
 
+def _cube_silhouette(points, assignment):
+    """Reference: silhouette over the full (n, n, d) difference cube."""
+    X = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(assignment)
+    clusters = np.unique(labels)
+    diff = X[:, None, :] - X[None, :, :]
+    dist = np.sqrt(np.sum(diff**2, axis=2))
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        own = labels == labels[i]
+        n_own = own.sum()
+        if n_own == 1:
+            continue
+        a = dist[i, own].sum() / (n_own - 1)
+        b = min(dist[i, labels == c].mean() for c in clusters if c != labels[i])
+        scores[i] = (b - a) / max(a, b)
+    return float(scores.mean())
+
+
 class TestSilhouette:
     def test_two_tight_far_clusters(self):
         rng = np.random.default_rng(0)
@@ -192,6 +211,22 @@ class TestSilhouette:
         s0 = (10.0 - 1.0) / 10.0
         s1 = (9.0 - 1.0) / 9.0
         assert silhouette(X, labels) == pytest.approx((s0 + s1 + 0.0) / 3, abs=1e-12)
+
+    # coincident points can make a = b = 0, and 0/0 is nan in both versions
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_equals_cube_reference_exactly(self):
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+            X = rng.normal(size=(n, d))
+            if trial % 2:
+                X = np.round(X * 2)      # tie-heavy lattice points
+            labels = rng.integers(0, int(rng.integers(2, 6)), n)
+            labels[0] = labels.max() + 1          # a singleton cluster
+            if trial % 5 == 0:
+                labels[1:] = 0                    # every point but one in one cluster
+            got, ref = silhouette(X, labels), _cube_silhouette(X, labels)
+            assert got == ref or (math.isnan(got) and math.isnan(ref))
 
     def test_single_cluster_raises(self):
         with pytest.raises(SingleCluster):
