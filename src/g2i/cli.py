@@ -246,10 +246,9 @@ def _load_layouts(cfg, graph, model):
     mods = _modality_list(cfg, graph)
     side = max(community.community_count(F.shape[1]) for _, F, _ in mods)
     f_layouts = []
-    for name, F, fnames in mods:
+    for name, _, _ in mods:
         raw, _ = imaging.read_layout(_f_layout_path(cfg, name), side)
-        f_layouts.append(imaging.FeatureLayout(assoc=imaging.feature_association(F),
-                                               layout=raw, grid_side=side))
+        f_layouts.append(imaging.FeatureLayout(layout=raw, grid_side=side))
     return s_layout, f_layouts, mods
 
 

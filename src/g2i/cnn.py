@@ -3,6 +3,14 @@
 Architecture: a stack of same-padded conv+ReLU layers, flatten, two
 fully-connected ReLU layers, then a softmax head. All arithmetic is double
 precision so the finite-difference gradient checks are meaningful.
+
+A convolution is k*k tap products, summed in a fixed tap order. The forward
+pass and the input gradient compute each tap as one stacked matmul over a
+channel-last padded copy; the weight gradient reduces each tap with an einsum
+over (b, i, j). Every sum and its order are those of the per-tap einsum
+convolution, so outputs and parameter gradients are bit-equal to it;
+tests/test_cnn.py keeps that einsum as the reference. loss_and_grad does not
+compute the gradient of the input images, which nothing reads.
 """
 
 from __future__ import annotations
@@ -91,35 +99,51 @@ def init_params(config, seed=None):
 
 
 def _conv_same(x, w, b):
-    # x (B, C, H, W), w (F, C, k, k) -> (B, F, H, W) with same padding
+    # x (B, C, H, W), w (F, C, k, k) -> (B, F, H, W) with same padding, one
+    # (H, W*B, C) @ (C, F) product per tap on a channel-last padded copy. The
+    # strided tap w[:, :, di, dj] keeps numpy's own matmul loop, which sums
+    # over C as the einsum does; a contiguous copy would send single-row
+    # products (one 1x1 image) to BLAS gemv, which sums in another order.
     B, C, H, W = x.shape
     F, _, k, _ = w.shape
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    out = np.zeros((B, F, H, W))
+    xp = np.zeros((H + 2 * p, W + 2 * p, B, C))
+    xp[p : p + H, p : p + W] = x.transpose(2, 3, 0, 1)
+    out = np.zeros((H, W * B, F))
     for di in range(k):
         for dj in range(k):
-            out += np.einsum("fc,bcij->bfij", w[:, :, di, dj], xp[:, :, di : di + H, dj : dj + W], optimize=True)
-    return out + b[None, :, None, None]
+            out += xp[di : di + H, dj : dj + W].reshape(H, W * B, C) @ w[:, :, di, dj].T
+    out += b
+    return np.ascontiguousarray(out.reshape(H, W, B, F).transpose(2, 3, 0, 1))
 
 
-def _conv_same_backward(x, w, dout):
-    B, C, H, W = x.shape
-    F, _, k, _ = w.shape
+def _conv_same_param_grads(x, w, dout):
+    """dW and db of _conv_same, each dW tap reduced over (b, i, j)."""
+    H, W = x.shape[2:]
+    k = w.shape[2]
     p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
     for di in range(k):
         for dj in range(k):
             patch = xp[:, :, di : di + H, dj : dj + W]
             dw[:, :, di, dj] = np.einsum("bfij,bcij->fc", dout, patch, optimize=True)
-            dxp[:, :, di : di + H, dj : dj + W] += np.einsum(
-                "fc,bfij->bcij", w[:, :, di, dj], dout, optimize=True
-            )
-    db = dout.sum(axis=(0, 2, 3))
-    dx = dxp[:, :, p : p + H, p : p + W]
-    return dw, db, dx
+    return dw, dout.sum(axis=(0, 2, 3))
+
+
+def _conv_same_input_grad(w, dout):
+    """dX of _conv_same: the forward's taps run backwards on channel-last
+    buffers, (H, W*B, F) @ (F, C) per tap; returned C-contiguous. Bit-equal
+    to the einsum's dX when C = F, as in every layer after the first."""
+    B, F, H, W = dout.shape
+    C, k = w.shape[1], w.shape[2]
+    p = k // 2
+    d = np.ascontiguousarray(dout.transpose(2, 3, 0, 1)).reshape(H, W * B, F)
+    dxp = np.zeros((H + 2 * p, W + 2 * p, B, C))
+    for di in range(k):
+        for dj in range(k):
+            dxp[di : di + H, dj : dj + W].reshape(H, W * B, C)[...] += d @ w[:, :, di, dj]
+    return np.ascontiguousarray(dxp[p : p + H, p : p + W].transpose(2, 3, 0, 1))
 
 
 def _forward_cached(params, batch):
@@ -189,9 +213,9 @@ def loss_and_grad(params, batch, labels):
     d_conv_b = [None] * len(params.conv_b)
     for i in range(len(params.conv_w) - 1, -1, -1):
         grad = grad * (conv_pre[i] > 0)
-        dw, db, grad = _conv_same_backward(conv_in[i], params.conv_w[i], grad)
-        d_conv_w[i] = dw
-        d_conv_b[i] = db
+        d_conv_w[i], d_conv_b[i] = _conv_same_param_grads(conv_in[i], params.conv_w[i], grad)
+        if i:   # nothing reads the gradient of the input images
+            grad = _conv_same_input_grad(params.conv_w[i], grad)
     grads = ConvNetParams(
         config=params.config, conv_w=d_conv_w, conv_b=d_conv_b, fc_w=d_fc_w, fc_b=d_fc_b
     )

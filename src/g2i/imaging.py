@@ -37,7 +37,6 @@ VERSION = 1
 
 @dataclass(frozen=True)
 class FeatureLayout:
-    assoc: np.ndarray            # (k, k) Pearson association
     layout: LayoutPermutation
     grid_side: int
 
@@ -87,7 +86,7 @@ def build_feature_layout(F, seed, epsilon=0.0, restarts=20, grid_side=None):
     grid = GridTemplate.square(P)
     plan = solve_gw(padded, grid.cost, epsilon=epsilon, seed=seed, restarts=restarts)
     layout = resolve_assignment(plan, n_items=k, grid_side=P)
-    return FeatureLayout(assoc=assoc, layout=layout, grid_side=P)
+    return FeatureLayout(layout=layout, grid_side=P)
 
 
 def build_structural_layout(assoc, seed, epsilon=0.0, restarts=20):

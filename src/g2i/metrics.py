@@ -120,7 +120,7 @@ def homogeneity_completeness_v(table):
 
 def silhouette(points, assignment):
     """Mean silhouette (b - a)/max(a, b) with Euclidean distances; singleton
-    clusters contribute 0."""
+    clusters, and points with a = b (a = b = 0 included), contribute 0."""
     X = np.asarray(points, dtype=np.float64)
     labels = np.asarray(assignment)
     clusters = np.unique(labels)
@@ -135,7 +135,8 @@ def silhouette(points, assignment):
         dist = np.sqrt(np.sum((X - X[i]) ** 2, axis=1))
         a = dist[own].sum() / (n_own - 1)
         b = min(dist[labels == c].mean() for c in clusters if c != labels[i])
-        scores[i] = (b - a) / max(a, b)
+        if a != b:
+            scores[i] = (b - a) / max(a, b)
     return float(scores.mean())
 
 

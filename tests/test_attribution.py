@@ -306,7 +306,6 @@ class TestMapToFeatures:
     def _identity_layout(self, side):
         cells = tuple((i // side, i % side) for i in range(side * side))
         return FeatureLayout(
-            assoc=np.eye(side * side),
             layout=LayoutPermutation(item_to_cell=cells, n_items=side * side, n_dummy=0),
             grid_side=side,
         )
@@ -395,8 +394,7 @@ class TestClusterProfiles:
 class TestPlayers:
     def test_hvf_players_channels(self):
         cells = ((0, 0), (0, 1), (1, 0), (1, 1))
-        fl = FeatureLayout(assoc=np.eye(4),
-                           layout=LayoutPermutation(item_to_cell=cells, n_items=4, n_dummy=0),
+        fl = FeatureLayout(layout=LayoutPermutation(item_to_cell=cells, n_items=4, n_dummy=0),
                            grid_side=2)
         players = hvf_players([fl, fl], [np.array([0, 3]), np.array([2])])
         assert players == [(1, 0, 0), (1, 1, 1), (2, 1, 0)]

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from g2i import cnn
 from g2i.cnn import (
     ConvNetConfig,
     classification_metrics,
@@ -40,6 +43,130 @@ def _image_fixture(n=200, side=8, noise=0.5, seed=42):
         imgs.append(t.astype(np.float32).transpose(2, 0, 1))
     return ImageSet(node_ids=tuple(f"n{i}" for i in range(n)), tensors=np.stack(imgs),
                     labels=labels, channel_names=("a", "b"))
+
+
+def _einsum_conv_same(x, w, b):
+    """Reference: the per-tap einsum convolution the channel-last one replaced."""
+    B, C, H, W = x.shape
+    F, _, k, _ = w.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.zeros((B, F, H, W))
+    for di in range(k):
+        for dj in range(k):
+            out += np.einsum("fc,bcij->bfij", w[:, :, di, dj], xp[:, :, di : di + H, dj : dj + W], optimize=True)
+    return out + b[None, :, None, None]
+
+
+def _einsum_conv_same_backward(x, w, dout):
+    """Reference: (dW, db, dX) of _einsum_conv_same, one einsum per tap."""
+    B, C, H, W = x.shape
+    F, _, k, _ = w.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    dw = np.zeros_like(w)
+    dxp = np.zeros_like(xp)
+    for di in range(k):
+        for dj in range(k):
+            patch = xp[:, :, di : di + H, dj : dj + W]
+            dw[:, :, di, dj] = np.einsum("bfij,bcij->fc", dout, patch, optimize=True)
+            dxp[:, :, di : di + H, dj : dj + W] += np.einsum(
+                "fc,bfij->bcij", w[:, :, di, dj], dout, optimize=True
+            )
+    db = dout.sum(axis=(0, 2, 3))
+    dx = dxp[:, :, p : p + H, p : p + W]
+    return dw, db, dx
+
+
+def _use_einsum_conv(monkeypatch):
+    """Run the network on the reference einsum kernels."""
+    monkeypatch.setattr(cnn, "_conv_same", _einsum_conv_same)
+    monkeypatch.setattr(cnn, "_conv_same_param_grads",
+                        lambda x, w, dout: _einsum_conv_same_backward(x, w, dout)[:2])
+    monkeypatch.setattr(cnn, "_conv_same_input_grad", lambda w, dout: _einsum_conv_same_backward(
+        np.zeros((dout.shape[0], w.shape[1], *dout.shape[2:])), w, dout)[2])
+
+
+def _maybe_transposed(a, transposed):
+    """``a`` itself, or an equal array that is a transposed (non-contiguous) view."""
+    if not transposed:
+        return a
+    return np.ascontiguousarray(a.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+
+
+class TestConvEqualsEinsum:
+    """The channel-last conv keeps the einsum's per-tap sums and tap order, so
+    every output and gradient must be bit-equal to the reference, not close."""
+
+    @pytest.mark.parametrize("C", [1, 2, 16])
+    @pytest.mark.parametrize("B", [1, 8, 32, 65, 256])
+    def test_bit_equal(self, B, C):
+        F, k = 16, 5
+        rng = np.random.default_rng(1000 * B + C)
+        for side, transposed in itertools.product([1, 4, 5, 8, 11], [False, True]):
+            x = _maybe_transposed(rng.normal(size=(B, C, side, side)), transposed)
+            w = rng.normal(size=(F, C, k, k))
+            b = rng.normal(size=F)
+            dout = _maybe_transposed(rng.normal(size=(B, F, side, side)), transposed)
+            case = (B, C, side, transposed)
+
+            assert np.array_equal(cnn._conv_same(x, w, b), _einsum_conv_same(x, w, b)), case
+            ref_dw, ref_db, ref_dx = _einsum_conv_same_backward(x, w, dout)
+            dw, db = cnn._conv_same_param_grads(x, w, dout)
+            assert np.array_equal(dw, ref_dw), case
+            assert np.array_equal(db, ref_db), case
+            dx = cnn._conv_same_input_grad(w, dout)
+            assert dx.flags.c_contiguous, case
+            if C == F:
+                assert np.array_equal(dx, ref_dx), case
+            else:
+                # C < F is the first layer's shape only, and loss_and_grad skips
+                # that layer's dX. There (C = 1 and 2, B = 1 and 65) BLAS sums
+                # a few entries in another order, so these are only close.
+                np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_hidden_layer_dx_bit_equal_at_other_widths(self, width):
+        # layers after the first have C = F = filters
+        rng = np.random.default_rng(width)
+        for B, side in itertools.product([1, 8, 65], [1, 4, 5, 8]):
+            x = rng.normal(size=(B, width, side, side))
+            w = rng.normal(size=(width, width, 5, 5))
+            dout = rng.normal(size=(B, width, side, side))
+            ref_dx = _einsum_conv_same_backward(x, w, dout)[2]
+            assert np.array_equal(cnn._conv_same_input_grad(w, dout), ref_dx), (B, side)
+
+    def test_loss_and_grad_bit_equal(self, monkeypatch):
+        cfg = ConvNetConfig(input_side=8, input_channels=2, classes=3, fc_sizes=(64, 32), seed=4)
+        params = init_params(cfg)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(32, 2, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 3, 32)
+        loss, grads = loss_and_grad(params, X, y)
+        _use_einsum_conv(monkeypatch)
+        ref_loss, ref_grads = loss_and_grad(params, X, y)
+        assert loss == ref_loss
+        for (name, g), (_, ref) in zip(grads.arrays(), ref_grads.arrays()):
+            assert np.array_equal(g, ref), name
+
+    def test_train_bit_equal(self, monkeypatch, tmp_path):
+        images = _image_fixture(n=80)
+        split = split_dataset(images.labels, seed=3)
+        cfg = ConvNetConfig(input_side=8, input_channels=2, classes=2, conv_layers=2,
+                            fc_sizes=(32,), learning_rate=1e-3, max_epochs=2, seed=5)
+        params, report = train(images, split, cfg)
+        save_checkpoint(params, tmp_path / "new.g2t")
+        _use_einsum_conv(monkeypatch)
+        ref_params, ref_report = train(images, split, cfg)
+        save_checkpoint(ref_params, tmp_path / "ref.g2t")
+        for (name, a), (_, ref) in zip(params.arrays(), ref_params.arrays()):
+            assert np.array_equal(a, ref), name
+        assert (tmp_path / "new.g2t").read_bytes() == (tmp_path / "ref.g2t").read_bytes()
+        assert report.train_loss == ref_report.train_loss
+        assert report.val_loss == ref_report.val_loss
+        assert report.val_acc == ref_report.val_acc
+        assert report.best_epoch == ref_report.best_epoch
+        assert np.array_equal(report.test_metrics["confusion"], ref_report.test_metrics["confusion"])
 
 
 class TestConfig:

@@ -183,7 +183,6 @@ class TestRender:
     def test_layout_mismatch(self):
         g, model, _, s_layout, f_layout = _fixture()
         wrong = FeatureLayout(
-            assoc=f_layout.assoc,
             layout=LayoutPermutation(item_to_cell=((0, 0),), n_items=1, n_dummy=0),
             grid_side=f_layout.grid_side,
         )

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,8 +213,16 @@ class TestSilhouette:
         s1 = (9.0 - 1.0) / 9.0
         assert silhouette(X, labels) == pytest.approx((s0 + s1 + 0.0) / 3, abs=1e-12)
 
-    # coincident points can make a = b = 0, and 0/0 is nan in both versions
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_coincident_points_score_zero(self):
+        # all four points coincide, so every a and b is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert silhouette(np.zeros((4, 2)), np.array([0, 0, 1, 1])) == 0.0
+            X = np.array([[0.0], [0.0], [0.0], [0.0], [6.0], [8.0]])
+            got = silhouette(X, np.array([0, 0, 1, 1, 2, 2]))
+        # points 0-3 have a = b = 0; point 4: a=2, b=6; point 5: a=2, b=8
+        assert got == pytest.approx((4.0 / 6.0 + 6.0 / 8.0) / 6, abs=1e-12)
+
     def test_equals_cube_reference_exactly(self):
         rng = np.random.default_rng(21)
         for trial in range(200):
@@ -225,8 +234,14 @@ class TestSilhouette:
             labels[0] = labels.max() + 1          # a singleton cluster
             if trial % 5 == 0:
                 labels[1:] = 0                    # every point but one in one cluster
-            got, ref = silhouette(X, labels), _cube_silhouette(X, labels)
-            assert got == ref or (math.isnan(got) and math.isnan(ref))
+            with np.errstate(invalid="ignore"):
+                ref = _cube_silhouette(X, labels)
+            got = silhouette(X, labels)
+            if math.isnan(ref):
+                # the reference's 0/0 at a = b = 0; see test_coincident_points_score_zero
+                assert math.isfinite(got)
+                continue
+            assert got == ref
 
     def test_single_cluster_raises(self):
         with pytest.raises(SingleCluster):
