@@ -177,19 +177,19 @@ def class_global_importance(predict, images, test_indices, n_classes, players, c
 
 
 def hvf_players(f_layouts, feature_sets):
-    """Cells (channel, row, col) for the selected features of each modality."""
+    """Cells (channel, row, col) for the selected features of each modality;
+    ``f_layouts`` holds each modality's (k, 2) feature cells."""
     players = []
-    for ch, (fl, selected) in enumerate(zip(f_layouts, feature_sets), start=1):
-        for j in selected:
-            r, c = fl.layout.item_to_cell[int(j)]
-            players.append((ch, int(r), int(c)))
+    for ch, (cells, selected) in enumerate(zip(f_layouts, feature_sets), start=1):
+        for r, c in cells[np.asarray(selected, dtype=np.int64)].tolist():
+            players.append((ch, r, c))
     return players
 
 
 def map_to_features(attr, f_layouts, feature_names_per_modality, class_names,
                     modality_names=None):
-    """Invert the layout permutations back to named features; dummy cells are
-    dropped."""
+    """Read each played feature cell of ``f_layouts`` back as a named
+    feature; cells that were not played are dropped."""
     if len(f_layouts) != len(feature_names_per_modality):
         raise LayoutMismatch("feature layouts and name lists disagree")
     if modality_names is None:
@@ -197,13 +197,13 @@ def map_to_features(attr, f_layouts, feature_names_per_modality, class_names,
     played = set(attr.players)
     table = FeatureImportanceTable()
     raw_rows = []
-    for ch, (fl, names, mname) in enumerate(
+    for ch, (cells, names, mname) in enumerate(
         zip(f_layouts, feature_names_per_modality, modality_names), start=1
     ):
-        if len(names) != len(fl.layout.item_to_cell):
+        if len(names) != len(cells):
             raise LayoutMismatch(f"modality {mname}: {len(names)} names for "
-                                 f"{len(fl.layout.item_to_cell)} laid-out features")
-        for j, (r, c) in enumerate(fl.layout.item_to_cell):
+                                 f"{len(cells)} laid-out features")
+        for j, (r, c) in enumerate(cells.tolist()):
             if (ch, r, c) not in played:
                 continue
             for cls, cname in enumerate(class_names):

@@ -211,13 +211,18 @@ def stage_cluster(cfg):
 
 def _load_model(cfg, graph):
     p = _paths(cfg)
-    assignment = community.read_assignment(p["communities"], graph.node_ids)
     entries, _ = imaging.read_named_tensors(p["centroids"])
     centroids = entries[0][2].astype(np.float64)
+    assignment = community.read_assignment(p["communities"], graph.node_ids, centroids.shape[0])
     return community.CommunityModel(
         P=centroids.shape[0], centroids=centroids, assignment=assignment,
         inertia_history=(), seed=stage_seed(cfg.seed, "cluster"),
     )
+
+
+def _image_side(mods):
+    """Side of the image grid: the widest modality's ceil(sqrt(k))."""
+    return max(community.community_count(F.shape[1]) for _, F, _ in mods)
 
 
 def stage_layout(cfg):
@@ -227,41 +232,33 @@ def stage_layout(cfg):
     seed = stage_seed(cfg.seed, "layout")
     s_layout = imaging.build_structural_layout(assoc, seed, cfg.epsilon, cfg.restarts)
     p = _paths(cfg)
-    imaging.write_layout(s_layout.layout, [f"community{i}" for i in range(model.P)], p["s_layout"])
+    imaging.write_layout(s_layout, [f"community{i}" for i in range(model.P)], p["s_layout"])
     mods = _modality_list(cfg, graph)
-    side = max(community.community_count(F.shape[1]) for _, F, _ in mods)
-    for i, (name, F, fnames) in enumerate(mods):
-        fl = imaging.build_feature_layout(F, stage_seed(cfg.seed, f"layout.{name}"),
-                                          cfg.epsilon, cfg.restarts, grid_side=side)
-        imaging.write_layout(fl.layout, fnames, _f_layout_path(cfg, name))
+    side = _image_side(mods)
+    for name, F, fnames in mods:
+        cells = imaging.build_feature_layout(F, stage_seed(cfg.seed, f"layout.{name}"),
+                                             cfg.epsilon, cfg.restarts, grid_side=side)
+        imaging.write_layout(cells, fnames, _f_layout_path(cfg, name))
     return s_layout
 
 
-def _load_layouts(cfg, graph, model):
-    p = _paths(cfg)
-    assoc = community.association_matrix(model)
-    P_s = community.community_count(model.P)
-    s_raw, _ = imaging.read_layout(p["s_layout"], P_s)
-    s_layout = imaging.StructuralLayout(layout=s_raw, grid_side=P_s, association=assoc)
-    mods = _modality_list(cfg, graph)
-    side = max(community.community_count(F.shape[1]) for _, F, _ in mods)
-    f_layouts = []
-    for name, _, _ in mods:
-        raw, _ = imaging.read_layout(_f_layout_path(cfg, name), side)
-        f_layouts.append(imaging.FeatureLayout(layout=raw, grid_side=side))
-    return s_layout, f_layouts, mods
+def _read_feature_layouts(cfg, mods):
+    """The feature cells of each modality, read back from its layout file."""
+    side = _image_side(mods)
+    return [imaging.read_layout(_f_layout_path(cfg, name), side)[0] for name, _, _ in mods]
 
 
 def stage_render(cfg):
     graph = _load_ingested(cfg)
     model = _load_model(cfg, graph)
-    s_layout, f_layouts, mods = _load_layouts(cfg, graph, model)
+    mods = _modality_list(cfg, graph)
+    p = _paths(cfg)
+    s_layout, _ = imaging.read_layout(p["s_layout"], community.community_count(model.P))
     image_set = imaging.render_all(
-        graph, model, s_layout, f_layouts,
+        graph, model, s_layout, _read_feature_layouts(cfg, mods),
         modalities=[F for _, F, _ in mods],
         channel_names=["structure"] + [name for name, _, _ in mods],
     )
-    p = _paths(cfg)
     imaging.write_tensor(image_set, p["images"])
     _dump_debug_image(image_set, p["debug_image"])
     return image_set
@@ -327,8 +324,8 @@ def stage_eval(cfg):
 def stage_explain(cfg):
     p = _paths(cfg)
     graph = _load_ingested(cfg)
-    model = _load_model(cfg, graph)
-    _, f_layouts, mods = _load_layouts(cfg, graph, model)
+    mods = _modality_list(cfg, graph)
+    f_layouts = _read_feature_layouts(cfg, mods)
     image_set = _read_labeled_images(cfg)
     split = _split_for(cfg, image_set)
     config = _cnn_config(cfg, image_set)

@@ -77,25 +77,31 @@ class TrainReport:
     test_metrics: dict | None = None
 
 
+def _build_params(config, array):
+    """ConvNetParams holding ``array(name, shape)`` for each parameter of
+    ``config``'s network, asked for as conv weights, conv biases, FC weights,
+    FC biases, each in layer order."""
+    f, k = config.filters, config.kernel
+    conv_w = [array(f"conv{i}_w", (f, config.input_channels if i == 0 else f, k, k))
+              for i in range(config.conv_layers)]
+    conv_b = [array(f"conv{i}_b", (f,)) for i in range(config.conv_layers)]
+    sizes = [config.input_side * config.input_side * f, *config.fc_sizes, config.classes]
+    fc_w = [array(f"fc{i}_w", shape) for i, shape in enumerate(zip(sizes[1:], sizes))]
+    fc_b = [array(f"fc{i}_b", (d,)) for i, d in enumerate(sizes[1:])]
+    return ConvNetParams(config=config, conv_w=conv_w, conv_b=conv_b, fc_w=fc_w, fc_b=fc_b)
+
+
 def init_params(config, seed=None):
     """Fan-in uniform weights in +/- sqrt(6/fan_in); zero biases."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    conv_w, conv_b = [], []
-    c_in = config.input_channels
-    for _ in range(config.conv_layers):
-        fan_in = c_in * config.kernel * config.kernel
-        bound = np.sqrt(6.0 / fan_in)
-        conv_w.append(rng.uniform(-bound, bound, size=(config.filters, c_in, config.kernel, config.kernel)))
-        conv_b.append(np.zeros(config.filters))
-        c_in = config.filters
-    fc_w, fc_b = [], []
-    d_in = config.input_side * config.input_side * config.filters
-    for d_out in (*config.fc_sizes, config.classes):
-        bound = np.sqrt(6.0 / d_in)
-        fc_w.append(rng.uniform(-bound, bound, size=(d_out, d_in)))
-        fc_b.append(np.zeros(d_out))
-        d_in = d_out
-    return ConvNetParams(config=config, conv_w=conv_w, conv_b=conv_b, fc_w=fc_w, fc_b=fc_b)
+
+    def draw(name, shape):
+        if name.endswith("_b"):
+            return np.zeros(shape)
+        bound = np.sqrt(6.0 / np.prod(shape[1:]))
+        return rng.uniform(-bound, bound, size=shape)
+
+    return _build_params(config, draw)
 
 
 def _conv_same(x, w, b):
@@ -332,16 +338,22 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path, config):
+    """Parameters of ``config``'s network from a checkpoint file; every array
+    must be present with the shape the config gives it."""
     from .imaging import read_named_tensors
 
     entries, _ = read_named_tensors(path)
-    by_name = {name: arr.astype(np.float64) for name, _, arr in entries}
-    params = init_params(config)
-    conv_w = [by_name[f"conv{i}_w"] for i in range(len(params.conv_w))]
-    conv_b = [by_name[f"conv{i}_b"] for i in range(len(params.conv_b))]
-    fc_w = [by_name[f"fc{i}_w"] for i in range(len(params.fc_w))]
-    fc_b = [by_name[f"fc{i}_b"] for i in range(len(params.fc_b))]
-    return ConvNetParams(config=config, conv_w=conv_w, conv_b=conv_b, fc_w=fc_w, fc_b=fc_b)
+    stored = {name: arr for name, _, arr in entries}
+
+    def take(name, shape):
+        if name not in stored:
+            raise ShapeMismatch(f"{path}: no array {name!r}")
+        if stored[name].shape != shape:
+            raise ShapeMismatch(f"{path}: {name} has shape {stored[name].shape}, "
+                                f"the model expects {shape}")
+        return stored[name].astype(np.float64)
+
+    return _build_params(config, take)
 
 
 def write_report(report, path):

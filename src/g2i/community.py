@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadArgument, DegenerateData
+from .errors import BadArgument, DegenerateData, MalformedLine, UnknownNodeId
+from .graph import read_int_rows
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,19 @@ def write_communities(model, graph, path):
             writer.writerow([nid, int(c)])
 
 
-def read_assignment(path, node_ids):
-    by_id = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for nid, c in reader:
-            by_id[nid] = int(c)
+def read_assignment(path, node_ids, P):
+    """Community index in [0, P) of each of ``node_ids``, from a
+    ``node_id,community`` file with one line per node."""
+    by_id, line_of = {}, {}       # node id -> community, line number
+    for lineno, nid, (c,) in read_int_rows(path, 1):
+        if not 0 <= c < P:
+            raise MalformedLine(path, lineno, f"community {c} outside [0, {P})")
+        if nid in line_of:
+            raise MalformedLine(path, lineno, f"duplicate node id {nid!r}, "
+                                              f"first on line {line_of[nid]}")
+        by_id[nid], line_of[nid] = c, lineno
+    missing = [nid for nid in node_ids if nid not in by_id]
+    if missing:
+        raise UnknownNodeId(f"{path}: no community for {len(missing)} node id(s), first "
+                            f"{', '.join(map(repr, missing[:5]))}")
     return np.array([by_id[nid] for nid in node_ids], dtype=np.int64)

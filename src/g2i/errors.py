@@ -92,7 +92,3 @@ class ShapeMismatch(G2IError):
 
 class EmptySplit(G2IError):
     pass
-
-
-class EmptyClass(G2IError):
-    pass

@@ -205,6 +205,26 @@ def _read_labels(path, index):
     return labels, tuple(class_names)
 
 
+def read_int_rows(path, n_ints):
+    """(line number, name, ints) of each line after the header of a CSV file
+    whose lines hold a name and ``n_ints`` integers; blank lines are skipped."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != n_ints + 1:
+                raise MalformedLine(path, lineno, f"expected {n_ints + 1} fields, got {len(row)}")
+            try:
+                rows.append((lineno, row[0], tuple(int(v) for v in row[1:])))
+            except ValueError:
+                raise MalformedLine(path, lineno, f"expected integers after the name, "
+                                                  f"got {row[1:]}") from None
+    return rows
+
+
 def write_graph(graph, edge_path, feature_path, label_path=None):
     """Serialize a graph back to the text formats accepted by load_graph."""
     with open(edge_path, "w", encoding="utf-8") as fh:
@@ -234,8 +254,10 @@ def split_dataset(labels, ratios=(0.70, 0.15, 0.15), seed=0):
     holdout sets stay balanced overall.
     """
     labels = np.asarray(labels)
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
+    if not (len(ratios) == 3 and all(math.isfinite(r) and r >= 0 for r in ratios)
+            and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise BadArgument(f"ratios must be three finite, non-negative values summing to 1, "
+                          f"got {tuple(ratios)}")
     rng = np.random.default_rng(seed)
     classes = np.unique(labels)
     parts = {0: [], 1: [], 2: []}

@@ -1,9 +1,10 @@
 """Layout construction, per-node image rendering, and tensor serialization.
 
-Each node becomes a C x P x P image: channel 0 carries the node's community's
-z-scored distances to every community, placed on the master structural layout
-and center-padded; each further channel carries one modality's raw feature
-values at the cells chosen by that modality's feature layout.
+A layout is an (n_items, 2) int64 array of (row, col) grid cells. Each node
+becomes a C x P x P image: channel 0 carries the node's community's z-scored
+distances to every community, placed on the master structural layout and
+center-padded; each further channel carries one modality's raw feature values
+at the cells chosen by that modality's feature layout.
 
 Binary tensor container (little-endian):
   magic 'G2IM', version u16 = 1, image count u32, then per image:
@@ -21,31 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import community_count
-from .errors import BadMagic, LayoutMismatch, ShapeMismatch, ShapeOverflow, TruncatedFile
-from .transport import (
-    GridTemplate,
-    LayoutPermutation,
-    pad_to_square,
-    resolve_assignment,
-    solve_gw,
-)
+from .community import association_matrix, community_count
+from .errors import (BadMagic, DegenerateData, LayoutMismatch, MalformedLine, ShapeMismatch,
+                     ShapeOverflow, TruncatedFile)
+from .graph import read_int_rows
+from .transport import grid_cost, pad_to_square, resolve_assignment, solve_gw
 
 MAGIC = b"G2IM"
 VERSION = 1
-
-
-@dataclass(frozen=True)
-class FeatureLayout:
-    layout: LayoutPermutation
-    grid_side: int
-
-
-@dataclass(frozen=True)
-class StructuralLayout:
-    layout: LayoutPermutation
-    grid_side: int               # P_s
-    association: object          # community.AssociationMatrix
 
 
 @dataclass(frozen=True)
@@ -61,7 +45,7 @@ def feature_association(F):
     with the diagonal pinned to 1."""
     F = np.asarray(F, dtype=np.float64)
     if F.shape[0] < 2:
-        raise ValueError("need at least 2 rows for correlation")
+        raise DegenerateData(f"feature correlation needs at least 2 nodes, got {F.shape[0]}")
     centered = F - F.mean(axis=0)
     norms = np.sqrt(np.sum(centered**2, axis=0))
     safe = np.where(norms == 0, 1.0, norms)
@@ -72,69 +56,61 @@ def feature_association(F):
     return np.clip(C, -1.0, 1.0)
 
 
+def _grid_layout(dissim, side, seed, epsilon, restarts):
+    """Cells of a side x side grid for the items of ``dissim``, found by GW
+    alignment of the dummy-padded dissimilarities with the grid's distances."""
+    plan = solve_gw(pad_to_square(dissim, side), grid_cost(side), epsilon=epsilon,
+                    seed=seed, restarts=restarts)
+    return resolve_assignment(plan, n_items=dissim.shape[0], grid_side=side)
+
+
 def build_feature_layout(F, seed, epsilon=0.0, restarts=20, grid_side=None):
-    """Lay out the k features on a P x P grid (P = ceil(sqrt(k)) by default)."""
+    """Cells of the k features on a P x P grid (P = ceil(sqrt(k)) by default)."""
     assoc = feature_association(F)
-    k = assoc.shape[0]
-    P = grid_side if grid_side is not None else community_count(k)
+    P = grid_side if grid_side is not None else community_count(assoc.shape[0])
     # GW aligns two distance matrices, so the correlation matrix enters as the
     # dissimilarity 1 - r: perfectly correlated features are at distance 0 and
     # land on nearby grid cells.
     dissim = 1.0 - assoc
     np.fill_diagonal(dissim, 0.0)
-    padded, _ = pad_to_square(dissim, P)
-    grid = GridTemplate.square(P)
-    plan = solve_gw(padded, grid.cost, epsilon=epsilon, seed=seed, restarts=restarts)
-    layout = resolve_assignment(plan, n_items=k, grid_side=P)
-    return FeatureLayout(layout=layout, grid_side=P)
+    return _grid_layout(dissim, P, seed, epsilon, restarts)
 
 
 def build_structural_layout(assoc, seed, epsilon=0.0, restarts=20):
-    """Master community layout on a P_s x P_s grid, P_s = ceil(sqrt(P))."""
-    Z = assoc.values
-    P = Z.shape[0]
-    P_s = community_count(P)
-    padded, _ = pad_to_square(Z, P_s)
-    grid = GridTemplate.square(P_s)
-    plan = solve_gw(padded, grid.cost, epsilon=epsilon, seed=seed, restarts=restarts)
-    layout = resolve_assignment(plan, n_items=P, grid_side=P_s)
-    return StructuralLayout(layout=layout, grid_side=P_s, association=assoc)
+    """Cells of the P communities on a P_s x P_s grid, P_s = ceil(sqrt(P))."""
+    return _grid_layout(assoc.values, community_count(assoc.P), seed, epsilon, restarts)
 
 
 def render_all(graph, model, s_layout, f_layouts, modalities=None, channel_names=None):
-    """Render one image per node, in node order.
+    """Render one image per node, in node order, P = ceil(sqrt(k)) of the
+    widest modality.
 
-    Channel 0: the node's community row of Z on the structural grid, centered
-    into the P x P frame (top-left bias on odd margins). Channels 1..M: each
+    Channel 0: the node's community row of the model's association matrix on
+    the structural grid, side ceil(sqrt(model.P)), centered into the P x P
+    frame (top-left bias on odd margins). Channels 1..M: each
     modality's raw feature values at their layout cells, zeros elsewhere.
     """
     if modalities is None:
         modalities = [graph.features]
     if len(f_layouts) != len(modalities):
         raise LayoutMismatch("one feature layout required per modality")
-    sides = {fl.grid_side for fl in f_layouts}
-    if len(sides) != 1:
-        raise LayoutMismatch(f"feature layouts disagree on grid side: {sorted(sides)}")
-    P = sides.pop()
-    P_s = s_layout.grid_side
+    P = max(community_count(Fm.shape[1]) for Fm in modalities)
+    P_s = community_count(model.P)
     if P_s > P:
         raise LayoutMismatch(f"structural grid {P_s} exceeds image side {P}")
-    Z = s_layout.association.values
-    if model.P != Z.shape[0] or len(s_layout.layout.item_to_cell) != model.P:
+    if len(s_layout) != model.P:
         raise LayoutMismatch("structural layout was built for a different community count")
+    Z = association_matrix(model).values
 
     tensors = np.zeros((graph.n, len(modalities) + 1, P, P), dtype=np.float32)
-    rows, cols = np.array(s_layout.layout.item_to_cell).T
     off = (P - P_s) // 2
-    tensors[:, 0, rows + off, cols + off] = Z[model.assignment]
-    for ch, (fl, Fm) in enumerate(zip(f_layouts, modalities), start=1):
-        if Fm.shape[1] != len(fl.layout.item_to_cell):
+    tensors[:, 0, s_layout[:, 0] + off, s_layout[:, 1] + off] = Z[model.assignment]
+    for ch, (cells, Fm) in enumerate(zip(f_layouts, modalities), start=1):
+        if Fm.shape[1] != len(cells):
             raise LayoutMismatch(
-                f"modality {ch-1} has {Fm.shape[1]} features, layout has "
-                f"{len(fl.layout.item_to_cell)}"
+                f"modality {ch-1} has {Fm.shape[1]} features, layout has {len(cells)}"
             )
-        rows, cols = np.array(fl.layout.item_to_cell).T
-        tensors[:, ch, rows, cols] = Fm
+        tensors[:, ch, cells[:, 0], cells[:, 1]] = Fm
 
     if channel_names is None:
         channel_names = ["structure"] + [f"modality{m}" for m in range(len(modalities))]
@@ -241,25 +217,26 @@ def read_tensor(path):
 
 # --- layout CSV I/O ---
 
-def write_layout(layout, item_names, path):
+def write_layout(cells, item_names, path):
+    """Write one ``item_name,row,col`` line per item of an (n, 2) cell array."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["item_name", "row", "col"])
-        for name, (r, c) in zip(item_names, layout.item_to_cell):
+        for name, (r, c) in zip(item_names, cells.tolist()):
             writer.writerow([name, r, c])
 
 
 def read_layout(path, grid_side):
-    cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        names = []
-        for name, r, c in reader:
-            names.append(name)
-            cells.append((int(r), int(c)))
-    n_items = len(cells)
-    layout = LayoutPermutation(
-        item_to_cell=tuple(cells), n_items=n_items, n_dummy=grid_side * grid_side - n_items
-    )
-    return layout, names
+    """(cells, names) of a layout file whose cells lie on a grid_side x
+    grid_side grid, one distinct cell per item."""
+    rows = read_int_rows(path, 2)
+    line_of = {}                  # cell -> line number
+    for lineno, _, cell in rows:
+        if not (0 <= min(cell) and max(cell) < grid_side):
+            raise MalformedLine(path, lineno, f"cell {cell} lies outside the "
+                                              f"{grid_side} x {grid_side} grid")
+        if cell in line_of:
+            raise MalformedLine(path, lineno, f"cell {cell} already taken on line {line_of[cell]}")
+        line_of[cell] = lineno
+    cells = np.array([cell for _, _, cell in rows], dtype=np.int64).reshape(-1, 2)
+    return cells, [name for _, name, _ in rows]

@@ -3,8 +3,9 @@
 The solver is a permutation-restricted Frank-Wolfe scheme: each step
 linearizes the quartic GW objective, solves the inner linear problem (exact
 assignment at epsilon=0, Sinkhorn scaling at epsilon>0) and accepts a
-line-search step. Plans are resolved to discrete layouts by maximizing the
-coupled mass with an exact linear sum assignment.
+line-search step. A plan is resolved to a layout, an (n_items, 2) int64 array
+holding each item's (row, col) lattice cell, by maximizing the coupled mass
+with an exact linear sum assignment.
 """
 
 from __future__ import annotations
@@ -25,21 +26,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class GridTemplate:
-    """g x g unit lattice with pairwise squared Euclidean distances."""
-
-    side: int
-    coordinates: np.ndarray      # (g*g, 2) row-major
-    cost: np.ndarray             # (g*g, g*g)
-
-    @classmethod
-    def square(cls, side):
-        r, c = np.divmod(np.arange(side * side), side)
-        coords = np.stack([r, c], axis=1).astype(np.float64)
-        diff = coords[:, None, :] - coords[None, :, :]
-        cost = np.sum(diff**2, axis=2)
-        return cls(side=side, coordinates=coords, cost=cost)
+def grid_cost(side):
+    """(g*g, g*g) squared Euclidean distances between the cells of a g x g
+    unit lattice, cells in row-major order."""
+    r, c = np.divmod(np.arange(side * side), side)
+    coords = np.stack([r, c], axis=1).astype(np.float64)
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sum(diff**2, axis=2)
 
 
 @dataclass(frozen=True)
@@ -49,15 +42,6 @@ class TransportPlan:
     col_marginal: np.ndarray
     objective: float
     converged: bool = True
-
-
-@dataclass(frozen=True)
-class LayoutPermutation:
-    """Injective map from real item indices to (row, col) lattice cells."""
-
-    item_to_cell: tuple          # ((row, col), ...) for the real items
-    n_items: int
-    n_dummy: int
 
 
 def _check_pair(C_item, C_grid):
@@ -317,11 +301,13 @@ def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, r
 
 
 def resolve_assignment(T, n_items=None, grid_side=None):
-    """Resolve a plan to the permutation maximizing the coupled mass.
+    """(n_items, 2) int64 (row, col) cells of the first ``n_items`` items
+    under the permutation maximizing the plan's coupled mass.
 
     Ties are broken toward the lexicographically smallest permutation. The
     plan's column index j is interpreted as the row-major cell (j // g, j % g)
-    of a g x g lattice, g inferred as sqrt(m) unless given.
+    of a g x g lattice, g inferred as sqrt(m) unless given; ``n_items``
+    defaults to all m items.
     """
     M = T.matrix if isinstance(T, TransportPlan) else np.asarray(T, dtype=np.float64)
     m = M.shape[0]
@@ -333,9 +319,7 @@ def resolve_assignment(T, n_items=None, grid_side=None):
     g = grid_side if grid_side is not None else math.isqrt(m)
     if g * g != m and grid_side is None:
         raise DimensionMismatch(f"plan size {m} is not a perfect square; pass grid_side")
-    n_items = m if n_items is None else n_items
-    cells = tuple((int(perm[i] // g), int(perm[i] % g)) for i in range(n_items))
-    return LayoutPermutation(item_to_cell=cells, n_items=n_items, n_dummy=m - n_items)
+    return np.stack(np.divmod(perm[:n_items], g), axis=1)
 
 
 def _tie_tolerance(M, eps_scale=1e-9):
@@ -414,7 +398,6 @@ def pad_to_square(C_item, g):
     m = C_item.shape[0]
     if g * g < m:
         raise GridTooSmall(f"grid side {g} gives {g*g} cells for {m} items")
-    n_dummy = g * g - m
     out = np.zeros((g * g, g * g))
     out[:m, :m] = C_item
-    return out, n_dummy
+    return out

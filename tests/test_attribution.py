@@ -17,8 +17,7 @@ from g2i.attribution import (
     ShapConfig,
 )
 from g2i.errors import TooLarge
-from g2i.imaging import FeatureLayout, ImageSet
-from g2i.transport import LayoutPermutation
+from g2i.imaging import ImageSet
 
 
 def _linear_predict(weights):
@@ -304,11 +303,7 @@ class TestClassGlobal:
 
 class TestMapToFeatures:
     def _identity_layout(self, side):
-        cells = tuple((i // side, i % side) for i in range(side * side))
-        return FeatureLayout(
-            layout=LayoutPermutation(item_to_cell=cells, n_items=side * side, n_dummy=0),
-            grid_side=side,
-        )
+        return np.array([(i // side, i % side) for i in range(side * side)])
 
     def test_identity_layout_reads_row_major(self):
         side = 2
@@ -393,8 +388,6 @@ class TestClusterProfiles:
 
 class TestPlayers:
     def test_hvf_players_channels(self):
-        cells = ((0, 0), (0, 1), (1, 0), (1, 1))
-        fl = FeatureLayout(layout=LayoutPermutation(item_to_cell=cells, n_items=4, n_dummy=0),
-                           grid_side=2)
+        fl = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
         players = hvf_players([fl, fl], [np.array([0, 3]), np.array([2])])
         assert players == [(1, 0, 0), (1, 1, 1), (2, 1, 0)]

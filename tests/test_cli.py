@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -170,8 +172,15 @@ class TestPipeline:
         ("run", ["--n-permutations", "0"], "n_permutations"),
         ("run", ["--max-epochs", "0"], "max_epochs"),
         ("run", ["--n-hvf", "0"], "n_hvf"),
+        ("run", ["--config", "ratios=0.5,0.5,0.5"], "ratios"),
+        ("run", ["--config", "ratios=0.7,0.3"], "ratios"),
+        ("run", ["--config", "ratios=1.5,-0.25,-0.25"], "ratios"),
     ])
     def test_bad_setting_is_named(self, tmp_path, capsys, command, flags, name):
+        if flags[0] == "--config":      # the setting is a line of a config file
+            config = tmp_path / "cfg"
+            config.write_text(flags[1] + "\n")
+            flags = ["--config", str(config)]
         assert main(["synth", *_small_args(tmp_path)]) == 0
         data = _data_args(tmp_path) if command == "run" else []
         assert main([command, *_small_args(tmp_path), *data, *flags]) == 1
@@ -198,3 +207,56 @@ class TestPipeline:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{labels}:" in err and f"{labels}:0" not in err and "'b'" in err
+
+    def test_single_node_is_degenerate(self, tmp_path, capsys):
+        edges, features = tmp_path / "e.tsv", tmp_path / "f.csv"
+        edges.write_text("")
+        features.write_text("node_id,x\na,1\n")
+        args = ["--out", str(tmp_path / "out"), "--edges", str(edges), "--features", str(features)]
+        for stage in ("ingest", "cluster"):
+            assert main([stage, *args]) == 0
+        assert main(["layout", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage layout") and "at least 2 nodes" in err
+        assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def laid_out(tmp_path_factory):
+    """An output directory after synth, ingest, cluster and layout (k=9, P=3)."""
+    out = tmp_path_factory.mktemp("laid_out")
+    assert main(["synth", *_small_args(out)]) == 0
+    for stage in ("ingest", "cluster", "layout"):
+        assert main([stage, *_small_args(out), *_data_args(out)]) == 0
+    return out
+
+
+class TestBadStageFiles:
+    # Each case replaces line 3 of one file written by an earlier stage;
+    # "{0}", "{1}" stand for the fields after the name on line 2.
+    @pytest.mark.parametrize("name, line3, stage, message", [
+        ("feature_layout_features.csv", "f001,1", "render", ":3: expected 3 fields"),
+        ("feature_layout_features.csv", "f001,one,1", "render", ":3: expected integers after the name"),
+        ("feature_layout_features.csv", "f001,3,0", "render", ":3: cell (3, 0) lies outside the 3 x 3"),
+        ("feature_layout_features.csv", "f001,{0},{1}", "render",
+         ":3: cell ({0}, {1}) already taken on line 2"),
+        ("structural_layout.csv", "community1,0,2", "render", ":3: cell (0, 2) lies outside the 2 x 2"),
+        ("communities.csv", "n0001", "layout", ":3: expected 2 fields"),
+        ("communities.csv", "n0001,1.0", "layout", ":3: expected integers after the name"),
+        ("communities.csv", "n0001,3", "layout", ":3: community 3 outside [0, 3)"),
+        ("communities.csv", "n0000,0", "layout", ":3: duplicate node id 'n0000', first on line 2"),
+        ("communities.csv", "", "layout", ": no community for 1 node id(s), first 'n0001'"),
+    ])
+    def test_fault_names_file_and_line(self, laid_out, tmp_path, capsys, name, line3, stage,
+                                       message):
+        out = tmp_path / "out"
+        shutil.copytree(laid_out, out)
+        path = out / name
+        lines = path.read_text().splitlines()
+        line2 = lines[1].split(",")[1:]
+        lines[2] = line3.format(*line2)
+        path.write_text("\n".join(lines) + "\n")
+        assert main([stage, *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in stage {stage}: {path}{message.format(*line2)}")
+        assert err.count("\n") == 1

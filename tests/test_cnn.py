@@ -390,6 +390,15 @@ class TestCheckpoint:
             assert n1 == n2
             assert np.allclose(a, b, atol=1e-6)   # stored as float32
 
+    def test_wrong_or_missing_array_names_file(self, tmp_path):
+        path = tmp_path / "ckpt.g2t"
+        save_checkpoint(init_params(_tiny_config(input_side=4)), path)
+        with pytest.raises(ShapeMismatch, match=r"ckpt.g2t: fc0_w has shape \(8, 64\), "
+                                                r"the model expects \(8, 36\)"):
+            load_checkpoint(path, _tiny_config(input_side=3))
+        with pytest.raises(ShapeMismatch, match="ckpt.g2t: no array 'conv2_w'"):
+            load_checkpoint(path, _tiny_config(input_side=4, conv_layers=3))
+
     def test_report_csv(self, tmp_path):
         from g2i.cnn import TrainReport
 

@@ -5,7 +5,6 @@ from g2i.community import association_matrix, community_count, fit_communities
 from g2i.errors import BadMagic, G2IError, LayoutMismatch, TruncatedFile
 from g2i.graph import generate_sbm
 from g2i.imaging import (
-    FeatureLayout,
     build_feature_layout,
     build_structural_layout,
     feature_association,
@@ -15,7 +14,6 @@ from g2i.imaging import (
     write_named_tensors,
     write_tensor,
 )
-from g2i.transport import LayoutPermutation
 
 
 class TestAssociation:
@@ -52,15 +50,13 @@ class TestFeatureLayoutBuild:
     def test_k1(self):
         F = np.random.default_rng(0).normal(size=(6, 1))
         fl = build_feature_layout(F, seed=0)
-        assert fl.grid_side == 1
-        assert fl.layout.item_to_cell == ((0, 0),)
+        assert fl.tolist() == [[0, 0]]
 
     def test_k3_pads_one_dummy(self):
         F = np.random.default_rng(1).normal(size=(8, 3))
         fl = build_feature_layout(F, seed=0)
-        assert fl.grid_side == 2
-        assert fl.layout.n_dummy == 1
-        assert len(set(fl.layout.item_to_cell)) == 3
+        assert fl.shape == (3, 2) and fl.min() >= 0 and fl.max() <= 1   # a 2 x 2 grid
+        assert len(np.unique(fl, axis=0)) == 3
 
     def test_correlated_pairs_adjacent(self):
         rng = np.random.default_rng(2)
@@ -69,7 +65,7 @@ class TestFeatureLayoutBuild:
         F = np.column_stack([a, a + rng.normal(0, 1e-3, 50),
                              b, b + rng.normal(0, 1e-3, 50)])
         fl = build_feature_layout(F, seed=0)
-        cells = fl.layout.item_to_cell
+        cells = fl.tolist()
 
         def adjacent(u, v):
             return abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1
@@ -81,7 +77,7 @@ class TestFeatureLayoutBuild:
         F = np.random.default_rng(3).normal(size=(12, 5))
         a = build_feature_layout(F, seed=9)
         b = build_feature_layout(F, seed=9)
-        assert a.layout.item_to_cell == b.layout.item_to_cell
+        assert np.array_equal(a, b)
 
 
 def _fixture(seed=0, blocks=(8, 8), k=4, signal=1.0):
@@ -102,26 +98,24 @@ class TestStructuralLayoutBuild:
                                assignment=np.zeros(3, dtype=np.int64),
                                inertia_history=(), seed=0)
         s = build_structural_layout(association_matrix(model), seed=0)
-        assert s.grid_side == 1
-        assert s.layout.item_to_cell == ((0, 0),)
+        assert s.tolist() == [[0, 0]]
 
     def test_deterministic(self):
         _, _, assoc, _, _ = _fixture(seed=4)
         a = build_structural_layout(assoc, seed=5)
         b = build_structural_layout(assoc, seed=5)
-        assert a.layout.item_to_cell == b.layout.item_to_cell
+        assert np.array_equal(a, b)
 
     def test_injective(self):
         _, _, assoc, s_layout, _ = _fixture(seed=1)
-        cells = s_layout.layout.item_to_cell
-        assert len(set(cells)) == len(cells)
+        assert len(np.unique(s_layout, axis=0)) == len(s_layout)
 
 
 class TestRender:
     def test_channel_count_and_shape(self):
         g, model, _, s_layout, f_layout = _fixture()
         images = render_all(g, model, s_layout, [f_layout], [g.features])
-        P = f_layout.grid_side
+        P = community_count(g.k)
         assert images.tensors[0].shape == (2, P, P)
         assert images.channel_names[0] == "structure"
 
@@ -137,7 +131,7 @@ class TestRender:
         g, model, _, s_layout, f_layout = _fixture()
         node = 3
         tensors = render_all(g, model, s_layout, [f_layout], [g.features]).tensors
-        for j, (r, c) in enumerate(f_layout.layout.item_to_cell):
+        for j, (r, c) in enumerate(f_layout.tolist()):
             assert tensors[node, 1, r, c] == np.float32(g.features[node, j])
 
     def test_feature_channel_sum_identity(self):
@@ -153,7 +147,7 @@ class TestRender:
         assoc = association_matrix(model)
         s_layout = build_structural_layout(assoc, seed=2)
         f_layout = build_feature_layout(g.features, seed=2)
-        assert f_layout.grid_side == 4 and s_layout.grid_side == 2
+        assert community_count(g.k) == 4 and community_count(model.P) == 2
         structural = render_all(g, model, s_layout, [f_layout], [g.features]).tensors[0, 0]
         assert np.all(structural[0, :] == 0) and np.all(structural[3, :] == 0)
         assert np.all(structural[:, 0] == 0) and np.all(structural[:, 3] == 0)
@@ -161,7 +155,7 @@ class TestRender:
         c_own = int(model.assignment[0])
         inner = structural[1:3, 1:3].astype(np.float64)
         expected = np.zeros((2, 2))
-        for comm, (r, c) in enumerate(s_layout.layout.item_to_cell):
+        for comm, (r, c) in enumerate(s_layout.tolist()):
             expected[r, c] = Z[c_own, comm]
         assert np.allclose(inner, expected.astype(np.float32))
 
@@ -182,10 +176,7 @@ class TestRender:
 
     def test_layout_mismatch(self):
         g, model, _, s_layout, f_layout = _fixture()
-        wrong = FeatureLayout(
-            layout=LayoutPermutation(item_to_cell=((0, 0),), n_items=1, n_dummy=0),
-            grid_side=f_layout.grid_side,
-        )
+        wrong = np.array([[0, 0]])
         with pytest.raises(LayoutMismatch):
             render_all(g, model, s_layout, [wrong], [g.features])
 
@@ -288,7 +279,7 @@ class TestMultiModality:
         g, model, _, s_layout, f_layout = _fixture()
         rng = np.random.default_rng(5)
         F2 = rng.normal(size=(g.n, 3))
-        fl2 = build_feature_layout(F2, seed=0, grid_side=f_layout.grid_side)
+        fl2 = build_feature_layout(F2, seed=0, grid_side=community_count(g.k))
         image_set = render_all(g, model, s_layout, [f_layout, fl2],
                                modalities=[g.features, F2])
         assert image_set.tensors.shape[1] == 3

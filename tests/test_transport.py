@@ -5,7 +5,6 @@ from g2i import transport
 from g2i.errors import DimensionMismatch, GridTooSmall, NonConvergence, TooLarge
 from g2i.imaging import build_feature_layout
 from g2i.transport import (
-    GridTemplate,
     TransportPlan,
     _lexmin_max_assignment,
     _perm_objective,
@@ -13,6 +12,7 @@ from g2i.transport import (
     _swap_deltas,
     _two_opt,
     brute_force_gw,
+    grid_cost,
     gw_objective,
     pad_to_square,
     resolve_assignment,
@@ -36,19 +36,19 @@ def _rand_sym(rng, m, scale=1.0):
 
 class TestGrid:
     def test_square_cost_formula(self):
-        grid = GridTemplate.square(3)
-        assert grid.cost.shape == (9, 9)
+        cost = grid_cost(3)
+        assert cost.shape == (9, 9)
         # cells are row-major: cell 1 = (0,1), cell 5 = (1,2)
-        assert grid.cost[1, 5] == (0 - 1) ** 2 + (1 - 2) ** 2
-        assert np.array_equal(grid.cost, grid.cost.T)
-        assert np.all(np.diag(grid.cost) == 0)
+        assert cost[1, 5] == (0 - 1) ** 2 + (1 - 2) ** 2
+        assert np.array_equal(cost, cost.T)
+        assert np.all(np.diag(cost) == 0)
 
 
 class TestObjective:
     def test_perfect_alignment(self):
-        grid = GridTemplate.square(2)
+        cost = grid_cost(2)
         T = np.eye(4) / 4.0
-        assert gw_objective(grid.cost, grid.cost, T) == 0.0
+        assert gw_objective(cost, cost, T) == 0.0
 
     def test_hand_expansion(self):
         C1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -74,8 +74,8 @@ class TestBruteForce:
         assert obj == 0.0
 
     def test_self_alignment_zero(self):
-        grid = GridTemplate.square(2)
-        _, obj = brute_force_gw(grid.cost, grid.cost)
+        cost = grid_cost(2)
+        _, obj = brute_force_gw(cost, cost)
         assert obj == pytest.approx(0.0, abs=1e-15)
 
     def test_line_order_preserved(self):
@@ -93,15 +93,15 @@ class TestBruteForce:
 
 class TestSolve:
     def test_identity_fixed_point(self):
-        grid = GridTemplate.square(2)
-        plan = solve_gw(grid.cost, grid.cost, seed=0)
+        cost = grid_cost(2)
+        plan = solve_gw(cost, cost, seed=0)
         assert plan.objective <= 1e-12
         layout = resolve_assignment(plan, grid_side=2)
-        assert layout.item_to_cell == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert layout.dtype == np.int64
+        assert layout.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_oracle_equivalence_small(self):
         rng = np.random.default_rng(11)
-        grid3 = GridTemplate.square(2).cost[:3, :3]
         for trial in range(10):
             m = int(rng.integers(2, 6))
             C_item = _rand_sym(rng, m)
@@ -192,7 +192,7 @@ class TestTwoOpt:
             m = int(rng.integers(1, 30))
             g = int(np.ceil(np.sqrt(m)))
             C1 = _rand_sym(rng, m)
-            C2 = GridTemplate.square(g).cost
+            C2 = grid_cost(g)
             if kind == 1:       # rounded item costs: many exact ties
                 C1 = np.round(C1 * 2.0) / 2.0
             elif kind == 2:     # rounded random lattice costs
@@ -200,7 +200,7 @@ class TestTwoOpt:
             elif kind == 3:     # no symmetry to lean on
                 C1 = rng.random((m, m))
                 C2 = rng.random((g * g, g * g))
-            padded, _ = pad_to_square(C1, g)   # zero-distance dummies
+            padded = pad_to_square(C1, g)   # zero-distance dummies
             start = rng.permutation(g * g)
             want_perm, want_obj = _reference_two_opt(padded, C2, start)
             got_perm, got_obj = _two_opt(padded, C2, start)
@@ -300,7 +300,7 @@ class TestPermutationPlan:
         monkeypatch.setattr(transport, "_lexmin_max_assignment", forbidden)
         F = np.random.default_rng(34).standard_normal((40, 121))
         layout = build_feature_layout(F, seed=7, epsilon=0.0, restarts=2)
-        assert len(set(layout.layout.item_to_cell)) == 121
+        assert len(np.unique(layout, axis=0)) == 121
 
 
 def _plan(T):
@@ -312,20 +312,18 @@ def _plan(T):
 
 def _perm(layout, m):
     # grid_side was m in these tests, so cell index is row * m + col
-    return [r * m + c for r, c in layout.item_to_cell][:m]
+    return [r * m + c for r, c in layout.tolist()][:m]
 
 
 class TestPadding:
     def test_exact_fit(self):
         C = np.ones((4, 4)) - np.eye(4)
-        padded, n_dummy = pad_to_square(C, 2)
-        assert n_dummy == 0
+        padded = pad_to_square(C, 2)
         assert np.array_equal(padded, C)
 
     def test_pad_with_zeros(self):
         C = np.ones((3, 3)) - np.eye(3)
-        padded, n_dummy = pad_to_square(C, 2)
-        assert n_dummy == 1
+        padded = pad_to_square(C, 2)
         assert padded.shape == (4, 4)
         assert np.array_equal(padded[:3, :3], C)
         assert np.all(padded[3, :] == 0) and np.all(padded[:, 3] == 0)
@@ -341,9 +339,8 @@ class TestPadding:
             C = rng.random((m, m))
             C = (C + C.T) / 2.0
             np.fill_diagonal(C, 0.0)
-            padded, _ = pad_to_square(C, g)
-            grid = GridTemplate.square(g)
-            plan = solve_gw(padded, grid.cost, seed=trial, restarts=5)
+            padded = pad_to_square(C, g)
+            plan = solve_gw(padded, grid_cost(g), seed=trial, restarts=5)
             layout = resolve_assignment(plan, n_items=m, grid_side=g)
-            cells = set(layout.item_to_cell)
-            assert len(cells) == m
+            assert layout.shape == (m, 2)
+            assert len(np.unique(layout, axis=0)) == m
