@@ -1,17 +1,21 @@
 """Sampled Shapley attribution over node-image cells and SHAP-profile clustering.
 
-Players are image cells; a coalition's prediction is the model's softmax score
-for the target class with absent cells held at a background baseline (the mean
-image over a background index set). The permutation-sampling estimator walks
-random player orderings and averages marginal score changes; an exhaustive
+Players are image cells, held as one (n_players, 3) int64 array of
+(channel, row, col) rows; a coalition's prediction is the model's softmax
+score for the target class with absent cells held at a background baseline
+(the mean of every image). The permutation-sampling estimator walks random
+player orderings and averages marginal score changes; an exhaustive
 subset-enumeration mode (<= 8 players) serves as the verification oracle.
+Class means are one (n_classes, n_players) array, reported per feature as a
+(n_features, n_classes) table.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,35 +23,26 @@ from .errors import BadArgument, LayoutMismatch, TooLarge
 
 
 @dataclass(frozen=True)
-class ShapConfig:
-    n_permutations: int = 64
-    background: tuple = ()
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_permutations < 1:
-            raise BadArgument(f"n_permutations must be >= 1, got {self.n_permutations}")
-
-
-@dataclass
-class AttributionMap:
-    values: np.ndarray           # (classes, channels, P, P) class-averaged Shapley values
-    counts: np.ndarray           # (classes,) test samples per class
-    players: tuple               # ((channel, row, col), ...) cells that were played
-
-
-@dataclass
 class FeatureImportanceTable:
-    rows: list = field(default_factory=list)  # dicts: feature, modality, class, raw, normalized
+    features: tuple              # feature name of each row
+    modalities: tuple            # modality name of each row
+    class_names: tuple
+    raw: np.ndarray              # (n_features, n_classes) class-mean Shapley values
+
+    @property
+    def normalized(self):
+        """``raw`` over each class's max |raw|; 0 where that max is 0."""
+        peak = np.abs(self.raw).max(axis=0, initial=0.0)
+        return np.divide(self.raw, peak, out=np.zeros_like(self.raw), where=peak > 0)
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["feature", "modality", "class", "shap_raw", "shap_normalized"])
-            for r in self.rows:
-                writer.writerow(
-                    [r["feature"], r["modality"], r["class"], repr(float(r["raw"])), repr(float(r["normalized"]))]
-                )
+            rows = zip(self.features, self.modalities, self.raw.tolist(), self.normalized.tolist())
+            for feature, modality, raw, normalized in rows:
+                for cname, r, n in zip(self.class_names, raw, normalized):
+                    writer.writerow([feature, modality, cname, repr(r), repr(n)])
 
 
 @dataclass(frozen=True)
@@ -78,26 +73,22 @@ def select_hvf(F, m):
     return order[: min(m, F.shape[1])]
 
 
-def _cells(players):
-    """(channels, rows, cols) index arrays of a player list."""
-    return tuple(np.asarray(players, dtype=np.int64).reshape(-1, 3).T)
-
-
 def shapley_sample(predict, image, class_idx, background_mean, players, M, seed):
     """Permutation-sampling Shapley estimates for the given cells.
 
     ``predict`` maps a (B, C, P, P) batch to (B, classes) probabilities;
-    ``image`` and ``background_mean`` are (C, P, P) tensors; ``players`` are
-    distinct (channel, row, col) cells. Each permutation is one predict batch.
+    ``image`` and ``background_mean`` are (C, P, P) tensors; ``players`` holds
+    distinct (channel, row, col) cells, one per row. Each permutation is one
+    predict batch.
     """
-    players = list(players)
-    if not players:
+    players = np.asarray(players, dtype=np.int64).reshape(-1, 3)
+    n = len(players)
+    if n == 0:
         raise ValueError("players must be non-empty")
     rng = np.random.default_rng(seed)
     image = np.asarray(image, dtype=np.float64)
     background = np.asarray(background_mean, dtype=np.float64)
-    ch, r, c = _cells(players)
-    n = len(players)
+    ch, r, c = players.T
     values = np.zeros(n)
     for _ in range(M):
         order = rng.permutation(n)
@@ -140,85 +131,60 @@ def shapley_exact(predict, image, class_idx, background_mean, players):
     return values
 
 
-def class_global_importance(predict, images, test_indices, n_classes, players, config):
-    """Average per-sample Shapley values over each class's test images."""
-    test_indices = np.asarray(test_indices)
+def class_global_importance(predict, images, test_indices, n_classes, players,
+                            n_permutations, seed):
+    """(values, counts): each player's Shapley value averaged over each
+    class's test images, as an (n_classes, n_players) array, and the test
+    images per class. Every image forms the background mean."""
+    if n_permutations < 1:
+        raise BadArgument(f"n_permutations must be >= 1, got {n_permutations}")
     labels = np.asarray(images.labels)
-    values = np.zeros((n_classes, *images.tensors.shape[1:]))
+    values = np.zeros((n_classes, len(players)))
     counts = np.zeros(n_classes, dtype=np.int64)
-    background_idx = np.asarray(config.background, dtype=np.int64)
-    if background_idx.size == 0:
-        raise ValueError("background index set must be non-empty")
-    background_mean = images.tensors[background_idx].astype(np.float64).mean(axis=0)
-    ch, r, c = _cells(players)
-    rng = np.random.default_rng(config.seed)
-    for idx in test_indices:
+    background = images.tensors.astype(np.float64).mean(axis=0)
+    rng = np.random.default_rng(seed)
+    for idx in np.asarray(test_indices):
         cls = int(labels[idx])
-        local = shapley_sample(
-            predict,
-            images.tensors[idx],
-            cls,
-            background_mean,
-            players,
-            config.n_permutations,
-            int(rng.integers(2**32)),
-        )
-        np.add.at(values, (cls, ch, r, c), local)
+        values[cls] += shapley_sample(predict, images.tensors[idx], cls, background, players,
+                                      n_permutations, int(rng.integers(2**32)))
         counts[cls] += 1
-    for cls in range(n_classes):
-        if counts[cls] == 0:
-            import warnings
-
-            warnings.warn(f"class {cls} has no test samples; attribution skipped",
-                          stacklevel=2)
-        else:
-            values[cls] /= counts[cls]
-    return AttributionMap(values=values, counts=counts, players=tuple(players))
+    for cls in np.flatnonzero(counts == 0):
+        warnings.warn(f"class {cls} has no test samples; attribution skipped", stacklevel=2)
+    seen = counts > 0
+    values[seen] /= counts[seen, None]
+    return values, counts
 
 
 def hvf_players(f_layouts, feature_sets):
-    """Cells (channel, row, col) for the selected features of each modality;
-    ``f_layouts`` holds each modality's (k, 2) feature cells."""
-    players = []
+    """(n_players, 3) int64 (channel, row, col) cells of the selected features,
+    modality by modality, each in ``feature_sets`` order; ``f_layouts`` holds
+    each modality's (k, 2) feature cells."""
+    blocks = []
     for ch, (cells, selected) in enumerate(zip(f_layouts, feature_sets), start=1):
-        for r, c in cells[np.asarray(selected, dtype=np.int64)].tolist():
-            players.append((ch, r, c))
-    return players
+        picked = cells[np.asarray(selected, dtype=np.int64)]
+        blocks.append(np.column_stack([np.full(len(picked), ch), picked]))
+    return np.concatenate(blocks).astype(np.int64)
 
 
-def map_to_features(attr, f_layouts, feature_names_per_modality, class_names,
+def map_to_features(values, feature_sets, feature_names_per_modality, class_names,
                     modality_names=None):
-    """Read each played feature cell of ``f_layouts`` back as a named
-    feature; cells that were not played are dropped."""
-    if len(f_layouts) != len(feature_names_per_modality):
-        raise LayoutMismatch("feature layouts and name lists disagree")
+    """The (n_classes, n_players) ``values`` of ``hvf_players``' players as a
+    table with one row per played feature, ordered by modality, then by
+    feature index."""
+    if len(feature_sets) != len(feature_names_per_modality):
+        raise LayoutMismatch("feature sets and name lists disagree")
     if modality_names is None:
-        modality_names = [f"modality{i}" for i in range(len(f_layouts))]
-    played = set(attr.players)
-    table = FeatureImportanceTable()
-    raw_rows = []
-    for ch, (cells, names, mname) in enumerate(
-        zip(f_layouts, feature_names_per_modality, modality_names), start=1
-    ):
-        if len(names) != len(cells):
-            raise LayoutMismatch(f"modality {mname}: {len(names)} names for "
-                                 f"{len(cells)} laid-out features")
-        for j, (r, c) in enumerate(cells.tolist()):
-            if (ch, r, c) not in played:
-                continue
-            for cls, cname in enumerate(class_names):
-                raw_rows.append(
-                    {"feature": names[j], "modality": mname, "class": cname,
-                     "raw": float(attr.values[cls, ch, r, c])}
-                )
-    # per-class max-|value| normalization for reporting; raw values retained
-    for cname in class_names:
-        cls_rows = [r for r in raw_rows if r["class"] == cname]
-        peak = max((abs(r["raw"]) for r in cls_rows), default=0.0)
-        for r in cls_rows:
-            r["normalized"] = r["raw"] / peak if peak > 0 else 0.0
-    table.rows = raw_rows
-    return table
+        modality_names = [f"modality{i}" for i in range(len(feature_sets))]
+    modality = np.repeat(np.arange(len(feature_sets)), [len(s) for s in feature_sets])
+    feature = np.concatenate([np.asarray(s, dtype=np.int64) for s in feature_sets])
+    order = np.lexsort((feature, modality))
+    return FeatureImportanceTable(
+        features=tuple(feature_names_per_modality[m][j]
+                       for m, j in zip(modality[order].tolist(), feature[order].tolist())),
+        modalities=tuple(modality_names[m] for m in modality[order].tolist()),
+        class_names=tuple(class_names),
+        raw=values[:, order].T,
+    )
 
 
 def cluster_profiles(profiles, labels=None):

@@ -201,7 +201,7 @@ def stage_ingest(cfg):
 
 def stage_cluster(cfg):
     graph = _load_ingested(cfg)
-    P = cfg.p_override or community.community_count(graph.k)
+    P = community.community_count(graph.k) if cfg.p_override is None else cfg.p_override
     model = community.fit_communities(graph, P, stage_seed(cfg.seed, "cluster"))
     p = _paths(cfg)
     community.write_communities(model, graph, p["communities"])
@@ -232,7 +232,7 @@ def stage_layout(cfg):
     seed = stage_seed(cfg.seed, "layout")
     s_layout = imaging.build_structural_layout(assoc, seed, cfg.epsilon, cfg.restarts)
     p = _paths(cfg)
-    imaging.write_layout(s_layout, [f"community{i}" for i in range(model.P)], p["s_layout"])
+    imaging.write_layout(s_layout, _community_names(model.P), p["s_layout"])
     mods = _modality_list(cfg, graph)
     side = _image_side(mods)
     for name, F, fnames in mods:
@@ -242,10 +242,16 @@ def stage_layout(cfg):
     return s_layout
 
 
+def _community_names(P):
+    return [f"community{i}" for i in range(P)]
+
+
 def _read_feature_layouts(cfg, mods):
-    """The feature cells of each modality, read back from its layout file."""
+    """The feature cells of each modality, read back from its layout file,
+    whose lines name the modality's features in order."""
     side = _image_side(mods)
-    return [imaging.read_layout(_f_layout_path(cfg, name), side)[0] for name, _, _ in mods]
+    return [imaging.read_layout(_f_layout_path(cfg, name), side, fnames)
+            for name, _, fnames in mods]
 
 
 def stage_render(cfg):
@@ -253,7 +259,8 @@ def stage_render(cfg):
     model = _load_model(cfg, graph)
     mods = _modality_list(cfg, graph)
     p = _paths(cfg)
-    s_layout, _ = imaging.read_layout(p["s_layout"], community.community_count(model.P))
+    s_layout = imaging.read_layout(p["s_layout"], community.community_count(model.P),
+                                   _community_names(model.P))
     image_set = imaging.render_all(
         graph, model, s_layout, _read_feature_layouts(cfg, mods),
         modalities=[F for _, F, _ in mods],
@@ -334,29 +341,22 @@ def stage_explain(cfg):
 
     feature_sets = [attribution.select_hvf(F, cfg.n_hvf) for _, F, _ in mods]
     players = attribution.hvf_players(f_layouts, feature_sets)
-    shap_cfg = attribution.ShapConfig(
-        n_permutations=cfg.n_permutations,
-        background=tuple(range(len(image_set.node_ids))),
-        seed=stage_seed(cfg.seed, "explain"),
-    )
     class_names = graph.class_names or tuple(
         f"class{i}" for i in range(config.classes)
     )
-    attr = attribution.class_global_importance(
-        predict, image_set, split.test, config.classes, players, shap_cfg
+    values, _ = attribution.class_global_importance(
+        predict, image_set, split.test, config.classes, players, cfg.n_permutations,
+        stage_seed(cfg.seed, "explain"),
     )
     table = attribution.map_to_features(
-        attr, f_layouts, [fnames for _, _, fnames in mods], class_names,
+        values, feature_sets, [fnames for _, _, fnames in mods], class_names,
         modality_names=[name for name, _, _ in mods],
     )
     table.to_csv(p["importance"])
 
     # class-level dendrogram over raw SHAP profiles
-    profiles = np.array([
-        [r["raw"] for r in table.rows if r["class"] == cname] for cname in class_names
-    ])
     if len(class_names) >= 2:
-        dend = attribution.cluster_profiles(profiles, labels=list(class_names))
+        dend = attribution.cluster_profiles(table.raw.T, labels=list(class_names))
         with open(p["dendrogram"], "w", encoding="utf-8") as fh:
             fh.write(attribution.dendrogram_to_newick(dend) + "\n")
     return table
@@ -409,27 +409,12 @@ def make_parser():
     for name in [*STAGES, "run"]:
         sp = sub.add_parser(name)
         sp.add_argument("--config")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--edges")
-        sp.add_argument("--features")
-        sp.add_argument("--labels")
+        for key, kind in _SCALARS.items():
+            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind)
         sp.add_argument("--modality", action="append",
                         help="name=path, repeatable for extra feature files")
         sp.add_argument("--p", type=int, help="community count override")
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--restarts", type=int)
-        sp.add_argument("--learning-rate", dest="learning_rate", type=float)
-        sp.add_argument("--momentum", type=float)
-        sp.add_argument("--batch-size", dest="batch_size", type=int)
-        sp.add_argument("--max-epochs", dest="max_epochs", type=int)
-        sp.add_argument("--n-hvf", dest="n_hvf", type=int)
-        sp.add_argument("--n-permutations", dest="n_permutations", type=int)
         sp.add_argument("--blocks", help="comma-separated block sizes (synth)")
-        sp.add_argument("--p-in", dest="p_in", type=float)
-        sp.add_argument("--p-out", dest="p_out", type=float)
-        sp.add_argument("--k", type=int, help="feature count (synth)")
-        sp.add_argument("--signal", type=float, help="planted signal strength (synth)")
     return parser
 
 

@@ -23,6 +23,9 @@ import numpy as np
 
 from .errors import BadArgument, EmptySplit, ShapeMismatch
 
+# images per forward call in predict_proba; the batch size can change BLAS sums
+_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class ConvNetConfig:
@@ -228,15 +231,15 @@ def loss_and_grad(params, batch, labels):
     return loss, grads
 
 
-def predict_proba(params, X, chunk=256):
+def predict_proba(params, X):
     out = []
-    for start in range(0, len(X), chunk):
-        out.append(forward(params, X[start : start + chunk]))
+    for start in range(0, len(X), _CHUNK):
+        out.append(forward(params, X[start : start + _CHUNK]))
     return np.concatenate(out, axis=0)
 
 
-def _mean_ce(params, X, y, chunk=256):
-    probs = predict_proba(params, X, chunk=chunk)
+def _mean_ce(params, X, y):
+    probs = predict_proba(params, X)
     return float(-np.log(np.clip(probs[np.arange(len(y)), y], 1e-300, None)).mean()), probs
 
 
@@ -251,13 +254,7 @@ def train(images, split, config):
     X = images.tensors.astype(np.float64)
     y = np.asarray(images.labels)
     params = init_params(config)
-    velocity = ConvNetParams(
-        config=config,
-        conv_w=[np.zeros_like(w) for w in params.conv_w],
-        conv_b=[np.zeros_like(b) for b in params.conv_b],
-        fc_w=[np.zeros_like(w) for w in params.fc_w],
-        fc_b=[np.zeros_like(b) for b in params.fc_b],
-    )
+    velocity = _build_params(config, lambda name, shape: np.zeros(shape))
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = TrainReport()
     best_val = np.inf

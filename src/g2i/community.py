@@ -17,6 +17,9 @@ from .errors import BadArgument, DegenerateData, MalformedLine, UnknownNodeId
 from .graph import read_int_rows
 
 
+_HEADER = ("node_id", "community")
+
+
 @dataclass(frozen=True)
 class CommunityModel:
     P: int
@@ -84,8 +87,10 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
     reseeded at the row farthest from its stale centroid.
     """
     rows = np.asarray(rows, dtype=np.float64)
+    if P < 1:
+        raise BadArgument(f"community count P must be >= 1, got {P}")
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        raise BadArgument(f"max_iter must be >= 1, got {max_iter}")
     centroids = kmeanspp_init(rows, P, seed) if init_centroids is None else np.array(init_centroids, dtype=np.float64)
     assignment = None
     history = []
@@ -106,11 +111,9 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
     return centroids, assignment, history
 
 
-def fit_communities(graph, P, seed, max_iter=300, init_centroids=None):
+def fit_communities(graph, P, seed):
     """Cluster the graph's connectivity profiles into P communities."""
-    centroids, assignment, history = kmeans(
-        graph.adjacency, P, seed, max_iter=max_iter, init_centroids=init_centroids
-    )
+    centroids, assignment, history = kmeans(graph.adjacency, P, seed)
     return CommunityModel(
         P=P,
         centroids=centroids,
@@ -142,7 +145,7 @@ def association_matrix(model):
 def write_communities(model, graph, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["node_id", "community"])
+        writer.writerow(_HEADER)
         for nid, c in zip(graph.node_ids, model.assignment):
             writer.writerow([nid, int(c)])
 
@@ -151,7 +154,7 @@ def read_assignment(path, node_ids, P):
     """Community index in [0, P) of each of ``node_ids``, from a
     ``node_id,community`` file with one line per node."""
     by_id, line_of = {}, {}       # node id -> community, line number
-    for lineno, nid, (c,) in read_int_rows(path, 1):
+    for lineno, nid, (c,) in read_int_rows(path, _HEADER):
         if not 0 <= c < P:
             raise MalformedLine(path, lineno, f"community {c} outside [0, {P})")
         if nid in line_of:

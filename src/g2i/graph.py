@@ -205,18 +205,23 @@ def _read_labels(path, index):
     return labels, tuple(class_names)
 
 
-def read_int_rows(path, n_ints):
-    """(line number, name, ints) of each line after the header of a CSV file
-    whose lines hold a name and ``n_ints`` integers; blank lines are skipped."""
+def read_int_rows(path, header):
+    """(line number, name, ints) of each line after the ``header`` line of a
+    CSV file whose lines hold a name and ``len(header) - 1`` integers; blank
+    lines are skipped."""
+    n_fields = len(header)
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
+        first = next(reader, [])
+        if first != list(header):
+            raise MalformedLine(path, 1, f"expected header {','.join(header)!r}, "
+                                         f"got {','.join(first)!r}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != n_ints + 1:
-                raise MalformedLine(path, lineno, f"expected {n_ints + 1} fields, got {len(row)}")
+            if len(row) != n_fields:
+                raise MalformedLine(path, lineno, f"expected {n_fields} fields, got {len(row)}")
             try:
                 rows.append((lineno, row[0], tuple(int(v) for v in row[1:])))
             except ValueError:

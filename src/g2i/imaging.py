@@ -30,6 +30,7 @@ from .transport import grid_cost, pad_to_square, resolve_assignment, solve_gw
 
 MAGIC = b"G2IM"
 VERSION = 1
+_LAYOUT_HEADER = ("item_name", "row", "col")
 
 
 @dataclass(frozen=True)
@@ -221,22 +222,25 @@ def write_layout(cells, item_names, path):
     """Write one ``item_name,row,col`` line per item of an (n, 2) cell array."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["item_name", "row", "col"])
+        writer.writerow(_LAYOUT_HEADER)
         for name, (r, c) in zip(item_names, cells.tolist()):
             writer.writerow([name, r, c])
 
 
-def read_layout(path, grid_side):
-    """(cells, names) of a layout file whose cells lie on a grid_side x
-    grid_side grid, one distinct cell per item."""
-    rows = read_int_rows(path, 2)
+def read_layout(path, grid_side, item_names):
+    """(n, 2) cells of a layout file that places each of ``item_names``, in
+    order, on its own cell of a grid_side x grid_side grid."""
+    rows = read_int_rows(path, _LAYOUT_HEADER)
     line_of = {}                  # cell -> line number
-    for lineno, _, cell in rows:
+    for (lineno, name, cell), expected in zip(rows, item_names):
+        if name != expected:
+            raise MalformedLine(path, lineno, f"item {name!r} where {expected!r} belongs")
         if not (0 <= min(cell) and max(cell) < grid_side):
             raise MalformedLine(path, lineno, f"cell {cell} lies outside the "
                                               f"{grid_side} x {grid_side} grid")
         if cell in line_of:
             raise MalformedLine(path, lineno, f"cell {cell} already taken on line {line_of[cell]}")
         line_of[cell] = lineno
-    cells = np.array([cell for _, _, cell in rows], dtype=np.int64).reshape(-1, 2)
-    return cells, [name for _, name, _ in rows]
+    if len(rows) != len(item_names):
+        raise LayoutMismatch(f"{path}: {len(rows)} items, expected {len(item_names)}")
+    return np.array([cell for _, _, cell in rows], dtype=np.int64).reshape(-1, 2)

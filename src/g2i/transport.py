@@ -25,6 +25,10 @@ from .errors import (
     TooLarge,
 )
 
+_MAX_OUTER = 1000       # outer Frank-Wolfe / mirror-descent steps per restart
+_REL_TOL = 1e-9         # relative objective change that counts as converged
+_TIE_SCALE = 1e-9       # assignment masses closer than this times max |M| tie
+
 
 def grid_cost(side):
     """(g*g, g*g) squared Euclidean distances between the cells of a g x g
@@ -38,8 +42,6 @@ def grid_cost(side):
 @dataclass(frozen=True)
 class TransportPlan:
     matrix: np.ndarray
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
     objective: float
     converged: bool = True
 
@@ -191,7 +193,7 @@ def _two_opt(C1, C2, perm):
     return perm, obj
 
 
-def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, rel_tol=1e-9):
+def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20):
     """Minimize the GW distortion over plans with uniform marginals.
 
     Runs ``restarts`` seeded initializations (uniform plan plus random
@@ -234,14 +236,14 @@ def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, r
         converged = False
         if epsilon == 0.0:
             obj = float(np.sum(_linear_term(C1, C2, T) * T))
-            for _ in range(max_outer):
+            for _ in range(_MAX_OUTER):
                 grad = 2.0 * _linear_term(C1, C2, T)
                 _, cols = linear_sum_assignment(grad)
                 D = _perm_plan(cols, m)
                 consider(cols)  # every inner permutation is an exact candidate
                 delta = D - T
                 b = float(np.sum(grad * delta))
-                if b >= -rel_tol * max(1.0, abs(obj)):
+                if b >= -_REL_TOL * max(1.0, abs(obj)):
                     converged = True
                     break
                 a = float(np.sum(_linear_term(C1, C2, delta) * delta))
@@ -254,7 +256,7 @@ def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, r
                     break
                 T = T + t * delta
                 new_obj = obj + b * t + a * t * t
-                if abs(obj - new_obj) <= rel_tol * max(1.0, abs(obj)):
+                if abs(obj - new_obj) <= _REL_TOL * max(1.0, abs(obj)):
                     obj = new_obj
                     converged = True
                     break
@@ -266,7 +268,7 @@ def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, r
             # mirror descent: Sinkhorn projection of the linearized cost,
             # accepted with a damped backtracking step on the entropic value
             value = entropic_value(T)
-            for _ in range(max_outer):
+            for _ in range(_MAX_OUTER):
                 grad = 2.0 * _linear_term(C1, C2, T)
                 try:
                     D = sinkhorn(grad, p, p, epsilon, max_iter=50000, tol=1e-8)
@@ -278,7 +280,7 @@ def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, r
                 for _ in range(12):
                     cand = (1.0 - t) * T + t * D
                     cand_value = entropic_value(cand)
-                    if cand_value < value - rel_tol * max(1.0, abs(value)):
+                    if cand_value < value - _REL_TOL * max(1.0, abs(value)):
                         T, value = cand, cand_value
                         accepted = True
                         break
@@ -291,13 +293,7 @@ def solve_gw(C_item, C_grid, epsilon=0.0, seed=0, restarts=20, max_outer=1000, r
                 best_obj = obj
                 best_T = T
         converged_all = converged_all and converged
-    return TransportPlan(
-        matrix=best_T,
-        row_marginal=p.copy(),
-        col_marginal=p.copy(),
-        objective=best_obj,
-        converged=converged_all,
-    )
+    return TransportPlan(matrix=best_T, objective=best_obj, converged=converged_all)
 
 
 def resolve_assignment(T, n_items=None, grid_side=None):
@@ -322,8 +318,8 @@ def resolve_assignment(T, n_items=None, grid_side=None):
     return np.stack(np.divmod(perm[:n_items], g), axis=1)
 
 
-def _tie_tolerance(M, eps_scale=1e-9):
-    return eps_scale * max(1.0, float(np.abs(M).max()))
+def _tie_tolerance(M):
+    return _TIE_SCALE * max(1.0, float(np.abs(M).max()))
 
 
 def _plan_permutation(M):
@@ -343,13 +339,13 @@ def _plan_permutation(M):
     return cols
 
 
-def _lexmin_max_assignment(M, eps_scale=1e-9):
+def _lexmin_max_assignment(M):
     """Max-total-mass assignment, lexicographically smallest among optima."""
     m = M.shape[0]
     cost = -M
     rows, cols = linear_sum_assignment(cost)
     best = cost[rows, cols].sum()
-    eps = _tie_tolerance(M, eps_scale)
+    eps = _tie_tolerance(M)
     perm = np.full(m, -1, dtype=np.int64)
     free_cols = list(range(m))
     fixed = 0.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from g2i.attribution import (
-    AttributionMap,
     Dendrogram,
     cluster_profiles,
     class_global_importance,
@@ -14,9 +13,8 @@ from g2i.attribution import (
     select_hvf,
     shapley_exact,
     shapley_sample,
-    ShapConfig,
 )
-from g2i.errors import TooLarge
+from g2i.errors import BadArgument, TooLarge
 from g2i.imaging import ImageSet
 
 
@@ -266,17 +264,19 @@ class TestClassGlobal:
         predict = _raw_linear_predict(w)
         tensors = [rng.normal(size=(2, 2, 2)) for _ in range(3)]
         images = _image_set(tensors, [0, 1, 0])
-        players = [(1, 0, 0), (1, 1, 1)]
-        cfg = ShapConfig(n_permutations=16, background=(0, 1, 2), seed=5)
+        players = np.array([(1, 0, 0), (1, 1, 1)])
         with pytest.warns(UserWarning):   # class 0 has no test samples here
-            attr = class_global_importance(predict, images, np.array([1]), 2, players, cfg)
-        assert attr.counts.tolist() == [0, 1]
+            values, counts = class_global_importance(predict, images, np.array([1]), 2,
+                                                     players, 16, 5)
+        assert counts.tolist() == [0, 1]
+        assert values.shape == (2, 2)
+        assert values[0].tolist() == [0.0, 0.0]
         bg_mean = np.mean(images.tensors.astype(np.float64), axis=0)
         rng_check = np.random.default_rng(5)
         local = shapley_sample(predict, images.tensors[1], 1, bg_mean, players,
                                16, int(rng_check.integers(2**32)))
-        for val, (ch, r, c) in zip(local, players):
-            assert attr.values[1, ch, r, c] == pytest.approx(val, abs=1e-12)
+        for val, got in zip(local, values[1]):
+            assert got == pytest.approx(val, abs=1e-12)
 
     def test_two_image_mean(self):
         rng = np.random.default_rng(1)
@@ -284,76 +284,194 @@ class TestClassGlobal:
         predict = _raw_linear_predict(w)
         tensors = [rng.normal(size=(2, 2, 2)) for _ in range(4)]
         images = _image_set(tensors, [0, 0, 1, 1])
-        players = [(1, 0, 1)]
-        cfg = ShapConfig(n_permutations=8, background=(0, 1, 2, 3), seed=3)
+        players = np.array([(1, 0, 1)])
         with pytest.warns(UserWarning):   # class 1 has no test samples here
-            attr = class_global_importance(predict, images, np.array([0, 1]), 2, players, cfg)
-        assert attr.counts.tolist() == [2, 0]
+            values, counts = class_global_importance(predict, images, np.array([0, 1]), 2,
+                                                     players, 8, 3)
+        assert counts.tolist() == [2, 0]
+        assert values.shape == (2, 1)
 
     def test_empty_class_warns(self):
         rng = np.random.default_rng(2)
         predict = _raw_linear_predict(rng.normal(size=(2, 2, 2)))
         tensors = [rng.normal(size=(2, 2, 2)) for _ in range(2)]
         images = _image_set(tensors, [0, 1])
-        cfg = ShapConfig(n_permutations=4, background=(0, 1), seed=0)
         with pytest.warns(UserWarning):
             class_global_importance(predict, images, np.array([0]), 2,
-                                    [(1, 0, 0)], cfg)
+                                    np.array([(1, 0, 0)]), 4, 0)
+
+    def test_bad_permutation_count_is_named(self):
+        images = _image_set([np.zeros((2, 2, 2))] * 2, [0, 1])
+        with pytest.raises(BadArgument, match="n_permutations must be >= 1"):
+            class_global_importance(_raw_linear_predict(np.zeros((2, 2, 2))), images,
+                                    np.array([0]), 2, np.array([(1, 0, 0)]), 0, 0)
 
 
 class TestMapToFeatures:
-    def _identity_layout(self, side):
+    @staticmethod
+    def _identity_layout(side):
         return np.array([(i // side, i % side) for i in range(side * side)])
 
     def test_identity_layout_reads_row_major(self):
-        side = 2
-        fl = self._identity_layout(side)
-        values = np.zeros((1, 2, side, side))
-        values[0, 1] = np.array([[1.0, 2.0], [3.0, 4.0]])
-        players = tuple((1, r, c) for r in range(side) for c in range(side))
-        attr = AttributionMap(values=values, counts=np.array([1]), players=players)
-        names = ["f0", "f1", "f2", "f3"]
-        table = map_to_features(attr, [fl], [names], ["classA"])
-        got = [r["raw"] for r in table.rows]
-        assert got == [1.0, 2.0, 3.0, 4.0]
+        # every feature played in index order: players and rows are row-major
+        fl = self._identity_layout(2)
+        players = hvf_players([fl], [np.arange(4)])
+        assert players.tolist() == [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+        table = map_to_features(np.array([[1.0, 2.0, 3.0, 4.0]]), [np.arange(4)],
+                                [["f0", "f1", "f2", "f3"]], ["classA"])
+        assert table.features == ("f0", "f1", "f2", "f3")
+        assert table.raw[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_cell_lookup(self):
-        side = 4
-        fl = self._identity_layout(side)
-        values = np.zeros((1, 2, side, side))
-        values[0, 1, 2, 3] = 7.5
-        players = tuple((1, r, c) for r in range(side) for c in range(side))
-        attr = AttributionMap(values=values, counts=np.array([1]), players=players)
-        names = [f"f{i}" for i in range(16)]
-        table = map_to_features(attr, [fl], [names], ["classA"])
-        row = next(r for r in table.rows if r["feature"] == "f11")  # cell (2,3)
-        assert row["raw"] == 7.5
+        # the value of the player at cell (2, 3) is reported for feature 11
+        fl = self._identity_layout(4)
+        selected = np.random.default_rng(0).permutation(16)
+        players = hvf_players([fl], [selected])
+        values = np.zeros((1, 16))
+        values[0, players.tolist().index([1, 2, 3])] = 7.5
+        table = map_to_features(values, [selected], [[f"f{i}" for i in range(16)]], ["classA"])
+        assert table.raw[table.features.index("f11"), 0] == 7.5
+        assert np.count_nonzero(table.raw) == 1
+
+    def test_rows_follow_modality_then_feature_index(self):
+        # players in selection order: features 2, 0, 3 of modality a, then 1 of b
+        values = np.array([[20.0, 0.0, 30.0, 1.0]])
+        table = map_to_features(values, [np.array([2, 0, 3]), np.array([1])],
+                                [["a0", "a1", "a2", "a3"], ["b0", "b1"]], ["x"], ["a", "b"])
+        assert table.features == ("a0", "a2", "a3", "b1")
+        assert table.modalities == ("a", "a", "a", "b")
+        assert table.raw.tolist() == [[0.0], [20.0], [30.0], [1.0]]
+
+    def test_raw_is_features_by_classes(self):
+        values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        table = map_to_features(values, [np.array([0, 1, 2])], [["f0", "f1", "f2"]],
+                                ["c0", "c1"])
+        assert table.class_names == ("c0", "c1")
+        assert table.raw.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
 
     def test_normalization(self):
-        side = 2
-        fl = self._identity_layout(side)
-        values = np.zeros((1, 2, side, side))
-        values[0, 1] = np.array([[2.0, -4.0], [1.0, 0.0]])
-        players = tuple((1, r, c) for r in range(side) for c in range(side))
-        attr = AttributionMap(values=values, counts=np.array([1]), players=players)
-        table = map_to_features(attr, [fl], [["a", "b", "c", "d"]], ["x"])
-        by_name = {r["feature"]: r for r in table.rows}
-        assert by_name["b"]["normalized"] == pytest.approx(-1.0)
-        assert by_name["a"]["normalized"] == pytest.approx(0.5)
+        values = np.array([[2.0, -4.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        table = map_to_features(values, [np.arange(4)], [["a", "b", "c", "d"]], ["x", "y"])
+        assert table.normalized[:, 0].tolist() == pytest.approx([0.5, -1.0, 0.25, 0.0])
+        # a class whose values are all 0 normalizes to 0
+        assert table.normalized[:, 1].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_csv_round_numbers(self, tmp_path):
-        side = 2
-        fl = self._identity_layout(side)
-        values = np.zeros((1, 2, side, side))
-        values[0, 1, 0, 0] = 1.25
-        players = ((1, 0, 0),)
-        attr = AttributionMap(values=values, counts=np.array([1]), players=players)
-        table = map_to_features(attr, [fl], [["a", "b", "c", "d"]], ["x"])
+        table = map_to_features(np.array([[1.25]]), [np.array([0])], [["a", "b", "c", "d"]],
+                                ["x"])
         path = tmp_path / "imp.csv"
         table.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "feature,modality,class,shap_raw,shap_normalized"
         assert lines[1] == "a,modality0,x,1.25,1.0"
+
+
+def _reference_players(f_layouts, feature_sets):
+    """Reference: the player list as (channel, row, col) tuples."""
+    players = []
+    for ch, (cells, selected) in enumerate(zip(f_layouts, feature_sets), start=1):
+        for r, c in cells[np.asarray(selected, dtype=np.int64)].tolist():
+            players.append((ch, r, c))
+    return players
+
+
+def _reference_class_global(predict, images, test_indices, n_classes, players, M, seed):
+    """Reference: per-sample values scattered into a (classes, C, P, P) map."""
+    values = np.zeros((n_classes, *images.tensors.shape[1:]))
+    counts = np.zeros(n_classes, dtype=np.int64)
+    background_idx = np.arange(len(images.node_ids))
+    background_mean = images.tensors[background_idx].astype(np.float64).mean(axis=0)
+    ch, r, c = np.asarray(players, dtype=np.int64).reshape(-1, 3).T
+    rng = np.random.default_rng(seed)
+    for idx in test_indices:
+        cls = int(images.labels[idx])
+        local = shapley_sample(predict, images.tensors[idx], cls, background_mean, players, M,
+                               int(rng.integers(2**32)))
+        np.add.at(values, (cls, ch, r, c), local)
+        counts[cls] += 1
+    for cls in range(n_classes):
+        if counts[cls]:
+            values[cls] /= counts[cls]
+    return values
+
+
+def _reference_rows(values, players, f_layouts, names_per_modality, class_names,
+                    modality_names):
+    """Reference: played cells gathered back one at a time into per-row dicts."""
+    played = set(players)
+    rows = []
+    for ch, (cells, names, mname) in enumerate(
+        zip(f_layouts, names_per_modality, modality_names), start=1
+    ):
+        for j, (r, c) in enumerate(cells.tolist()):
+            if (ch, r, c) not in played:
+                continue
+            for cls, cname in enumerate(class_names):
+                rows.append({"feature": names[j], "modality": mname, "class": cname,
+                             "raw": float(values[cls, ch, r, c])})
+    for cname in class_names:
+        cls_rows = [r for r in rows if r["class"] == cname]
+        peak = max((abs(r["raw"]) for r in cls_rows), default=0.0)
+        for r in cls_rows:
+            r["normalized"] = r["raw"] / peak if peak > 0 else 0.0
+    return rows
+
+
+def _softmax_predict(W):
+    """Softmax over a linear map of the flattened image, one column per class."""
+
+    def predict(batch):
+        z = batch.reshape(batch.shape[0], -1) @ W
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    return predict
+
+
+class TestScatterGatherReference:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(21)
+        for trial in range(24):
+            ks = [int(rng.integers(3, 26)), int(rng.integers(2, 17))]
+            side = max(math.isqrt(k - 1) + 1 for k in ks)
+            f_layouts = [np.stack(np.divmod(rng.choice(side * side, size=k, replace=False),
+                                            side), axis=1) for k in ks]
+            n_hvf = int(rng.integers(1, min(ks)))                 # below every k
+            feature_sets = [select_hvf(rng.gamma(2.0, size=(30, k)), n_hvf) for k in ks]
+            names = [[f"{m}{j:02d}" for j in range(k)] for m, k in zip("fg", ks)]
+            n_classes, n = 3, 12
+            labels = rng.integers(0, n_classes, size=n)
+            empty = trial % n_classes                             # a class with no test image
+            test = np.array([i for i in range(n) if labels[i] != empty][: int(rng.integers(1, 8))])
+            tensors = [rng.normal(size=(3, side, side)) for _ in range(n)]
+            images = _image_set(tensors, labels)
+            yield (images, test, f_layouts, feature_sets, names,
+                   int(rng.integers(1, 4)), int(rng.integers(2**32)))
+
+    def test_table_equals_scatter_gather_reference_exactly(self):
+        class_names = ["c0", "c1", "c2"]
+        modality_names = ["features", "extra"]
+        for images, test, f_layouts, feature_sets, names, M, seed in self._cases():
+            rng = np.random.default_rng(seed)
+            predict = _softmax_predict(rng.normal(size=(images.tensors[0].size, 3)))
+            ref_players = _reference_players(f_layouts, feature_sets)
+            with pytest.warns(UserWarning):
+                ref_values = _reference_class_global(predict, images, test, 3, ref_players,
+                                                     M, seed)
+                players = hvf_players(f_layouts, feature_sets)
+                values, _ = class_global_importance(predict, images, test, 3, players, M, seed)
+            ref = _reference_rows(ref_values, ref_players, f_layouts, names, class_names,
+                                  modality_names)
+            table = map_to_features(values, feature_sets, names, class_names, modality_names)
+            got = [
+                {"feature": f, "modality": m, "class": cname, "raw": raw, "normalized": norm}
+                for f, m, raws, norms in zip(table.features, table.modalities,
+                                             table.raw.tolist(), table.normalized.tolist())
+                for cname, raw, norm in zip(table.class_names, raws, norms)
+            ]
+            assert got == ref
+            assert players.tolist() == [list(p) for p in ref_players]
 
 
 class TestClusterProfiles:
@@ -390,4 +508,10 @@ class TestPlayers:
     def test_hvf_players_channels(self):
         fl = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
         players = hvf_players([fl, fl], [np.array([0, 3]), np.array([2])])
-        assert players == [(1, 0, 0), (1, 1, 1), (2, 1, 0)]
+        assert players.dtype == np.int64
+        assert players.tolist() == [[1, 0, 0], [1, 1, 1], [2, 1, 0]]
+
+    def test_selection_order_is_kept(self):
+        fl = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+        players = hvf_players([fl], [np.array([3, 0, 2])])
+        assert players.tolist() == [[1, 1, 1], [1, 0, 0], [1, 1, 0]]

@@ -175,6 +175,8 @@ class TestPipeline:
         ("run", ["--config", "ratios=0.5,0.5,0.5"], "ratios"),
         ("run", ["--config", "ratios=0.7,0.3"], "ratios"),
         ("run", ["--config", "ratios=1.5,-0.25,-0.25"], "ratios"),
+        ("cluster", ["--p", "-1"], "P must be >= 1"),
+        ("cluster", ["--p", "0"], "P must be >= 1"),
     ])
     def test_bad_setting_is_named(self, tmp_path, capsys, command, flags, name):
         if flags[0] == "--config":      # the setting is a line of a config file
@@ -238,6 +240,8 @@ class TestBadStageFiles:
         ("feature_layout_features.csv", "f001,1", "render", ":3: expected 3 fields"),
         ("feature_layout_features.csv", "f001,one,1", "render", ":3: expected integers after the name"),
         ("feature_layout_features.csv", "f001,3,0", "render", ":3: cell (3, 0) lies outside the 3 x 3"),
+        ("feature_layout_features.csv", "g001,{0},{1}", "render",
+         ":3: item 'g001' where 'f001' belongs"),
         ("feature_layout_features.csv", "f001,{0},{1}", "render",
          ":3: cell ({0}, {1}) already taken on line 2"),
         ("structural_layout.csv", "community1,0,2", "render", ":3: cell (0, 2) lies outside the 2 x 2"),
@@ -260,3 +264,39 @@ class TestBadStageFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error in stage {stage}: {path}{message.format(*line2)}")
         assert err.count("\n") == 1
+
+    @staticmethod
+    def _rewrite(laid_out, tmp_path, name, edit):
+        """A copy of ``laid_out`` whose file ``name`` has lines ``edit(lines)``."""
+        out = tmp_path / "out"
+        shutil.copytree(laid_out, out)
+        path = out / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        return out, path
+
+    @pytest.mark.parametrize("stage", ["render", "explain"])
+    def test_reversed_layout_names_first_line(self, laid_out, tmp_path, capsys, stage):
+        out, path = self._rewrite(laid_out, tmp_path, "feature_layout_features.csv",
+                                  lambda lines: lines[:1] + lines[:0:-1])
+        assert main([stage, *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage {stage}: {path}:2: item 'f008' where 'f000' belongs\n"
+
+    def test_short_layout_names_count(self, laid_out, tmp_path, capsys):
+        out, path = self._rewrite(laid_out, tmp_path, "feature_layout_features.csv",
+                                  lambda lines: lines[:-1])
+        assert main(["render", *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage render: {path}: 8 items, expected 9\n"
+
+    @pytest.mark.parametrize("name, stage, header", [
+        ("communities.csv", "layout", "node_id,community"),
+        ("feature_layout_features.csv", "render", "item_name,row,col"),
+    ])
+    def test_missing_header_names_line_1(self, laid_out, tmp_path, capsys, name, stage, header):
+        out, path = self._rewrite(laid_out, tmp_path, name, lambda lines: lines[1:])
+        first = path.read_text().splitlines()[0]
+        assert main([stage, *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error in stage {stage}: {path}:1: expected header {header!r}, "
+                       f"got {first!r}\n")

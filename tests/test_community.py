@@ -10,7 +10,7 @@ from g2i.community import (
     kmeans,
     kmeanspp_init,
 )
-from g2i.errors import DegenerateData
+from g2i.errors import BadArgument, DegenerateData
 from g2i.graph import generate_sbm
 
 
@@ -107,6 +107,16 @@ class TestKmeans:
         original = {frozenset(np.flatnonzero(a == c).tolist()) for c in range(3)}
         mapped = {frozenset(pi[np.flatnonzero(a_perm == c)].tolist()) for c in range(3)}
         assert original == mapped
+
+    @pytest.mark.parametrize("P, max_iter, name", [
+        (0, 300, "P must be >= 1"),
+        (-1, 300, "P must be >= 1"),
+        (2, 0, "max_iter must be >= 1"),
+    ])
+    def test_bad_setting_is_named(self, P, max_iter, name):
+        rows = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(BadArgument, match=name):
+            kmeans(rows, P, seed=0, max_iter=max_iter)
 
 
 class TestAssociation:

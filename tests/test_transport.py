@@ -23,8 +23,7 @@ from g2i.transport import (
 
 def _uniform_plan(m):
     p = np.full(m, 1.0 / m)
-    return TransportPlan(matrix=np.outer(p, p), row_marginal=p, col_marginal=p,
-                         objective=0.0, converged=True)
+    return TransportPlan(matrix=np.outer(p, p), objective=0.0, converged=True)
 
 
 def _rand_sym(rng, m, scale=1.0):
@@ -294,7 +293,7 @@ class TestPermutationPlan:
         assert _perm(resolve_assignment(_plan(T), grid_side=4), 4) == [0, 1, 2, 3]
 
     def test_exact_feature_layout_skips_lexmin(self, monkeypatch):
-        def forbidden(M, eps_scale=1e-9):
+        def forbidden(M):
             raise AssertionError("lexmin search run on a permutation plan")
 
         monkeypatch.setattr(transport, "_lexmin_max_assignment", forbidden)
@@ -304,10 +303,7 @@ class TestPermutationPlan:
 
 
 def _plan(T):
-    m = T.shape[0]
-    p = np.full(m, 1.0 / m)
-    return TransportPlan(matrix=T, row_marginal=p, col_marginal=p, objective=0.0,
-                         converged=True)
+    return TransportPlan(matrix=T, objective=0.0, converged=True)
 
 
 def _perm(layout, m):
