@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import attribution, cnn, community, imaging, metrics, transport  # noqa: F401
-from .errors import G2IError, UnknownNodeId
-from .graph import generate_sbm, load_graph, split_dataset, write_graph
+from .errors import BadArgument, G2IError, UnknownNodeId
+from .graph import generate_sbm, load_graph, load_nodes, split_dataset, write_graph
 
 
 def stage_seed(root, name):
@@ -98,9 +98,9 @@ def build_config(args):
             lineno, text = raw[key]
             value = _convert(key, text, f"{args.config}:{lineno}")
             setattr(cfg, "p_override" if key == "p" else key, value)
-    for key, (_, value) in raw.items():
+    for key, (lineno, value) in raw.items():
         if key.startswith("modality."):
-            cfg.modalities[key.split(".", 1)[1]] = value
+            _add_modality(cfg, key.split(".", 1)[1], value, f"{args.config}:{lineno}")
     # CLI flags override file values
     for attr in _SCALARS:
         val = getattr(args, attr, None)
@@ -115,8 +115,18 @@ def build_config(args):
             name, _, path = entry.partition("=")
             if not path:
                 raise G2IError(f"--modality expects name=path, got {entry!r}")
-            cfg.modalities[name] = path
+            _add_modality(cfg, name, path, "--modality")
     return cfg
+
+
+def _add_modality(cfg, name, path, where):
+    """Add the extra modality ``name`` read from ``path``; ``where`` names the
+    setting's source."""
+    if name == "features":
+        # its layout file would overwrite the primary modality's
+        raise G2IError(f"{where}: modality name 'features' is reserved for the primary "
+                       f"feature file; give --modality another name")
+    cfg.modalities[name] = path
 
 
 # --- artifact paths ---
@@ -151,17 +161,23 @@ def _require_out(cfg):
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
 
 
-def _load_ingested(cfg):
-    p = _paths(cfg)
-    labels = p["labels"] if p["labels"].exists() else None
-    return load_graph(p["edges"], p["features"], labels)
+def _labels_path(cfg):
+    """The ingested label file, or None when the input had no labels."""
+    path = _paths(cfg)["labels"]
+    return path if path.exists() else None
 
 
-def _modality_list(cfg, graph):
+def _load_nodes(cfg):
+    """The ingested nodes, features and labels; the stages after cluster never
+    read the edges."""
+    return load_nodes(_paths(cfg)["features"], _labels_path(cfg))
+
+
+def _modality_list(cfg, nodes):
     """(name, feature matrix, feature names) per modality; primary first."""
-    mods = [("features", graph.features, list(graph.feature_names))]
+    mods = [("features", nodes.features, list(nodes.feature_names))]
     for name in sorted(cfg.modalities):
-        F, fnames = _read_feature_csv(cfg.modalities[name], graph.node_ids)
+        F, fnames = _read_feature_csv(cfg.modalities[name], nodes.node_ids)
         mods.append((name, F, fnames))
     return mods
 
@@ -200,20 +216,28 @@ def stage_ingest(cfg):
 
 
 def stage_cluster(cfg):
-    graph = _load_ingested(cfg)
-    P = community.community_count(graph.k) if cfg.p_override is None else cfg.p_override
-    model = community.fit_communities(graph, P, stage_seed(cfg.seed, "cluster"))
     p = _paths(cfg)
+    graph = load_graph(p["edges"], p["features"], _labels_path(cfg))
+    if cfg.p_override is None:
+        P = community.community_count(graph.k)
+    else:
+        P = cfg.p_override
+        side = _image_side(_modality_list(cfg, graph))
+        if P > side * side:
+            raise BadArgument(f"--p {P} exceeds {side * side}: the structural grid side "
+                              f"ceil(sqrt(P)) must fit the image side {side}, the widest "
+                              f"modality's ceil(sqrt(k))")
+    model = community.fit_communities(graph, P, stage_seed(cfg.seed, "cluster"))
     community.write_communities(model, graph, p["communities"])
     imaging.write_named_tensors([("centroids", -1, model.centroids)], (), p["centroids"])
     return model
 
 
-def _load_model(cfg, graph):
+def _load_model(cfg, nodes):
     p = _paths(cfg)
     entries, _ = imaging.read_named_tensors(p["centroids"])
     centroids = entries[0][2].astype(np.float64)
-    assignment = community.read_assignment(p["communities"], graph.node_ids, centroids.shape[0])
+    assignment = community.read_assignment(p["communities"], nodes.node_ids, centroids.shape[0])
     return community.CommunityModel(
         P=centroids.shape[0], centroids=centroids, assignment=assignment,
         inertia_history=(), seed=stage_seed(cfg.seed, "cluster"),
@@ -226,14 +250,14 @@ def _image_side(mods):
 
 
 def stage_layout(cfg):
-    graph = _load_ingested(cfg)
-    model = _load_model(cfg, graph)
+    nodes = _load_nodes(cfg)
+    model = _load_model(cfg, nodes)
     assoc = community.association_matrix(model)
     seed = stage_seed(cfg.seed, "layout")
     s_layout = imaging.build_structural_layout(assoc, seed, cfg.epsilon, cfg.restarts)
     p = _paths(cfg)
     imaging.write_layout(s_layout, _community_names(model.P), p["s_layout"])
-    mods = _modality_list(cfg, graph)
+    mods = _modality_list(cfg, nodes)
     side = _image_side(mods)
     for name, F, fnames in mods:
         cells = imaging.build_feature_layout(F, stage_seed(cfg.seed, f"layout.{name}"),
@@ -255,14 +279,14 @@ def _read_feature_layouts(cfg, mods):
 
 
 def stage_render(cfg):
-    graph = _load_ingested(cfg)
-    model = _load_model(cfg, graph)
-    mods = _modality_list(cfg, graph)
+    nodes = _load_nodes(cfg)
+    model = _load_model(cfg, nodes)
+    mods = _modality_list(cfg, nodes)
     p = _paths(cfg)
     s_layout = imaging.read_layout(p["s_layout"], community.community_count(model.P),
                                    _community_names(model.P))
     image_set = imaging.render_all(
-        graph, model, s_layout, _read_feature_layouts(cfg, mods),
+        nodes, model, s_layout, _read_feature_layouts(cfg, mods),
         modalities=[F for _, F, _ in mods],
         channel_names=["structure"] + [name for name, _, _ in mods],
     )
@@ -330,18 +354,20 @@ def stage_eval(cfg):
 
 def stage_explain(cfg):
     p = _paths(cfg)
-    graph = _load_ingested(cfg)
-    mods = _modality_list(cfg, graph)
+    nodes = _load_nodes(cfg)
+    mods = _modality_list(cfg, nodes)
     f_layouts = _read_feature_layouts(cfg, mods)
     image_set = _read_labeled_images(cfg)
     split = _split_for(cfg, image_set)
     config = _cnn_config(cfg, image_set)
-    params = cnn.load_checkpoint(p["checkpoint"], config)
+    # coalitions are scored in float32, about twice as fast as float64; the
+    # checkpoint stores float32, so the cast loses nothing
+    params = cnn.load_checkpoint(p["checkpoint"], config).astype(np.float32)
     predict = lambda batch: cnn.predict_proba(params, batch)
 
     feature_sets = [attribution.select_hvf(F, cfg.n_hvf) for _, F, _ in mods]
     players = attribution.hvf_players(f_layouts, feature_sets)
-    class_names = graph.class_names or tuple(
+    class_names = nodes.class_names or tuple(
         f"class{i}" for i in range(config.classes)
     )
     values, _ = attribution.class_global_importance(

@@ -1,16 +1,20 @@
 """Small CNN classifier over node images, trained with SGD + momentum.
 
 Architecture: a stack of same-padded conv+ReLU layers, flatten, two
-fully-connected ReLU layers, then a softmax head. All arithmetic is double
-precision so the finite-difference gradient checks are meaningful.
+fully-connected ReLU layers, then a softmax head. A network computes in the
+dtype of its parameters. Training, evaluation and the gradient checks run in
+double precision, so the finite-difference checks are meaningful; a float32
+copy (``ConvNetParams.astype``) serves inference where last-bit agreement with
+float64 is not needed.
 
-A convolution is k*k tap products, summed in a fixed tap order. The forward
-pass and the input gradient compute each tap as one stacked matmul over a
-channel-last padded copy; the weight gradient reduces each tap with an einsum
-over (b, i, j). Every sum and its order are those of the per-tap einsum
-convolution, so outputs and parameter gradients are bit-equal to it;
-tests/test_cnn.py keeps that einsum as the reference. loss_and_grad does not
-compute the gradient of the input images, which nothing reads.
+A convolution is k*k tap products, summed in a fixed tap order, each one a
+BLAS gemm on contiguous operands. The forward pass and the input gradient
+compute each tap as one stacked matmul over a channel-last padded copy; the
+weight gradient multiplies each tap's input patch with the output gradient,
+laid out once per layer. Every sum and its order are those of the per-tap
+einsum convolution, so float64 outputs and parameter gradients are bit-equal
+to it; tests/test_cnn.py keeps that einsum as the reference. loss_and_grad
+does not compute the gradient of the input images, which nothing reads.
 """
 
 from __future__ import annotations
@@ -70,6 +74,11 @@ class ConvNetParams:
             out.append((f"fc{i}_b", b))
         return out
 
+    def astype(self, dtype):
+        """A copy of the network with every array cast to ``dtype``."""
+        arrays = dict(self.arrays())
+        return _build_params(self.config, lambda name, shape: arrays[name].astype(dtype))
+
 
 @dataclass
 class TrainReport:
@@ -107,36 +116,50 @@ def init_params(config, seed=None):
     return _build_params(config, draw)
 
 
+def _taps(w, order, rows):
+    """Every tap of the weights ``w`` (F, C, k, k), as ``w.transpose(*order)``
+    so that ``[di, dj]`` is one (C, F) or (F, C) tap. Copied to a contiguous
+    array, which BLAS gemm takes as it is, when a tap product has more than
+    one row. A one-row product would go to BLAS gemv, which sums over C in
+    another order than the einsum reference; the strided taps keep numpy's
+    own matmul loop there."""
+    taps = w.transpose(*order)
+    return np.ascontiguousarray(taps) if rows > 1 else taps
+
+
 def _conv_same(x, w, b):
     # x (B, C, H, W), w (F, C, k, k) -> (B, F, H, W) with same padding, one
-    # (H, W*B, C) @ (C, F) product per tap on a channel-last padded copy. The
-    # strided tap w[:, :, di, dj] keeps numpy's own matmul loop, which sums
-    # over C as the einsum does; a contiguous copy would send single-row
-    # products (one 1x1 image) to BLAS gemv, which sums in another order.
+    # (H, W*B, C) @ (C, F) product per tap on a channel-last padded copy, in
+    # the input's dtype.
     B, C, H, W = x.shape
     F, _, k, _ = w.shape
     p = k // 2
-    xp = np.zeros((H + 2 * p, W + 2 * p, B, C))
+    xp = np.zeros((H + 2 * p, W + 2 * p, B, C), dtype=x.dtype)
     xp[p : p + H, p : p + W] = x.transpose(2, 3, 0, 1)
-    out = np.zeros((H, W * B, F))
+    taps = _taps(w, (2, 3, 1, 0), W * B)
+    out = np.zeros((H, W * B, F), dtype=x.dtype)
     for di in range(k):
         for dj in range(k):
-            out += xp[di : di + H, dj : dj + W].reshape(H, W * B, C) @ w[:, :, di, dj].T
+            out += xp[di : di + H, dj : dj + W].reshape(H, W * B, C) @ taps[di, dj]
     out += b
     return np.ascontiguousarray(out.reshape(H, W, B, F).transpose(2, 3, 0, 1))
 
 
 def _conv_same_param_grads(x, w, dout):
-    """dW and db of _conv_same, each dW tap reduced over (b, i, j)."""
-    H, W = x.shape[2:]
-    k = w.shape[2]
+    """dW and db of _conv_same. Each dW tap is one (C, B*H*W) @ (B*H*W, F)
+    gemm against ``dout`` laid out once as (B*H*W, F): the product, operand
+    order and layout that einsum("bfij,bcij->fc", optimize=True) hands BLAS
+    on its own, without its copy of ``dout`` per tap."""
+    B, C, H, W = x.shape
+    F, k = w.shape[0], w.shape[2]
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (p, p), (p, p)))
+    d = dout.transpose(0, 2, 3, 1).reshape(-1, F)
     dw = np.zeros_like(w)
     for di in range(k):
         for dj in range(k):
-            patch = xp[:, :, di : di + H, dj : dj + W]
-            dw[:, :, di, dj] = np.einsum("bfij,bcij->fc", dout, patch, optimize=True)
+            patch = xp[:, :, di : di + H, dj : dj + W].reshape(C, -1)
+            dw[:, :, di, dj] = np.dot(patch, d).T
     return dw, dout.sum(axis=(0, 2, 3))
 
 
@@ -148,16 +171,17 @@ def _conv_same_input_grad(w, dout):
     C, k = w.shape[1], w.shape[2]
     p = k // 2
     d = np.ascontiguousarray(dout.transpose(2, 3, 0, 1)).reshape(H, W * B, F)
-    dxp = np.zeros((H + 2 * p, W + 2 * p, B, C))
+    taps = _taps(w, (2, 3, 0, 1), W * B)
+    dxp = np.zeros((H + 2 * p, W + 2 * p, B, C), dtype=dout.dtype)
     for di in range(k):
         for dj in range(k):
-            dxp[di : di + H, dj : dj + W].reshape(H, W * B, C)[...] += d @ w[:, :, di, dj]
+            dxp[di : di + H, dj : dj + W].reshape(H, W * B, C)[...] += d @ taps[di, dj]
     return np.ascontiguousarray(dxp[p : p + H, p : p + W].transpose(2, 3, 0, 1))
 
 
 def _forward_cached(params, batch):
     cfg = params.config
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=params.conv_w[0].dtype)
     if x.ndim != 4 or x.shape[1:] != (cfg.input_channels, cfg.input_side, cfg.input_side):
         raise ShapeMismatch(
             f"batch shape {x.shape} does not match (B, {cfg.input_channels}, "

@@ -73,6 +73,22 @@ class AttributedGraph:
 
 
 @dataclass(frozen=True)
+class NodeTable:
+    """The nodes of a graph without its edges: ids, features and optional
+    labels, as load_nodes reads them."""
+
+    node_ids: tuple
+    features: np.ndarray         # (n, k) float64
+    feature_names: tuple
+    labels: np.ndarray | None = None      # (n,) int class indices
+    class_names: tuple | None = None
+
+    @property
+    def n(self):
+        return len(self.node_ids)
+
+
+@dataclass(frozen=True)
 class DatasetSplit:
     train: np.ndarray
     val: np.ndarray
@@ -87,11 +103,9 @@ class DatasetSplit:
 
 def load_graph(edge_path, feature_path, label_path=None):
     """Read edge list + feature CSV (+ optional label CSV) into an AttributedGraph."""
-    node_ids, features, feature_names = _read_features(feature_path)
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    n = len(node_ids)
-
-    adjacency = np.zeros((n, n), dtype=np.float64)
+    nodes = load_nodes(feature_path, label_path)
+    index = {nid: i for i, nid in enumerate(nodes.node_ids)}
+    adjacency = np.zeros((nodes.n, nodes.n), dtype=np.float64)
     seen = {}
     with open(edge_path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -128,19 +142,26 @@ def load_graph(edge_path, feature_path, label_path=None):
             adjacency[i, j] = w
             adjacency[j, i] = w
 
+    return AttributedGraph(
+        n=nodes.n,
+        node_ids=nodes.node_ids,
+        adjacency=adjacency,
+        features=nodes.features,
+        feature_names=nodes.feature_names,
+        labels=nodes.labels,
+        class_names=nodes.class_names,
+    )
+
+
+def load_nodes(feature_path, label_path=None):
+    """Read the feature CSV (+ optional label CSV) into a NodeTable; no edge
+    list is read."""
+    node_ids, features, feature_names = _read_features(feature_path)
     labels = class_names = None
     if label_path is not None:
-        labels, class_names = _read_labels(label_path, index)
-
-    return AttributedGraph(
-        n=n,
-        node_ids=tuple(node_ids),
-        adjacency=adjacency,
-        features=features,
-        feature_names=tuple(feature_names),
-        labels=labels,
-        class_names=class_names,
-    )
+        labels, class_names = _read_labels(label_path, {nid: i for i, nid in enumerate(node_ids)})
+    return NodeTable(node_ids=tuple(node_ids), features=features,
+                     feature_names=tuple(feature_names), labels=labels, class_names=class_names)
 
 
 def _read_features(path):

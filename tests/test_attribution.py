@@ -14,6 +14,7 @@ from g2i.attribution import (
     shapley_exact,
     shapley_sample,
 )
+from g2i.cnn import ConvNetConfig, init_params, predict_proba
 from g2i.errors import BadArgument, TooLarge
 from g2i.imaging import ImageSet
 
@@ -150,6 +151,21 @@ class TestShapleySample:
         bg = background[None]
         gap = predict(full)[0, 1] - predict(bg)[0, 1]
         assert values.sum() == pytest.approx(gap, abs=1e-9)
+
+    def test_per_permutation_efficiency_float32_predictor(self):
+        # explain's predictor: a float32 copy of the CNN, scoring in float32
+        cfg = ConvNetConfig(input_side=3, input_channels=2, classes=3, conv_layers=2,
+                            filters=4, fc_sizes=(16, 8), seed=5)
+        params = init_params(cfg).astype(np.float32)
+        predict = lambda batch: predict_proba(params, batch)
+        rng = np.random.default_rng(5)
+        image = rng.normal(size=(2, 3, 3))
+        background = rng.normal(size=(2, 3, 3))
+        players = [(ch, r, c) for ch in range(2) for r in range(3) for c in range(3)]
+        for class_idx in range(3):
+            values = shapley_sample(predict, image, class_idx, background, players, M=7, seed=0)
+            scores = predict(np.stack([image, background]))[:, class_idx]
+            assert values.sum() == pytest.approx(scores[0] - scores[1], abs=1e-5)
 
     def test_linear_model_closed_form(self):
         rng = np.random.default_rng(4)

@@ -189,6 +189,41 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error") and name in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_reserved_modality_name_is_rejected(self, tmp_path, capsys, source):
+        if source == "flag":
+            flags, where = ["--modality", f"features={tmp_path / 'extra.csv'}"], "--modality"
+        else:
+            config = tmp_path / "cfg"
+            config.write_text("seed=1\nmodality.features=extra.csv\n")
+            flags, where = ["--config", str(config)], f"{config}:2"
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: modality name 'features' is reserved")
+        assert "--modality" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_p_beyond_image_side_stops_cluster(self, tmp_path, capsys):
+        # k=4 features make 2 x 2 images, which hold a structural grid of at most 4 communities
+        data = ["--out", str(tmp_path), "--seed", "3", "--blocks", "12,12", "--k", "4",
+                "--p-in", "0.8", "--p-out", "0.05", "--restarts", "2"]
+        assert main(["synth", *data]) == 0
+        assert main(["run", *data, *_data_args(tmp_path), "--p", "9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage cluster: --p 9 exceeds 4") and err.count("\n") == 1
+        assert not (tmp_path / "centroids.g2t").exists()
+        assert main(["cluster", *data, "--p", "4"]) == 0
+
+    def test_stages_after_cluster_do_not_read_edges(self, tmp_path):
+        args = [*_small_args(tmp_path), "--max-epochs", "1", "--n-permutations", "1"]
+        assert main(["synth", *args]) == 0
+        for stage in ("ingest", "cluster"):
+            assert main([stage, *args, *_data_args(tmp_path)]) == 0
+        (tmp_path / "edges.tsv").unlink()
+        for stage in ("layout", "render", "train", "eval", "explain", "metrics"):
+            assert main([stage, *args]) == 0, stage
+
     def test_duplicate_feature_id_names_both_lines(self, tmp_path, capsys):
         edges, features = tmp_path / "e.tsv", tmp_path / "f.csv"
         edges.write_text("a\tb\t1\n")

@@ -169,6 +169,43 @@ class TestConvEqualsEinsum:
         assert np.array_equal(report.test_metrics["confusion"], ref_report.test_metrics["confusion"])
 
 
+class TestFloat32Inference:
+    """explain scores coalitions with a float32 copy of the trained network;
+    training and evaluation stay float64."""
+
+    def test_conv_keeps_float32(self):
+        rng = np.random.default_rng(11)
+        for B, side in [(1, 1), (1, 4), (8, 1), (32, 8)]:
+            x = rng.normal(size=(B, 2, side, side))
+            w = rng.normal(size=(16, 2, 5, 5))
+            b = rng.normal(size=16)
+            out = cnn._conv_same(x.astype(np.float32), w.astype(np.float32), b.astype(np.float32))
+            assert out.dtype == np.float32 and out.flags.c_contiguous, (B, side)
+            np.testing.assert_allclose(out, _einsum_conv_same(x, w, b), rtol=1e-4, atol=1e-4)
+
+    def test_forward_follows_params_dtype(self):
+        params = init_params(_tiny_config())
+        X = np.random.default_rng(12).normal(size=(5, 2, 6, 6))
+        assert forward(params.astype(np.float32), X.astype(np.float32)).dtype == np.float32
+        assert forward(params.astype(np.float32), X).dtype == np.float32
+        assert forward(params, X.astype(np.float32)).dtype == np.float64
+
+    def test_astype_copies_every_array(self):
+        params = init_params(_tiny_config())
+        low = params.astype(np.float32)
+        for (name, a), (low_name, b) in zip(params.arrays(), low.arrays()):
+            assert name == low_name and b.dtype == np.float32 and b.shape == a.shape
+            assert np.array_equal(b, a.astype(np.float32)) and a.dtype == np.float64
+
+    def test_predict_proba_close_to_float64(self):
+        cfg = ConvNetConfig(input_side=8, input_channels=2, classes=4, seed=13)
+        params = init_params(cfg)
+        X = np.random.default_rng(13).normal(size=(65, 2, 8, 8)).astype(np.float32)
+        low = cnn.predict_proba(params.astype(np.float32), X)
+        assert low.dtype == np.float32
+        np.testing.assert_allclose(low, cnn.predict_proba(params, X), rtol=0, atol=1e-5)
+
+
 class TestConfig:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):

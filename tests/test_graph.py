@@ -3,7 +3,14 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from g2i.errors import AsymmetricDuplicate, ClassTooSmall, MalformedLine, SelfLoop, UnknownNodeId
-from g2i.graph import generate_sbm, load_graph, sbm_signal_coords, split_dataset, write_graph
+from g2i.graph import (
+    generate_sbm,
+    load_graph,
+    load_nodes,
+    sbm_signal_coords,
+    split_dataset,
+    write_graph,
+)
 
 
 def _write(tmp_path, name, text):
@@ -68,6 +75,20 @@ def test_comments_and_zero_weights(tmp_path):
     feats = _feature_file(tmp_path, ["a", "b", "c"])
     g = load_graph(edges, feats)
     assert g.adjacency[1, 2] == 0
+
+
+def test_load_nodes_reads_what_load_graph_reads_without_edges(tmp_path):
+    g = generate_sbm((5, 6), 0.6, 0.2, 4, 1.0, seed=12)
+    e, f, lab = tmp_path / "e", tmp_path / "f", tmp_path / "l"
+    write_graph(g, e, f, lab)
+    graph = load_graph(e, f, lab)
+    e.unlink()
+    nodes = load_nodes(f, lab)
+    assert nodes.n == graph.n and nodes.node_ids == graph.node_ids
+    assert nodes.feature_names == graph.feature_names
+    assert np.array_equal(nodes.features, graph.features)
+    assert np.array_equal(nodes.labels, graph.labels) and nodes.class_names == graph.class_names
+    assert load_nodes(f).labels is None
 
 
 def test_round_trip_is_idempotent(tmp_path):
