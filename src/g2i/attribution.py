@@ -7,14 +7,20 @@ score for the target class with absent cells held at a background baseline
 player orderings and averages marginal score changes; an exhaustive
 subset-enumeration mode (<= 8 players) serves as the verification oracle.
 Class means are one (n_classes, n_players) array, reported per feature as a
-(n_features, n_classes) table.
+(n_features, n_classes) table. Test images are sampled on every CPU this
+process may run on (``taskset`` limits them), with the same bytes for any
+count.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +141,12 @@ def class_global_importance(predict, images, test_indices, n_classes, players,
                             n_permutations, seed):
     """(values, counts): each player's Shapley value averaged over each
     class's test images, as an (n_classes, n_players) array, and the test
-    images per class. Every image forms the background mean."""
+    images per class. Every image forms the background mean.
+
+    Each test image is sampled on its own from a seed drawn in test order, so
+    the images can run on separate workers; their values are added in test
+    order, which keeps the result's bytes for any worker count.
+    """
     if n_permutations < 1:
         raise BadArgument(f"n_permutations must be >= 1, got {n_permutations}")
     labels = np.asarray(images.labels)
@@ -143,16 +154,89 @@ def class_global_importance(predict, images, test_indices, n_classes, players,
     counts = np.zeros(n_classes, dtype=np.int64)
     background = images.tensors.astype(np.float64).mean(axis=0)
     rng = np.random.default_rng(seed)
-    for idx in np.asarray(test_indices):
-        cls = int(labels[idx])
-        values[cls] += shapley_sample(predict, images.tensors[idx], cls, background, players,
-                                      n_permutations, int(rng.integers(2**32)))
+    jobs = [(int(idx), int(labels[idx]), int(rng.integers(2**32)))
+            for idx in np.asarray(test_indices)]
+
+    def sample(idx, cls, image_seed):
+        return shapley_sample(predict, images.tensors[idx], cls, background, players,
+                              n_permutations, image_seed)
+
+    for (_, cls, _), local in zip(jobs, _map_jobs(sample, jobs)):
+        values[cls] += local
         counts[cls] += 1
     for cls in np.flatnonzero(counts == 0):
         warnings.warn(f"class {cls} has no test samples; attribution skipped", stacklevel=2)
     seen = counts > 0
     values[seen] /= counts[seen, None]
     return values, counts
+
+
+def _map_jobs(fn, jobs):
+    """``[fn(*job) for job in jobs]``, on one forked worker per usable CPU
+    (at most one per job). Workers inherit ``fn`` through fork, so it need not
+    pickle; only the job tuples and results cross between processes. A
+    worker's error is raised here, and a worker that dies raises
+    BrokenProcessPool, once every worker has stopped."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    # each task is a run of consecutive jobs, eight runs per worker with lengths
+    # within one job of each other: with one job per task, the workers sat idle
+    # about half the time waiting for the next when each job took about 1 ms
+    n = min(len(jobs), 8 * workers)
+    bounds = [len(jobs) * i // n for i in range(n + 1)]
+    runs = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(fn,)) as pool:
+        try:
+            return [result for run in pool.map(_run_jobs, runs) for result in run]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+_worker_fn = None        # set in each pool worker, never in the parent
+
+
+def _start_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+    # the workers fill the CPUs already; a BLAS thread pool in each makes them
+    # contend for the same cores (with OpenBLAS's default of one thread per
+    # CPU, explain took 2.6x as long on a 2-CPU machine)
+    for set_num_threads in _openblas("set_num_threads", [ctypes.c_int], None):
+        set_num_threads(1)
+
+
+def _run_jobs(jobs):
+    return [_worker_fn(*job) for job in jobs]
+
+
+def _openblas(name, argtypes, restype):
+    """OpenBLAS's function ``name`` in each OpenBLAS library loaded in this
+    process, under the prefix and suffix its builds export it with; none
+    where the process has no /proc/self/maps or no OpenBLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for symbol in (f"{prefix}openblas_{name}{suffix}"
+                       for prefix in ("", "scipy_") for suffix in ("", "64_")):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = argtypes, restype
+                found.append(fn)
+                break
+    return found
 
 
 def hvf_players(f_layouts, feature_sets):

@@ -16,6 +16,12 @@ class MalformedLine(G2IError):
         super().__init__(f"{path}:{lineno}: {message}")
         self.path = path
         self.lineno = lineno
+        self.message = message
+
+    def __reduce__(self):
+        # pickled with the arguments of __init__, so that an error raised in a
+        # worker process can be rebuilt in the parent
+        return type(self), (self.path, self.lineno, self.message)
 
 
 class AsymmetricDuplicate(G2IError):

@@ -253,12 +253,14 @@ def read_int_rows(path, header):
 
 def write_graph(graph, edge_path, feature_path, label_path=None):
     """Serialize a graph back to the text formats accepted by load_graph."""
+    A, ids = graph.adjacency, graph.node_ids
+    rows, cols = np.nonzero(A)          # row-major, with no n x n temporary
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    weights = A[rows, cols].astype(np.float64).tolist()
     with open(edge_path, "w", encoding="utf-8") as fh:
-        for i in range(graph.n):
-            for j in range(i + 1, graph.n):
-                w = graph.adjacency[i, j]
-                if w != 0:
-                    fh.write(f"{graph.node_ids[i]}\t{graph.node_ids[j]}\t{float(w)!r}\n")
+        fh.writelines(f"{ids[i]}\t{ids[j]}\t{w!r}\n"
+                      for i, j, w in zip(rows.tolist(), cols.tolist(), weights))
     with open(feature_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", *graph.feature_names])

@@ -1,8 +1,15 @@
+import contextlib
+import ctypes
 import math
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from g2i import attribution
 from g2i.attribution import (
     Dendrogram,
     cluster_profiles,
@@ -15,7 +22,7 @@ from g2i.attribution import (
     shapley_sample,
 )
 from g2i.cnn import ConvNetConfig, init_params, predict_proba
-from g2i.errors import BadArgument, TooLarge
+from g2i.errors import BadArgument, MalformedLine, ShapeMismatch, TooLarge
 from g2i.imaging import ImageSet
 
 
@@ -488,6 +495,111 @@ class TestScatterGatherReference:
             ]
             assert got == ref
             assert players.tolist() == [list(p) for p in ref_players]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestWorkers:
+    def test_same_values_for_one_and_two_workers(self, monkeypatch, tmp_path):
+        parent = os.getpid()
+        pids = tmp_path / "pids"
+        for images, test, f_layouts, feature_sets, _, M, seed in \
+                TestScatterGatherReference._cases():
+            softmax = _softmax_predict(np.random.default_rng(seed).normal(
+                size=(images.tensors[0].size, 3)))
+
+            def predict(batch):
+                with open(pids, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return softmax(batch)
+
+            players = hvf_players(f_layouts, feature_sets)
+            results = []
+            for n in (1, 2):
+                _cpus(monkeypatch, n)
+                with pytest.warns(UserWarning), _deadline(30):
+                    results.append(class_global_importance(predict, images, test, 3, players,
+                                                           M, seed))
+                assert multiprocessing.active_children() == []
+            (one, one_counts), (two, two_counts) = results
+            assert np.array_equal(one, two)
+            assert np.array_equal(one_counts, two_counts)
+        assert {int(p) for p in pids.read_text().split()} - {parent}   # workers ran
+
+    @pytest.mark.parametrize("cpus, n_jobs", [(2, 2), (2, 37), (3, 50)])
+    def test_results_keep_job_order(self, monkeypatch, cpus, n_jobs):
+        _cpus(monkeypatch, cpus)
+        with _deadline(30):
+            got = attribution._map_jobs(lambda i: (i, os.getpid()), [(i,) for i in range(n_jobs)])
+        assert [i for i, _ in got] == list(range(n_jobs))
+        assert os.getpid() not in {pid for _, pid in got}
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_an_error(self, monkeypatch):
+        parent = os.getpid()
+        linear = _raw_linear_predict(np.ones((2, 2, 2)))
+
+        def predict(batch):
+            if os.getpid() != parent:
+                os._exit(3)
+            return linear(batch)
+
+        images = _image_set([np.full((2, 2, 2), float(i)) for i in range(4)], [0, 1, 0, 1])
+        _cpus(monkeypatch, 2)
+        with pytest.raises(BrokenProcessPool), _deadline(30):
+            class_global_importance(predict, images, np.arange(4), 2,
+                                    np.array([(1, 0, 0)]), 2, 0)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        def blas_threads(*_):
+            return [get() for get in attribution._openblas("get_num_threads", [], ctypes.c_int)]
+
+        if not blas_threads():
+            pytest.skip("no OpenBLAS library found in this process")
+        _cpus(monkeypatch, 2)
+        with _deadline(30):
+            per_worker = attribution._map_jobs(blas_threads, [(0,), (1,)])
+        assert per_worker == [[1] * len(blas_threads())] * 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [ShapeMismatch("batch of 3 images, expected 2"),
+                                       MalformedLine("edges.tsv", 4, "expected 3 fields")],
+                             ids=lambda e: type(e).__name__)
+    def test_worker_error_reaches_the_caller(self, monkeypatch, error):
+        parent = os.getpid()
+        linear = _raw_linear_predict(np.ones((2, 2, 2)))
+
+        def predict(batch):
+            if os.getpid() != parent:
+                raise error
+            return linear(batch)
+
+        rng = np.random.default_rng(4)
+        images = _image_set([rng.normal(size=(2, 2, 2)) for _ in range(4)], [0, 1, 0, 1])
+        _cpus(monkeypatch, 2)
+        with pytest.raises(type(error)) as caught, _deadline(30):
+            class_global_importance(predict, images, np.arange(4), 2,
+                                    np.array([(1, 0, 0), (0, 1, 1)]), 3, 0)
+        assert str(caught.value) == str(error)
+        assert multiprocessing.active_children() == []
 
 
 class TestClusterProfiles:

@@ -4,6 +4,7 @@ from scipy.sparse.csgraph import connected_components
 
 from g2i.errors import AsymmetricDuplicate, ClassTooSmall, MalformedLine, SelfLoop, UnknownNodeId
 from g2i.graph import (
+    AttributedGraph,
     generate_sbm,
     load_graph,
     load_nodes,
@@ -105,6 +106,32 @@ def test_round_trip_is_idempotent(tmp_path):
     assert e1.read_bytes() == e2.read_bytes()
     assert f1.read_bytes() == f2.read_bytes()
     assert l1.read_bytes() == l2.read_bytes()
+
+
+def _loop_edge_text(graph):
+    """Reference: edges.tsv as the double loop over i < j writes it."""
+    lines = []
+    for i in range(graph.n):
+        for j in range(i + 1, graph.n):
+            w = graph.adjacency[i, j]
+            if w != 0:
+                lines.append(f"{graph.node_ids[i]}\t{graph.node_ids[j]}\t{float(w)!r}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_file_equals_loop_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    upper = np.triu(rng.uniform(0.0, 3.0, size=(n, n)) * (rng.random((n, n)) < 0.3), 1)
+    if seed % 2:
+        upper = np.round(upper, 1)      # short reprs, and whole numbers such as 1.0
+    g = AttributedGraph(n=n, node_ids=tuple(f"v{i:03d}" for i in range(n)),
+                        adjacency=upper + upper.T, features=rng.normal(size=(n, 2)),
+                        feature_names=("x0", "x1"))
+    write_graph(g, tmp_path / "e", tmp_path / "f")
+    text = (tmp_path / "e").read_text(encoding="utf-8")
+    assert text and text == _loop_edge_text(g)
 
 
 class TestSplit:

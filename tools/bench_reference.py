@@ -1,5 +1,5 @@
-"""Stage timings of the reference run and microbenchmarks of the CNN kernels,
-written to one BENCH_*.json file.
+"""Stage timings of the reference run and microbenchmarks of the CNN kernels and
+of Shapley sampling, written to one BENCH_*.json file.
 
 Run from the root of a source checkout:
 
@@ -13,15 +13,18 @@ reference run is ``g2i synth`` followed by every stage, each in its own
 (4x60 nodes, k=64) and one BLAS thread. The runs cycle through the trees, so
 that drift on a shared machine affects each tree alike. For every stage the
 file records the wall time, CPU time and peak RSS of its process (median and
-quartiles over the runs), and for every tree the sha256 of each file under
-``--out`` and whether the runs wrote the same bytes; the exit code is 1 when
-they did not. The kernel microbenchmarks time
+quartiles over the runs; CPU time sums the process and the workers it reaped,
+such as explain's, and peak RSS is the largest of them), and for every tree
+the sha256 of each file under ``--out`` and whether the runs wrote the same
+bytes; the exit code is 1 when they did not. The kernel microbenchmarks time
 the conv forward, weight-gradient and input-gradient kernels and the FC
 products at the shapes that explain and train give them, in float64 and
-float32: each round times every kernel in a fresh process per tree, the
-rounds alternate between the trees, and the file keeps each kernel's median
-over the rounds. The FC products call numpy alone, not g2i, so their
-differences between trees show the noise of the machine.
+float32, and ``shapley_sample`` on one image of the reference shape with
+every feature cell a player and M=4: each round times every kernel in a
+fresh process per tree, the rounds alternate between the trees, and the file
+keeps each kernel's median over the rounds. The FC products call numpy
+alone, not g2i, so their differences between trees show the noise of the
+machine.
 
 This script is not part of the test suite; a default run takes several
 minutes.
@@ -140,7 +143,7 @@ def kernel_benchmarks():
     package on sys.path, by kernel, shape and dtype."""
     import numpy as np
 
-    from g2i import cnn
+    from g2i import attribution, cnn
 
     rng = np.random.default_rng(0)
     out = {}
@@ -171,6 +174,18 @@ def kernel_benchmarks():
             ):
                 out[f"{kernel} {name} {dtype}"] = {
                     "shape": shape, "us": 1e6 * _per_call_s(call)}
+    # one image's Shapley sampling as explain runs it: the reference network in
+    # float32, a 2x8x8 image, every one of the k=64 feature cells a player
+    config = cnn.ConvNetConfig(input_side=8, input_channels=2, classes=4)
+    params = cnn.init_params(config, seed=0).astype(np.float32)
+    image = rng.normal(size=(2, 8, 8)).astype(np.float32)
+    background = rng.normal(size=(2, 8, 8))
+    players = np.column_stack([np.ones(64, dtype=np.int64), *np.divmod(np.arange(64), 8)])
+    out["shapley_sample reference float32"] = {
+        "shape": "64 players M=4 2x8x8",
+        "us": 1e6 * _per_call_s(lambda: attribution.shapley_sample(
+            lambda batch: cnn.predict_proba(params, batch), image, 1, background, players,
+            4, 0))}
     return out
 
 
@@ -219,14 +234,17 @@ def main(argv=None):
                 samples[label].append(stages)
                 hashes[label].append(files)
                 total = sum(s[0] for s in stages.values())
-                print(f"run {run + 1} {label}: {total:.2f} s, explain {stages['explain'][0]:.2f} s,"
-                      f" train {stages['train'][0]:.2f} s", file=sys.stderr)
+                explain_wall, explain_cpu, _ = stages["explain"]
+                print(f"run {run + 1} {label}: {total:.2f} s, explain {explain_wall:.2f} s"
+                      f" (CPU {explain_cpu:.2f} s), train {stages['train'][0]:.2f} s",
+                      file=sys.stderr)
 
     result = {"environment": environment(), "seed": SEED, "runs": args.runs,
               "method": "g2i synth, then each stage in its own `python -m g2i.cli` process, "
                         "seed 7, default settings, OPENBLAS_NUM_THREADS=1; wall time from "
                         "process start to exit (interpreter start and imports included), "
-                        "CPU time and peak RSS from os.wait4 of that process",
+                        "CPU time and peak RSS from os.wait4 of that process, which counts the "
+                        "worker processes it reaped",
               "trees": {}}
     for label, src in trees.items():
         runs = samples[label]
