@@ -9,7 +9,8 @@ subset-enumeration mode (<= 8 players) serves as the verification oracle.
 Class means are one (n_classes, n_players) array, reported per feature as a
 (n_features, n_classes) table. Test images are sampled on every CPU this
 process may run on (``taskset`` limits them), with the same bytes for any
-count.
+count. The classes' profiles are clustered into a dendrogram by scipy's
+average linkage.
 """
 
 from __future__ import annotations
@@ -181,16 +182,14 @@ def _map_jobs(fn, jobs):
     workers = min(cpus, len(jobs))
     if workers <= 1:
         return [fn(*job) for job in jobs]
-    # each task is a run of consecutive jobs, eight runs per worker with lengths
-    # within one job of each other: with one job per task, the workers sat idle
-    # about half the time waiting for the next when each job took about 1 ms
-    n = min(len(jobs), 8 * workers)
-    bounds = [len(jobs) * i // n for i in range(n + 1)]
-    runs = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+    # each task is a chunk of consecutive jobs, about eight per worker: with one
+    # job per task, the workers sat idle about half the time waiting for the
+    # next when each job took about 1 ms
+    chunksize = math.ceil(len(jobs) / (8 * workers))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_worker, initargs=(fn,)) as pool:
         try:
-            return [result for run in pool.map(_run_jobs, runs) for result in run]
+            return list(pool.map(_run_job, jobs, chunksize=chunksize))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -209,8 +208,8 @@ def _start_worker(fn):
         set_num_threads(1)
 
 
-def _run_jobs(jobs):
-    return [_worker_fn(*job) for job in jobs]
+def _run_job(job):
+    return _worker_fn(*job)
 
 
 def _openblas(name, argtypes, restype):
@@ -273,40 +272,21 @@ def map_to_features(values, feature_sets, feature_names_per_modality, class_name
 
 def cluster_profiles(profiles, labels=None):
     """Agglomerative clustering with unweighted average linkage on Euclidean
-    distances; ties break on the lowest (i, j) pair."""
+    distances, by ``scipy.cluster.hierarchy.linkage``. Each merge is (left,
+    right, height, size) with left < right, and the cluster it makes takes
+    the next id after the n leaves; equal distances merge in scipy's order."""
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
+
     X = np.asarray(profiles, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least 2 items to cluster")
     if labels is None:
         labels = [f"item{i}" for i in range(n)]
-    diff = X[:, None, :] - X[None, :, :]
-    dist = {(i, j): float(np.sqrt(np.sum(diff[i, j] ** 2))) for i in range(n) for j in range(i + 1, n)}
-    sizes = {i: 1 for i in range(n)}
-    active = list(range(n))
-    merges = []
-    next_id = n
-    while len(active) > 1:
-        best = None
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                d = dist[(min(i, j), max(i, j))]
-                if best is None or d < best[0] - 1e-15:
-                    best = (d, i, j)
-        d, i, j = best
-        merges.append((i, j, d, sizes[i] + sizes[j]))
-        for other in active:
-            if other in (i, j):
-                continue
-            di = dist[(min(i, other), max(i, other))]
-            dj = dist[(min(j, other), max(j, other))]
-            dn = (sizes[i] * di + sizes[j] * dj) / (sizes[i] + sizes[j])
-            dist[(min(next_id, other), max(next_id, other))] = dn
-        sizes[next_id] = sizes[i] + sizes[j]
-        active = [a for a in active if a not in (i, j)] + [next_id]
-        next_id += 1
-    return Dendrogram(merges=tuple(merges), leaf_labels=tuple(labels))
+    merges = tuple((int(i), int(j), d, int(size))
+                   for i, j, d, size in linkage(pdist(X), "average").tolist())
+    return Dendrogram(merges=merges, leaf_labels=tuple(labels))
 
 
 def dendrogram_to_newick(dendrogram):

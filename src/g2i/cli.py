@@ -2,8 +2,9 @@
 attributions out.
 
 Subcommand grammar: ``g2i <subcommand> [--config PATH] [--seed N] [flags...]``.
-The config file is flat ``key=value`` UTF-8 text (``#`` comments); CLI flags
-override file values. All randomness derives from one root seed via a fixed
+The config file is flat ``key=value`` UTF-8 text (``#`` comments) whose keys
+name settings, as the flags do with ``_`` for ``-``, or ``modality.NAME``; any
+other key is an error. CLI flags override file values. All randomness derives from one root seed via a fixed
 per-stage derivation.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import attribution, cnn, community, imaging, metrics, transport  # noqa: F401
 from .errors import BadArgument, G2IError, UnknownNodeId
-from .graph import generate_sbm, load_graph, load_nodes, split_dataset, write_graph
+from .graph import generate_sbm, load_graph, load_nodes, read_text, split_dataset, write_graph
 
 
 def stage_seed(root, name):
@@ -60,7 +61,7 @@ def parse_config_file(path):
 def _read_config(path):
     """key -> (line number, value text) of a flat key=value file."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with read_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -93,14 +94,14 @@ def _convert(key, text, where):
 def build_config(args):
     raw = _read_config(args.config) if getattr(args, "config", None) else {}
     cfg = PipelineConfig()
-    for key in _CONVERTERS:
-        if key in raw:
-            lineno, text = raw[key]
-            value = _convert(key, text, f"{args.config}:{lineno}")
-            setattr(cfg, "p_override" if key == "p" else key, value)
-    for key, (lineno, value) in raw.items():
-        if key.startswith("modality."):
-            _add_modality(cfg, key.split(".", 1)[1], value, f"{args.config}:{lineno}")
+    for key, (lineno, text) in raw.items():
+        where = f"{args.config}:{lineno}"
+        if key in _CONVERTERS:
+            setattr(cfg, "p_override" if key == "p" else key, _convert(key, text, where))
+        elif key.startswith("modality."):
+            _add_modality(cfg, key.split(".", 1)[1], text, where)
+        else:
+            raise G2IError(f"{where}: unknown key {key!r}")
     # CLI flags override file values
     for attr in _SCALARS:
         val = getattr(args, attr, None)
@@ -155,12 +156,6 @@ def _f_layout_path(cfg, name):
     return Path(cfg.out) / f"feature_layout_{name}.csv"
 
 
-def _require_out(cfg):
-    if not cfg.out:
-        raise G2IError("--out DIR is required for this command")
-    Path(cfg.out).mkdir(parents=True, exist_ok=True)
-
-
 def _labels_path(cfg):
     """The ingested label file, or None when the input had no labels."""
     path = _paths(cfg)["labels"]
@@ -199,7 +194,6 @@ def _read_feature_csv(path, node_ids):
 # --- stages ---
 
 def stage_synth(cfg):
-    _require_out(cfg)
     graph = generate_sbm(cfg.blocks, cfg.p_in, cfg.p_out, cfg.k, cfg.signal,
                          stage_seed(cfg.seed, "synth"))
     p = _paths(cfg)
@@ -208,7 +202,6 @@ def stage_synth(cfg):
 
 
 def stage_ingest(cfg):
-    _require_out(cfg)
     graph = load_graph(cfg.edges, cfg.features, cfg.labels or None)
     p = _paths(cfg)
     write_graph(graph, p["edges"], p["features"], p["labels"] if graph.labels is not None else None)
@@ -422,13 +415,6 @@ STAGES = {
 }
 
 
-def cmd_run(cfg):
-    _require_out(cfg)
-    for name, fn in list(STAGES.items())[1:]:
-        _run_stage(name, fn, cfg)
-    return 0
-
-
 def make_parser():
     parser = argparse.ArgumentParser(prog="g2i", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -448,17 +434,16 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)
+        if not cfg.out:
+            raise G2IError("--out DIR is required for this command")
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
     except (G2IError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "run":
-        try:
-            return cmd_run(cfg)
-        except SystemExit as exc:
-            return exc.code
-    _require_out(cfg)
+    names = list(STAGES)[1:] if args.command == "run" else [args.command]
     try:
-        _run_stage(args.command, STAGES[args.command], cfg)
+        for name in names:
+            _run_stage(name, STAGES[name], cfg)
     except SystemExit as exc:
         return exc.code
     return 0

@@ -319,22 +319,16 @@ def classification_metrics(y_true, y_pred, n_classes):
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (y_true, y_pred), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
-    precisions, recalls, f1s = [], [], []
-    for c in range(n_classes):
-        tp = confusion[c, c]
-        pred_c = confusion[:, c].sum()
-        true_c = confusion[c, :].sum()
-        prec = tp / pred_c if pred_c else 0.0
-        rec = tp / true_c if true_c else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
+    tp, pred, true = np.diagonal(confusion), confusion.sum(axis=0), confusion.sum(axis=1)
+    precision = np.divide(tp, pred, out=np.zeros(n_classes), where=pred > 0)
+    recall = np.divide(tp, true, out=np.zeros(n_classes), where=true > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(n_classes), where=both > 0)
     return {
         "accuracy": accuracy,
-        "macro_precision": float(np.mean(precisions)),
-        "macro_recall": float(np.mean(recalls)),
-        "macro_f1": float(np.mean(f1s)),
+        "macro_precision": float(np.mean(precision)),
+        "macro_recall": float(np.mean(recall)),
+        "macro_f1": float(np.mean(f1)),
         "confusion": confusion,
     }
 

@@ -6,10 +6,13 @@ File formats:
   features    -- CSV with header ``node_id,<feat_1>,...,<feat_k>``
   labels      -- CSV with header ``node_id,label``; label strings are mapped to
                  class indices in first-seen order
+
+Every text input is UTF-8, read through ``read_text``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -107,7 +110,7 @@ def load_graph(edge_path, feature_path, label_path=None):
     index = {nid: i for i, nid in enumerate(nodes.node_ids)}
     adjacency = np.zeros((nodes.n, nodes.n), dtype=np.float64)
     seen = {}
-    with open(edge_path, encoding="utf-8") as fh:
+    with read_text(edge_path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -165,7 +168,7 @@ def load_nodes(feature_path, label_path=None):
 
 
 def _read_features(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -202,7 +205,7 @@ def _read_labels(path, index):
     labels = np.full(len(index), -1, dtype=np.int64)
     class_names = []
     class_index = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["node_id", "label"]:
@@ -226,13 +229,33 @@ def _read_labels(path, index):
     return labels, tuple(class_names)
 
 
+@contextlib.contextmanager
+def read_text(path, newline=None):
+    """``open(path, newline=newline)`` on a UTF-8 text file; a byte that is
+    not UTF-8 raises MalformedLine naming the line of the first one."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder reads ahead in blocks, so find the byte in the file
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(path, data.count(b"\n", 0, exc.start) + 1,
+                                    f"not UTF-8 text: {exc.reason} "
+                                    f"0x{data[exc.start]:02x}") from None
+            raise
+
+
 def read_int_rows(path, header):
     """(line number, name, ints) of each line after the ``header`` line of a
     CSV file whose lines hold a name and ``len(header) - 1`` integers; blank
     lines are skipped."""
     n_fields = len(header)
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, [])
         if first != list(header):

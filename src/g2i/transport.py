@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .errors import (
     BadArgument,
@@ -33,10 +34,8 @@ _TIE_SCALE = 1e-9       # assignment masses closer than this times max |M| tie
 def grid_cost(side):
     """(g*g, g*g) squared Euclidean distances between the cells of a g x g
     unit lattice, cells in row-major order."""
-    r, c = np.divmod(np.arange(side * side), side)
-    coords = np.stack([r, c], axis=1).astype(np.float64)
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sum(diff**2, axis=2)
+    coords = np.column_stack(np.divmod(np.arange(side * side), side)).astype(np.float64)
+    return cdist(coords, coords, "sqeuclidean")
 
 
 @dataclass(frozen=True)

@@ -632,6 +632,81 @@ class TestClusterProfiles:
         assert text == "(c:9.5,(a:1,b:1):8.5);"
 
 
+def _loop_cluster_profiles(profiles, labels=None):
+    """The Lance-Williams loop that cluster_profiles replaced: average linkage,
+    ties breaking on the lowest (i, j) pair of active clusters."""
+    X = np.asarray(profiles, dtype=np.float64)
+    n = X.shape[0]
+    if labels is None:
+        labels = [f"item{i}" for i in range(n)]
+    diff = X[:, None, :] - X[None, :, :]
+    dist = {(i, j): float(np.sqrt(np.sum(diff[i, j] ** 2)))
+            for i in range(n) for j in range(i + 1, n)}
+    sizes = {i: 1 for i in range(n)}
+    active = list(range(n))
+    merges = []
+    next_id = n
+    while len(active) > 1:
+        best = None
+        for ai in range(len(active)):
+            for aj in range(ai + 1, len(active)):
+                i, j = active[ai], active[aj]
+                d = dist[(min(i, j), max(i, j))]
+                if best is None or d < best[0] - 1e-15:
+                    best = (d, i, j)
+        d, i, j = best
+        merges.append((i, j, d, sizes[i] + sizes[j]))
+        for other in active:
+            if other in (i, j):
+                continue
+            di = dist[(min(i, other), max(i, other))]
+            dj = dist[(min(j, other), max(j, other))]
+            dn = (sizes[i] * di + sizes[j] * dj) / (sizes[i] + sizes[j])
+            dist[(min(next_id, other), max(next_id, other))] = dn
+        sizes[next_id] = sizes[i] + sizes[j]
+        active = [a for a in active if a not in (i, j)] + [next_id]
+        next_id += 1
+    return Dendrogram(merges=tuple(merges), leaf_labels=tuple(labels))
+
+
+class TestClusterProfilesReference:
+    @staticmethod
+    def _assert_same(X):
+        got, want = cluster_profiles(X), _loop_cluster_profiles(X)
+        assert dendrogram_to_newick(got) == dendrogram_to_newick(want)
+        assert [(i, j, size) for i, j, _, size in got.merges] == \
+            [(i, j, size) for i, j, _, size in want.merges]
+        assert [h for _, _, h, _ in got.merges] == \
+            pytest.approx([h for _, _, h, _ in want.merges], rel=1e-12, abs=0.0)
+
+    def test_equals_loop_on_continuous_profiles(self):
+        rng = np.random.default_rng(1234)
+        for _ in range(1000):
+            n, d = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+            self._assert_same(rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3]))
+
+    def test_equals_loop_with_up_to_three_zero_rows(self):
+        # an empty class has an all-zero profile, at distance 0 from the others
+        rng = np.random.default_rng(99)
+        for n in range(2, 9):
+            for zeros in range(min(n, 3) + 1):
+                for _ in range(20):
+                    X = rng.normal(size=(n, 3))
+                    X[rng.choice(n, zeros, replace=False)] = 0.0
+                    self._assert_same(X)
+
+    def test_many_zero_rows_tie_at_the_same_heights(self):
+        # four or more tied zero rows may pair up in another order than the
+        # loop's, at the same heights
+        rng = np.random.default_rng(5)
+        for n in range(4, 9):
+            X = rng.normal(size=(n, 3))
+            X[rng.choice(n, 4, replace=False)] = 0.0
+            got, want = cluster_profiles(X), _loop_cluster_profiles(X)
+            assert [h for _, _, h, _ in got.merges] == \
+                pytest.approx([h for _, _, h, _ in want.merges], rel=1e-12, abs=0.0)
+
+
 class TestPlayers:
     def test_hvf_players_channels(self):
         fl = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])

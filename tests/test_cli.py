@@ -177,6 +177,7 @@ class TestPipeline:
         ("run", ["--config", "ratios=1.5,-0.25,-0.25"], "ratios"),
         ("cluster", ["--p", "-1"], "P must be >= 1"),
         ("cluster", ["--p", "0"], "P must be >= 1"),
+        ("run", ["--config", "max_epoch=3"], "max_epoch"),
     ])
     def test_bad_setting_is_named(self, tmp_path, capsys, command, flags, name):
         if flags[0] == "--config":      # the setting is a line of a config file
@@ -188,6 +189,17 @@ class TestPipeline:
         assert main([command, *_small_args(tmp_path), *data, *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error") and name in err
+
+    @pytest.mark.parametrize("command, out, message", [
+        ("layout", None, "--out DIR is required"),
+        ("run", "a_file/sub", "Not a directory"),
+    ])
+    def test_bad_out_is_one_line(self, tmp_path, capsys, command, out, message):
+        (tmp_path / "a_file").write_text("")
+        flags = [] if out is None else ["--out", str(tmp_path / out)]
+        assert main([command, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_reserved_modality_name_is_rejected(self, tmp_path, capsys, source):
@@ -323,6 +335,29 @@ class TestBadStageFiles:
         assert main(["render", *_small_args(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error in stage render: {path}: 8 items, expected 9\n"
+
+    @pytest.mark.parametrize("name, stage", [
+        ("edges.tsv", "cluster"),
+        ("features.csv", "layout"),
+        ("labels.csv", "render"),
+        ("communities.csv", "layout"),
+        ("feature_layout_features.csv", "render"),
+        ("cfg", "run"),
+    ])
+    def test_non_utf8_byte_names_file_and_line(self, laid_out, tmp_path, capsys, name, stage):
+        out = tmp_path / "out"
+        shutil.copytree(laid_out, out)
+        path = out / name
+        if name == "cfg":
+            path.write_text("seed=3\nmax_epochs=4\nrestarts=5\n")
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        path.write_bytes(b"\n".join(lines))
+        flags = ["--config", str(path), "--out", str(out)] if name == "cfg" else _small_args(out)
+        assert main([stage, *flags]) == 1
+        err = capsys.readouterr().err
+        where = "error" if name == "cfg" else f"error in stage {stage}"
+        assert err == f"{where}: {path}:3: not UTF-8 text: invalid start byte 0xff\n"
 
     @pytest.mark.parametrize("name, stage, header", [
         ("communities.csv", "layout", "node_id,community"),

@@ -383,6 +383,33 @@ class TestTrain:
             train(images, bad, _tiny_config(input_side=8, classes=2))
 
 
+def _loop_classification_metrics(y_true, y_pred, n_classes):
+    """The per-class loop that classification_metrics replaced."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(confusion, (y_true, y_pred), 1)
+    accuracy = float(np.trace(confusion) / confusion.sum())
+    precisions, recalls, f1s = [], [], []
+    for c in range(n_classes):
+        tp = confusion[c, c]
+        pred_c = confusion[:, c].sum()
+        true_c = confusion[c, :].sum()
+        prec = tp / pred_c if pred_c else 0.0
+        rec = tp / true_c if true_c else 0.0
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        precisions.append(prec)
+        recalls.append(rec)
+        f1s.append(f1)
+    return {
+        "accuracy": accuracy,
+        "macro_precision": float(np.mean(precisions)),
+        "macro_recall": float(np.mean(recalls)),
+        "macro_f1": float(np.mean(f1s)),
+        "confusion": confusion,
+    }
+
+
 class TestMetrics:
     def test_perfect(self):
         m = classification_metrics([0, 1, 1, 0], [0, 1, 1, 0], 2)
@@ -408,6 +435,21 @@ class TestMetrics:
         assert m["accuracy"] == 0.5
         # class 0: p=0.5, r=1, f1=2/3; class 1 empty prediction -> 0
         assert m["macro_f1"] == pytest.approx((2 / 3) / 2)
+
+    def test_equals_loop_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n_classes = int(rng.integers(1, 7))
+            # drawing from a subset leaves some true and some predicted classes empty
+            true_classes = rng.choice(n_classes, int(rng.integers(1, n_classes + 1)), replace=False)
+            pred_classes = rng.choice(n_classes, int(rng.integers(1, n_classes + 1)), replace=False)
+            n = int(rng.integers(1, 40))
+            y_true, y_pred = rng.choice(true_classes, n), rng.choice(pred_classes, n)
+            got = classification_metrics(y_true, y_pred, n_classes)
+            want = _loop_classification_metrics(y_true, y_pred, n_classes)
+            for key in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
+                assert got[key] == want[key], key
+            assert np.array_equal(got["confusion"], want["confusion"])
 
     def test_evaluate_empty(self):
         images = _image_fixture(n=20)

@@ -34,6 +34,13 @@ def _rand_sym(rng, m, scale=1.0):
 
 
 class TestGrid:
+    def test_equals_broadcast_formula(self):
+        for side in range(1, 41):
+            r, c = np.divmod(np.arange(side * side), side)
+            coords = np.stack([r, c], axis=1).astype(np.float64)
+            diff = coords[:, None, :] - coords[None, :, :]
+            assert np.array_equal(grid_cost(side), np.sum(diff**2, axis=2)), side
+
     def test_square_cost_formula(self):
         cost = grid_cost(3)
         assert cost.shape == (9, 9)
