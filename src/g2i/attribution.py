@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadArgument, LayoutMismatch, TooLarge
+from .errors import BadArgument, DegenerateData, LayoutMismatch, TooLarge
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,8 @@ def cluster_profiles(profiles, labels=None):
     """Agglomerative clustering with unweighted average linkage on Euclidean
     distances, by ``scipy.cluster.hierarchy.linkage``. Each merge is (left,
     right, height, size) with left < right, and the cluster it makes takes
-    the next id after the n leaves; equal distances merge in scipy's order."""
+    the next id after the n leaves; equal distances merge in scipy's order.
+    A profile with a NaN or infinite value raises ``DegenerateData``."""
     from scipy.cluster.hierarchy import linkage
     from scipy.spatial.distance import pdist
 
@@ -284,6 +285,10 @@ def cluster_profiles(profiles, labels=None):
         raise ValueError("need at least 2 items to cluster")
     if labels is None:
         labels = [f"item{i}" for i in range(n)]
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if len(bad):
+        raise DegenerateData("cannot cluster profiles with NaN or infinite values: "
+                             + ", ".join(str(labels[i]) for i in bad))
     merges = tuple((int(i), int(j), d, int(size))
                    for i, j, d, size in linkage(pdist(X), "average").tolist())
     return Dendrogram(merges=merges, leaf_labels=tuple(labels))

@@ -3,6 +3,7 @@ import ctypes
 import math
 import multiprocessing
 import os
+import re
 import signal
 from concurrent.futures.process import BrokenProcessPool
 
@@ -22,7 +23,7 @@ from g2i.attribution import (
     shapley_sample,
 )
 from g2i.cnn import ConvNetConfig, init_params, predict_proba
-from g2i.errors import BadArgument, MalformedLine, ShapeMismatch, TooLarge
+from g2i.errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch, TooLarge
 from g2i.imaging import ImageSet
 
 
@@ -705,6 +706,17 @@ class TestClusterProfilesReference:
             got, want = cluster_profiles(X), _loop_cluster_profiles(X)
             assert [h for _, _, h, _ in got.merges] == \
                 pytest.approx([h for _, _, h, _ in want.merges], rel=1e-12, abs=0.0)
+            # still a tree over every leaf, each named once
+            text = dendrogram_to_newick(got)
+            assert sorted(re.findall(r"[(,](\w+):", text)) == [f"item{i}" for i in range(n)]
+            assert text.count("(") == text.count(")") == n - 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_profile_is_named(self, value):
+        X = np.zeros((4, 3))
+        X[2, 1] = value
+        with pytest.raises(DegenerateData, match="NaN or infinite values: c$"):
+            cluster_profiles(X, labels=["a", "b", "c", "d"])
 
 
 class TestPlayers:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from g2i.cli import build_config, main, make_parser, parse_config_file, stage_seed
+from g2i.imaging import read_named_tensors, write_named_tensors
 
 
 def _small_args(out, seed=3):
@@ -320,6 +321,21 @@ class TestBadStageFiles:
         path = out / name
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         return out, path
+
+    def test_nan_checkpoint_stops_explain(self, laid_out, tmp_path, capsys):
+        # a diverged network scores every coalition NaN, and so every class profile
+        out = tmp_path / "out"
+        shutil.copytree(laid_out, out)
+        for stage in ("render", "train"):
+            assert main([stage, *_small_args(out)]) == 0
+        entries, channels = read_named_tensors(out / "checkpoint.g2t")
+        write_named_tensors([(name, label, np.full_like(arr, np.nan))
+                             for name, label, arr in entries], channels, out / "checkpoint.g2t")
+        capsys.readouterr()
+        assert main(["explain", *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error in stage explain: cannot cluster profiles with NaN or infinite "
+                       "values: block0, block1\n")
 
     @pytest.mark.parametrize("stage", ["render", "explain"])
     def test_reversed_layout_names_first_line(self, laid_out, tmp_path, capsys, stage):

@@ -68,9 +68,27 @@ FC_SHAPES = (
 
 
 def child_env(src):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="0",
-               PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
-    return env
+    """The environment of a ``python -m g2i.cli`` process of the tree ``src``:
+    one BLAS thread, fixed hash seed, no bytecode written."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED="0",
+                PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
+
+
+def parse_trees(parser, entries):
+    """{label: resolved src/ directory} of ``--tree LABEL=SRC`` entries."""
+    trees = {}
+    for entry in entries:
+        label, _, src = entry.partition("=")
+        if not src or not (Path(src) / "g2i" / "cli.py").is_file():
+            parser.error(f"--tree {entry!r}: expected LABEL=SRC with SRC/g2i/cli.py")
+        trees[label] = Path(src).resolve()
+    return trees
+
+
+def file_sha256(directory):
+    """{file name: sha256} of every file in ``directory``."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(directory).iterdir())}
 
 
 def timed_process(argv, env):
@@ -99,8 +117,7 @@ def reference_run(src, out):
     for stage in STAGES:
         argv = [sys.executable, "-m", "g2i.cli", stage, "--out", str(out), "--seed", str(SEED)]
         stages[stage] = timed_process(argv + ([] if stage == "synth" else data), env)
-    hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    return stages, hashes
+    return stages, file_sha256(out)
 
 
 def summary(values):
@@ -216,12 +233,7 @@ def main(argv=None):
         parser.error("--out is required")
     if args.runs < 3:
         parser.error("--runs must be at least 3: quartiles of fewer runs mean nothing")
-    trees = {}
-    for entry in args.tree or ["change=src"]:
-        label, _, src = entry.partition("=")
-        if not src or not (Path(src) / "g2i" / "cli.py").is_file():
-            parser.error(f"--tree {entry!r}: expected LABEL=SRC with SRC/g2i/cli.py")
-        trees[label] = Path(src).resolve()
+    trees = parse_trees(parser, args.tree or ["change=src"])
 
     samples = {label: [] for label in trees}
     hashes = {label: [] for label in trees}

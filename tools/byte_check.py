@@ -1,19 +1,20 @@
-"""Check that two or more g2i source trees write the same artifact bytes.
+"""Check that two g2i source trees write the same artifact bytes.
 
 Run from the root of a source checkout:
 
   python3 tools/byte_check.py --tree parent=/path/to/parent/src --tree change=src \
       --seeds 7,12
 
-Each ``--tree LABEL=SRC`` names a ``src/`` directory holding a ``g2i``
-package. For each workload (by default sbm_ref, wide_features and
-many_nodes, with the flags of ``perfbench/run.py``'s ``WORKLOADS``) and each
-seed, every tree runs ``g2i synth`` into an input directory and ``g2i run``
+Each of the two ``--tree LABEL=SRC`` names a ``src/`` directory holding a
+``g2i`` package. For each of the workloads sbm_ref, wide_features and
+many_nodes (with the flags of ``perfbench/run.py``'s ``WORKLOADS``) and each
+seed, both trees run ``g2i synth`` into an input directory and ``g2i run``
 on those inputs into an ``--out`` directory, each in a fresh
-``python -m g2i.cli`` process with one BLAS thread, as the benchmark runs
-them. The script prints, per workload and seed, how many files each tree
-wrote and the sha256 of every input or ``--out`` file that differs between
-the trees, and exits 1 if any file differs or any run fails.
+``python -m g2i.cli`` process with the environment of
+``tools/bench_reference.py`` (one BLAS thread). The script prints, per
+workload and seed, how many files each tree wrote and the sha256 of every
+input or ``--out`` file that differs between the trees, and exits 1 if any
+file differs or any run fails.
 
 This script is not part of the test suite; at two seeds the three workloads
 take a few minutes per tree.
@@ -22,8 +23,6 @@ take a few minutes per tree.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import os
 import subprocess
 import sys
 import tempfile
@@ -32,16 +31,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from run import OPENBLAS_THREADS, WORKLOADS  # noqa: E402
+from bench_reference import child_env, file_sha256, parse_trees  # noqa: E402
+from run import WORKLOADS  # noqa: E402
 
-DEFAULT_WORKLOADS = ("sbm_ref", "wide_features", "many_nodes")
+CHECKED_WORKLOADS = ("sbm_ref", "wide_features", "many_nodes")
 
 
 def run_g2i(src, argv):
     """Run ``g2i argv`` from the tree ``src``; raises with its stderr if it fails."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(OPENBLAS_THREADS), PYTHONHASHSEED="0",
-               PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "g2i.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "g2i.cli", *argv], env=child_env(src),
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"g2i {' '.join(argv)} exited with {proc.returncode}: "
@@ -56,35 +54,24 @@ def artifacts(src, workload, seed, work):
                   "--edges", str(inputs / "edges.tsv"),
                   "--features", str(inputs / "features.csv"),
                   "--labels", str(inputs / "labels.csv")])
-    return {f"{d.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
-            for d in (inputs, out) for p in sorted(d.iterdir())}
+    return {f"{d.name}/{name}": sha for d in (inputs, out)
+            for name, sha in file_sha256(d).items()}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", required=True,
-                        help="LABEL=SRC: a src/ directory to run; give two or more")
+                        help="LABEL=SRC: a src/ directory to run; give exactly two")
     parser.add_argument("--seeds", default="7", help="comma-separated seeds (default 7)")
-    parser.add_argument("--workloads", default=",".join(DEFAULT_WORKLOADS),
-                        help=f"comma-separated names from {', '.join(WORKLOADS)}")
     args = parser.parse_args(argv)
-    trees = {}
-    for entry in args.tree:
-        label, _, src = entry.partition("=")
-        if not src or not (Path(src) / "g2i" / "cli.py").is_file():
-            parser.error(f"--tree {entry!r}: expected LABEL=SRC with SRC/g2i/cli.py")
-        trees[label] = Path(src).resolve()
-    if len(trees) < 2:
-        parser.error("give at least two --tree entries to compare")
-    names = args.workloads.split(",")
-    unknown = [name for name in names if name not in WORKLOADS]
-    if unknown:
-        parser.error(f"unknown workload(s) {', '.join(unknown)}")
+    trees = parse_trees(parser, args.tree)
+    if len(args.tree) != 2 or len(trees) != 2:
+        parser.error("give exactly two --tree entries with different labels")
     seeds = [int(s) for s in args.seeds.split(",")]
 
     differ = False
     with tempfile.TemporaryDirectory(prefix="g2i-bytes-") as work:
-        for name in names:
+        for name in CHECKED_WORKLOADS:
             for seed in seeds:
                 hashes = {}
                 for label, src in trees.items():
@@ -95,15 +82,12 @@ def main(argv=None):
                         print(f"{name} seed {seed} {label}: {exc}")
                         hashes[label] = {}
                         differ = True
-                files = sorted(set().union(*hashes.values()))
-                changed = [f for f in files
-                           if len({h.get(f) for h in hashes.values()}) > 1]
-                counts = ", ".join(f"{label} {len(h)}" for label, h in hashes.items())
-                print(f"{name} seed {seed}: files {counts}; {len(changed)} differ")
+                (a, ha), (b, hb) = hashes.items()
+                changed = sorted(f for f in ha.keys() | hb.keys() if ha.get(f) != hb.get(f))
+                print(f"{name} seed {seed}: files {a} {len(ha)}, {b} {len(hb)}; "
+                      f"{len(changed)} differ")
                 for f in changed:
-                    shas = ", ".join(f"{label} {h.get(f, 'missing')}"
-                                     for label, h in hashes.items())
-                    print(f"  {f}: {shas}")
+                    print(f"  {f}: {a} {ha.get(f, 'missing')}, {b} {hb.get(f, 'missing')}")
                 differ = differ or bool(changed)
     return 1 if differ else 0
 
