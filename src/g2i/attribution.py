@@ -204,12 +204,19 @@ def _start_worker(fn):
     # the workers fill the CPUs already; a BLAS thread pool in each makes them
     # contend for the same cores (with OpenBLAS's default of one thread per
     # CPU, explain took 2.6x as long on a 2-CPU machine)
-    for set_num_threads in _openblas("set_num_threads", [ctypes.c_int], None):
-        set_num_threads(1)
+    one_blas_thread()
 
 
 def _run_job(job):
     return _worker_fn(*job)
+
+
+def one_blas_thread():
+    """Run every OpenBLAS loaded in this process on one thread. A product
+    split over threads can sum in another order, so the thread count would
+    change the bits of the results."""
+    for set_num_threads in _openblas("set_num_threads", [ctypes.c_int], None):
+        set_num_threads(1)
 
 
 def _openblas(name, argtypes, restype):

@@ -5,7 +5,8 @@ Subcommand grammar: ``g2i <subcommand> [--config PATH] [--seed N] [flags...]``.
 The config file is flat ``key=value`` UTF-8 text (``#`` comments) whose keys
 name settings, as the flags do with ``_`` for ``-``, or ``modality.NAME``; any
 other key is an error. CLI flags override file values. All randomness derives from one root seed via a fixed
-per-stage derivation.
+per-stage derivation. OpenBLAS runs on one thread, so the outputs do not
+depend on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -431,6 +432,9 @@ def make_parser():
 
 
 def main(argv=None):
+    # the outputs keep their bytes whatever OPENBLAS_NUM_THREADS says; a second
+    # thread changed report.csv and saved no time
+    attribution.one_blas_thread()
     args = make_parser().parse_args(argv)
     try:
         cfg = build_config(args)

@@ -15,17 +15,20 @@ laid out once per layer. Every sum and its order are those of the per-tap
 einsum convolution, so float64 outputs and parameter gradients are bit-equal
 to it; tests/test_cnn.py keeps that einsum as the reference. loss_and_grad
 does not compute the gradient of the input images, which nothing reads.
+
+train holds four network-sized sets of arrays: the weights, their velocity,
+the best weights so far and one set of gradients, which every batch refills;
+the momentum update runs in place.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadArgument, EmptySplit, ShapeMismatch
+from .errors import BadArgument, DegenerateData, EmptySplit, ShapeMismatch
 
 # images per forward call in predict_proba; the batch size can change BLAS sums
 _CHUNK = 256
@@ -218,8 +221,11 @@ def forward(params, batch):
     return probs
 
 
-def loss_and_grad(params, batch, labels):
-    """Mean cross-entropy and gradients for every parameter array."""
+def loss_and_grad(params, batch, labels, out=None):
+    """Mean cross-entropy and gradients for every parameter array. The
+    gradients are written into ``out``, a ConvNetParams with the same shapes,
+    when it is given: train fills one such set for every batch, where fresh
+    arrays would be freed and faulted in again each time."""
     labels = np.asarray(labels)
     probs, cache = _forward_cached(params, batch)
     conv_in, conv_pre, fc_in, fc_pre, conv_out_shape = cache
@@ -227,33 +233,31 @@ def loss_and_grad(params, batch, labels):
     if labels.shape != (B,):
         raise ShapeMismatch(f"labels shape {labels.shape} does not match batch {B}")
     loss = float(-np.log(np.clip(probs[np.arange(B), labels], 1e-300, None)).mean())
+    if out is None:
+        dtype = params.conv_w[0].dtype
+        out = _build_params(params.config, lambda name, shape: np.empty(shape, dtype=dtype))
 
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
 
-    d_fc_w = [None] * len(params.fc_w)
-    d_fc_b = [None] * len(params.fc_b)
     grad = dlogits
     for i in range(len(params.fc_w) - 1, -1, -1):
         if i != len(params.fc_w) - 1:
             grad = grad * (fc_pre[i] > 0)
-        d_fc_w[i] = grad.T @ fc_in[i]
-        d_fc_b[i] = grad.sum(axis=0)
+        np.matmul(grad.T, fc_in[i], out=out.fc_w[i])
+        np.sum(grad, axis=0, out=out.fc_b[i])
         grad = grad @ params.fc_w[i]
 
     grad = grad.reshape(conv_out_shape)
-    d_conv_w = [None] * len(params.conv_w)
-    d_conv_b = [None] * len(params.conv_b)
     for i in range(len(params.conv_w) - 1, -1, -1):
         grad = grad * (conv_pre[i] > 0)
-        d_conv_w[i], d_conv_b[i] = _conv_same_param_grads(conv_in[i], params.conv_w[i], grad)
+        dw, db = _conv_same_param_grads(conv_in[i], params.conv_w[i], grad)
+        np.copyto(out.conv_w[i], dw)
+        np.copyto(out.conv_b[i], db)
         if i:   # nothing reads the gradient of the input images
             grad = _conv_same_input_grad(params.conv_w[i], grad)
-    grads = ConvNetParams(
-        config=params.config, conv_w=d_conv_w, conv_b=d_conv_b, fc_w=d_fc_w, fc_b=d_fc_b
-    )
-    return loss, grads
+    return loss, out
 
 
 def predict_proba(params, X):
@@ -280,21 +284,31 @@ def train(images, split, config):
     y = np.asarray(images.labels)
     params = init_params(config)
     velocity = _build_params(config, lambda name, shape: np.zeros(shape))
+    grads = _build_params(config, lambda name, shape: np.empty(shape))
+    # glibc maps blocks above a size threshold straight from the OS and keeps
+    # freed heap space up to twice that size, raising both to the largest
+    # mapped block freed so far. Training frees nothing that large, so without
+    # this block, freed at once, every batch's temporaries went back to the OS
+    # and were faulted in again: 136,000 minor page faults per train on the
+    # sbm_ref workload against 8,000 with it.
+    np.empty(max(a.size for _, a in params.arrays()))
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = TrainReport()
     best_val = np.inf
-    best_params = copy.deepcopy(params)
+    best_params = params.astype(np.float64)     # a copy, refilled in place
     lr, mom = config.learning_rate, config.momentum
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(split.train)
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            loss, grads = loss_and_grad(params, X[batch_idx], y[batch_idx])
+            loss, _ = loss_and_grad(params, X[batch_idx], y[batch_idx], out=grads)
             epoch_losses.append(loss)
+            # v = mom * v - lr * g in place, rounded as `v -= lr * g` rounds it
             for (_, v), (_, g), (_, p) in zip(velocity.arrays(), grads.arrays(), params.arrays()):
+                g *= lr
                 v *= mom
-                v -= lr * g
+                v -= g
                 p += v
         val_loss, val_probs = _mean_ce(params, X[split.val], y[split.val])
         val_acc = float((val_probs.argmax(axis=1) == y[split.val]).mean())
@@ -303,7 +317,8 @@ def train(images, split, config):
         report.val_acc.append(val_acc)
         if val_loss < best_val:
             best_val = val_loss
-            best_params = copy.deepcopy(params)
+            for (_, best), (_, p) in zip(best_params.arrays(), params.arrays()):
+                np.copyto(best, p)
             report.best_epoch = epoch
     report.test_metrics = evaluate(best_params, images, split.test)
     return best_params, report
@@ -355,7 +370,8 @@ def save_checkpoint(params, path):
 
 def load_checkpoint(path, config):
     """Parameters of ``config``'s network from a checkpoint file; every array
-    must be present with the shape the config gives it."""
+    must be present with the shape the config gives it, and finite: a diverged
+    network would score every input NaN."""
     from .imaging import read_named_tensors
 
     entries, _ = read_named_tensors(path)
@@ -367,6 +383,8 @@ def load_checkpoint(path, config):
         if stored[name].shape != shape:
             raise ShapeMismatch(f"{path}: {name} has shape {stored[name].shape}, "
                                 f"the model expects {shape}")
+        if not np.isfinite(stored[name]).all():
+            raise DegenerateData(f"{path}: {name} holds NaN or infinite values")
         return stored[name].astype(np.float64)
 
     return _build_params(config, take)

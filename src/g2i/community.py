@@ -50,13 +50,58 @@ def community_count(k):
     return s if s * s == k else s + 1
 
 
-def _sq_dists(rows, centroids):
-    # (n, P) squared Euclidean distances
+# bytes of adjacency rows that each blocked pass over the rows takes at a time,
+# so that its temporaries stay O(block * n) instead of n x n
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(rows):
+    """Slices of consecutive rows of ``rows``, about _BLOCK_BYTES each."""
+    n, width = rows.shape
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _sq_dists_to(rows, point):
+    # np.sum((rows - point) ** 2, axis=1), block by block; each row sums on its
+    # own, so the bits do not depend on the blocks. Squared norms at point 0.0.
+    out = np.empty(len(rows))
+    for blk in _blocks(rows):
+        out[blk] = _sum_squares(rows[blk] - point)
+    return out
+
+
+def _sum_squares(x):
+    # np.sum(x**2, axis=1), squaring x in place; a temporary passed in is
+    # freed on return, before the next block's is made
+    x *= x
+    return np.sum(x, axis=1)
+
+
+def _sq_dists(rows, centroids, row_norms):
+    """(n, P) squared Euclidean distances, given ``row_norms``, the rows'
+    squared norms. The factor 2 scales the small centroids, not the rows, which
+    is exact: the product has the bits of (2 * rows) @ centroids.T without an
+    n x n copy, and numpy does not switch to syrk when ``rows`` is
+    ``centroids``. The product takes all rows at once: OpenBLAS sums a row
+    block below its small-matrix size in another order."""
     return (
-        np.sum(rows**2, axis=1)[:, None]
-        - 2.0 * rows @ centroids.T
+        row_norms[:, None]
+        - rows @ (2.0 * centroids).T
         + np.sum(centroids**2, axis=1)[None, :]
     )
+
+
+def _has_distinct_rows(rows, P):
+    """Whether ``rows`` holds at least P distinct rows, counted as
+    np.unique(rows, axis=0) counts finite rows (0.0 equal to -0.0), one row at
+    a time and stopping at the P-th."""
+    seen = set()
+    for row in rows:
+        seen.add((row + 0.0).tobytes())     # + 0.0 turns -0.0 into 0.0
+        if len(seen) >= P:
+            return True
+    return False
 
 
 def kmeanspp_init(rows, P, seed):
@@ -65,18 +110,42 @@ def kmeanspp_init(rows, P, seed):
     n = rows.shape[0]
     if P > n:
         raise DegenerateData(f"P={P} exceeds number of rows {n}")
-    if np.unique(rows, axis=0).shape[0] < P:
+    if not _has_distinct_rows(rows, P):
         raise DegenerateData(f"fewer than P={P} distinct rows")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((rows - rows[chosen[0]]) ** 2, axis=1)
+    d2 = _sq_dists_to(rows, rows[chosen[0]])
     for _ in range(1, P):
         total = d2.sum()
         probs = d2 / total
         idx = int(rng.choice(n, p=probs))
         chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((rows - rows[idx]) ** 2, axis=1))
-    return rows[chosen].copy()
+        d2 = np.minimum(d2, _sq_dists_to(rows, rows[idx]))
+    return rows[chosen]
+
+
+def _centroid_sums(rows, assignment, P):
+    """(P, width) sums of each community's rows. Each sum adds its rows in row
+    order to 0.0, as rows[assignment == c].mean(axis=0) does, but a block at a
+    time: the sum so far leads each block's members into one reduction. (numpy
+    sums a single column pairwise, so rows one column wide can differ from that
+    mean in the last bit; no g2i stage clusters such rows.)"""
+    sums = np.zeros((P, rows.shape[1]))
+    for blk in _blocks(rows):
+        block_assignment = assignment[blk]
+        for c in np.unique(block_assignment):
+            sums[c] = _add_rows(sums[c], rows[blk], np.flatnonzero(block_assignment == c))
+    return sums
+
+
+def _add_rows(total, rows, idx):
+    # np.add.reduce over ``total`` and then rows[idx], in one buffer that is
+    # freed on return; mode="clip" fills `out` directly, where the default
+    # mode would fill a copy first
+    members = np.empty((1 + len(idx), rows.shape[1]))
+    members[0] = total
+    np.take(rows, idx, axis=0, out=members[1:], mode="clip")
+    return np.add.reduce(members, axis=0)
 
 
 def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
@@ -84,7 +153,8 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
 
     Returns (centroids, assignment, inertia_history). Ties in the assignment
     step go to the lowest community index; a cluster emptied by an update is
-    reseeded at the row farthest from its stale centroid.
+    reseeded at the row farthest from its stale centroid. Beyond the rows, it
+    holds O(P * n) arrays and one block of rows at a time.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if P < 1:
@@ -92,22 +162,23 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
     if max_iter < 1:
         raise BadArgument(f"max_iter must be >= 1, got {max_iter}")
     centroids = kmeanspp_init(rows, P, seed) if init_centroids is None else np.array(init_centroids, dtype=np.float64)
+    row_norms = _sq_dists_to(rows, 0.0)
     assignment = None
     history = []
     for _ in range(max_iter):
-        d2 = _sq_dists(rows, centroids)
+        d2 = _sq_dists(rows, centroids, row_norms)
         new_assignment = np.argmin(d2, axis=1)
         history.append(float(np.take_along_axis(d2, new_assignment[:, None], axis=1).sum()))
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
+        counts = np.bincount(assignment, minlength=P)
+        sums = _centroid_sums(rows, assignment, P)
         for c in range(P):
-            members = rows[assignment == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
+            if counts[c]:
+                centroids[c] = sums[c] / counts[c]
             else:
-                far = int(np.argmax(np.sum((rows - centroids[c]) ** 2, axis=1)))
-                centroids[c] = rows[far]
+                centroids[c] = rows[int(np.argmax(_sq_dists_to(rows, centroids[c])))]
     return centroids, assignment, history
 
 
@@ -130,7 +201,7 @@ def association_matrix(model):
     (sigma 0) the z-scored matrix is all zeros.
     """
     C = model.centroids
-    D = np.sqrt(np.maximum(_sq_dists(C, C), 0.0))
+    D = np.sqrt(np.maximum(_sq_dists(C, C, _sq_dists_to(C, 0.0)), 0.0))
     D = (D + D.T) / 2.0
     np.fill_diagonal(D, 0.0)
     mu = float(D.mean())

@@ -1,8 +1,14 @@
+import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from g2i import cli
 from g2i.cli import build_config, main, make_parser, parse_config_file, stage_seed
 from g2i.imaging import read_named_tensors, write_named_tensors
 
@@ -71,6 +77,28 @@ class TestPipeline:
                      "importance.csv", "metrics.csv", "communities.csv",
                      "structural_layout.csv", "image0.csv"):
             assert (tmp_path / name).exists(), name
+
+    def test_main_runs_openblas_on_one_thread(self, tmp_path):
+        # a second BLAS thread can change the bits of a product, and with them
+        # report.csv; main pins OpenBLAS to one thread, whatever the environment says
+        script = ("import ctypes, json, sys\n"
+                  "from g2i import attribution, cli\n"
+                  "def threads():\n"
+                  "    return [get() for get in attribution._openblas("
+                  "'get_num_threads', [], ctypes.c_int)]\n"
+                  "before = threads()\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(json.dumps([before, threads(), code]))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, "synth", *_small_args(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        before, after, code = json.loads(proc.stdout)
+        if not before:
+            pytest.skip("no OpenBLAS library found in the child process")
+        if max(before) < 2:
+            pytest.skip("OpenBLAS starts one thread on this machine")
+        assert after == [1] * len(before) and code == 0
 
     def test_missing_feature_file_names_ingest(self, tmp_path, capsys):
         rc = main(["run", "--out", str(tmp_path), "--seed", "1",
@@ -322,20 +350,28 @@ class TestBadStageFiles:
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         return out, path
 
-    def test_nan_checkpoint_stops_explain(self, laid_out, tmp_path, capsys):
-        # a diverged network scores every coalition NaN, and so every class profile
+    def _nan_checkpoint_stops(self, laid_out, tmp_path, capsys, stage):
+        # a diverged network would score every test image and coalition NaN
         out = tmp_path / "out"
         shutil.copytree(laid_out, out)
-        for stage in ("render", "train"):
-            assert main([stage, *_small_args(out)]) == 0
-        entries, channels = read_named_tensors(out / "checkpoint.g2t")
+        for earlier in ("render", "train"):
+            assert main([earlier, *_small_args(out)]) == 0
+        path = out / "checkpoint.g2t"
+        entries, channels = read_named_tensors(path)
         write_named_tensors([(name, label, np.full_like(arr, np.nan))
-                             for name, label, arr in entries], channels, out / "checkpoint.g2t")
+                             for name, label, arr in entries], channels, path)
+        before = sorted(p.name for p in out.iterdir())
         capsys.readouterr()
-        assert main(["explain", *_small_args(out)]) == 1
+        assert main([stage, *_small_args(out)]) == 1
         err = capsys.readouterr().err
-        assert err == ("error in stage explain: cannot cluster profiles with NaN or infinite "
-                       "values: block0, block1\n")
+        assert err == f"error in stage {stage}: {path}: conv0_w holds NaN or infinite values\n"
+        assert sorted(p.name for p in out.iterdir()) == before    # nothing written
+
+    def test_nan_checkpoint_stops_explain(self, laid_out, tmp_path, capsys):
+        self._nan_checkpoint_stops(laid_out, tmp_path, capsys, "explain")
+
+    def test_nan_checkpoint_stops_eval(self, laid_out, tmp_path, capsys):
+        self._nan_checkpoint_stops(laid_out, tmp_path, capsys, "eval")
 
     @pytest.mark.parametrize("stage", ["render", "explain"])
     def test_reversed_layout_names_first_line(self, laid_out, tmp_path, capsys, stage):

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +19,9 @@ from g2i.cnn import (
     train,
     write_report,
 )
-from g2i.errors import EmptySplit, ShapeMismatch
+from g2i.errors import DegenerateData, EmptySplit, ShapeMismatch
 from g2i.graph import split_dataset
-from g2i.imaging import ImageSet
+from g2i.imaging import ImageSet, read_named_tensors, write_named_tensors
 
 
 def _tiny_config(**kw):
@@ -383,6 +386,81 @@ class TestTrain:
             train(images, bad, _tiny_config(input_side=8, classes=2))
 
 
+def _copying_train(images, split, config):
+    """cnn.train as it was with `v -= lr * g` and a deepcopy of the weights at
+    each better epoch, as the reference of the in-place update."""
+    X = images.tensors.astype(np.float64)
+    y = np.asarray(images.labels)
+    params = init_params(config)
+    velocity = cnn._build_params(config, lambda name, shape: np.zeros(shape))
+    shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
+    report = cnn.TrainReport()
+    best_val = np.inf
+    best_params = copy.deepcopy(params)
+    lr, mom = config.learning_rate, config.momentum
+    for epoch in range(config.max_epochs):
+        order = shuffle_rng.permutation(split.train)
+        epoch_losses = []
+        for start in range(0, len(order), config.batch_size):
+            batch_idx = order[start : start + config.batch_size]
+            loss, grads = loss_and_grad(params, X[batch_idx], y[batch_idx])
+            epoch_losses.append(loss)
+            for (_, v), (_, g), (_, p) in zip(velocity.arrays(), grads.arrays(), params.arrays()):
+                v *= mom
+                v -= lr * g
+                p += v
+        val_loss, val_probs = cnn._mean_ce(params, X[split.val], y[split.val])
+        report.train_loss.append(float(np.mean(epoch_losses)))
+        report.val_loss.append(val_loss)
+        report.val_acc.append(float((val_probs.argmax(axis=1) == y[split.val]).mean()))
+        if val_loss < best_val:
+            best_val = val_loss
+            best_params = copy.deepcopy(params)
+            report.best_epoch = epoch
+    report.test_metrics = evaluate(best_params, images, split.test)
+    return best_params, report
+
+
+class TestTrainInPlace:
+    """A network whose weights are mostly one 256 x 1024 FC layer, trained for
+    4 epochs; the second is the best."""
+
+    def _setup(self):
+        images = _image_fixture(n=60, noise=2.5)
+        split = split_dataset(images.labels, seed=1)
+        cfg = ConvNetConfig(input_side=8, input_channels=2, classes=2, conv_layers=1, kernel=3,
+                            filters=4, fc_sizes=(1024,), learning_rate=1e-3, max_epochs=4,
+                            batch_size=8, seed=1)
+        return images, split, cfg
+
+    def test_equals_copying_loop(self, tmp_path):
+        images, split, cfg = self._setup()
+        params, report = train(images, split, cfg)
+        ref_params, ref_report = _copying_train(images, split, cfg)
+        assert 0 < report.best_epoch < cfg.max_epochs - 1
+        for (name, a), (_, ref) in zip(params.arrays(), ref_params.arrays()):
+            assert a.tobytes() == ref.tobytes(), name
+        assert report.train_loss == ref_report.train_loss
+        assert report.val_loss == ref_report.val_loss
+        assert report.val_acc == ref_report.val_acc
+        assert report.best_epoch == ref_report.best_epoch
+        assert np.array_equal(report.test_metrics["confusion"], ref_report.test_metrics["confusion"])
+
+    def test_peak_memory_is_four_model_sized_sets(self):
+        # weights, velocity, best weights and one batch's gradients; numpy
+        # reports its buffers to tracemalloc, and the images and activations
+        # take less than half a model here
+        images, split, cfg = self._setup()
+        model_bytes = sum(a.nbytes for _, a in init_params(cfg).arrays())
+        tracemalloc.start()
+        try:
+            train(images, split, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * model_bytes, f"peak {peak / model_bytes:.2f} models"
+
+
 def _loop_classification_metrics(y_true, y_pred, n_classes):
     """The per-class loop that classification_metrics replaced."""
     y_true = np.asarray(y_true)
@@ -477,6 +555,20 @@ class TestCheckpoint:
             load_checkpoint(path, _tiny_config(input_side=3))
         with pytest.raises(ShapeMismatch, match="ckpt.g2t: no array 'conv2_w'"):
             load_checkpoint(path, _tiny_config(input_side=4, conv_layers=3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_names_file_and_array(self, tmp_path, value):
+        images = _image_fixture(n=40)
+        split = split_dataset(images.labels, seed=0)
+        cfg = _tiny_config(input_side=8, classes=2, max_epochs=1)
+        path = tmp_path / "checkpoint.g2t"
+        save_checkpoint(train(images, split, cfg)[0], path)
+        entries, channels = read_named_tensors(path)
+        write_named_tensors([(name, label, np.full_like(arr, value) if name == "fc0_w" else arr)
+                             for name, label, arr in entries], channels, path)
+        with pytest.raises(DegenerateData,
+                           match=re.escape(f"{path}: fc0_w holds NaN or infinite values")):
+            load_checkpoint(path, cfg)
 
     def test_report_csv(self, tmp_path):
         from g2i.cnn import TrainReport

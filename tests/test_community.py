@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2i import community
 from g2i.community import (
     association_matrix,
     community_count,
@@ -158,3 +161,160 @@ class TestAssociation:
             assert abs(assoc.values.mean()) <= 1e-9
             assert abs(assoc.values.std() - 1.0) <= 1e-9
             assert abs(assoc.values.sum()) <= 1e-9 * P * P
+
+
+# --- the whole-matrix k-means that the blocked passes replaced, as a reference ---
+
+def _whole_sq_dists(rows, centroids):
+    return (
+        np.sum(rows**2, axis=1)[:, None]
+        - 2.0 * rows @ centroids.T
+        + np.sum(centroids**2, axis=1)[None, :]
+    )
+
+
+def _whole_kmeanspp_init(rows, P, seed):
+    rows = np.asarray(rows, dtype=np.float64)
+    n = rows.shape[0]
+    if np.unique(rows, axis=0).shape[0] < P:
+        raise DegenerateData(f"fewer than P={P} distinct rows")
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((rows - rows[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, P):
+        idx = int(rng.choice(n, p=d2 / d2.sum()))
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((rows - rows[idx]) ** 2, axis=1))
+    return rows[chosen].copy()
+
+
+def _whole_kmeans(rows, P, seed, max_iter=300, init_centroids=None):
+    rows = np.asarray(rows, dtype=np.float64)
+    centroids = (_whole_kmeanspp_init(rows, P, seed) if init_centroids is None
+                 else np.array(init_centroids, dtype=np.float64))
+    assignment = None
+    history = []
+    for _ in range(max_iter):
+        d2 = _whole_sq_dists(rows, centroids)
+        new_assignment = np.argmin(d2, axis=1)
+        history.append(float(np.take_along_axis(d2, new_assignment[:, None], axis=1).sum()))
+        if assignment is not None and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for c in range(P):
+            members = rows[assignment == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                far = int(np.argmax(np.sum((rows - centroids[c]) ** 2, axis=1)))
+                centroids[c] = rows[far]
+    return centroids, assignment, history
+
+
+def _whole_distances(C):
+    D = np.sqrt(np.maximum(_whole_sq_dists(C, C), 0.0))
+    D = (D + D.T) / 2.0
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _matrices():
+    """(name, rows): random, 0/1 and duplicate-row matrices, some with -0.0."""
+    rng = np.random.default_rng(21)
+    normal = rng.normal(size=(90, 70))
+    sbm = generate_sbm((40, 40, 40), 0.3, 0.05, 4, 0.0, seed=3).adjacency
+    distinct = rng.normal(size=(9, 50)).round(1)       # rounding gives some -0.0
+    duplicates = distinct[rng.integers(0, 9, size=80)]
+    return [("normal", normal), ("sbm", sbm), ("duplicates", duplicates)]
+
+
+class TestBlockedEqualsWholeMatrix:
+    """The blocked passes give the bits of the whole-matrix code, with blocks
+    of 7 rows, and with the default block size on an adjacency of several
+    blocks."""
+
+    def _seven_row_blocks(self, monkeypatch, rows):
+        monkeypatch.setattr(community, "_BLOCK_BYTES", 8 * rows.shape[1] * 7)
+        assert len(community._blocks(rows)) > 1
+
+    def test_default_blocks(self):
+        rows = generate_sbm((150, 150, 150, 150), 0.1, 0.01, 4, 0.0, seed=2).adjacency
+        assert len(community._blocks(rows)) == 3
+        got, ref = kmeans(rows, 8, 4), _whole_kmeans(rows, 8, 4)
+        assert _bits_equal(got[0], ref[0]) and _bits_equal(got[1], ref[1]) and got[2] == ref[2]
+        assert _bits_equal(kmeanspp_init(rows, 8, 5), _whole_kmeanspp_init(rows, 8, 5))
+
+    @pytest.mark.parametrize("name, rows", _matrices(), ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("P", [1, 2, 3, 5, 8])
+    def test_kmeanspp_init(self, monkeypatch, name, rows, P):
+        self._seven_row_blocks(monkeypatch, rows)
+        for seed in range(3):
+            assert _bits_equal(kmeanspp_init(rows, P, seed), _whole_kmeanspp_init(rows, P, seed))
+
+    @pytest.mark.parametrize("name, rows", _matrices(), ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("P", [1, 2, 3, 5, 8])
+    def test_kmeans(self, monkeypatch, name, rows, P):
+        self._seven_row_blocks(monkeypatch, rows)
+        for seed in range(3):
+            got, ref = kmeans(rows, P, seed), _whole_kmeans(rows, P, seed)
+            assert _bits_equal(got[0], ref[0]) and _bits_equal(got[1], ref[1])
+            assert got[2] == ref[2]
+
+    @pytest.mark.parametrize("name, rows", _matrices(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_kmeans_from_centroids_in_the_rows_buffer(self, monkeypatch, name, rows):
+        self._seven_row_blocks(monkeypatch, rows)
+        # the same row twice leaves a community empty after the first update
+        for init in (rows[:4], rows[[5, 5, 6, 7]], rows[::-1][:3]):
+            got, ref = kmeans(rows, len(init), 0, init_centroids=init), \
+                _whole_kmeans(rows, len(init), 0, init_centroids=init)
+            assert _bits_equal(got[0], ref[0]) and _bits_equal(got[1], ref[1])
+            assert got[2] == ref[2]
+
+    @pytest.mark.parametrize("name, rows", _matrices(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_association_matrix(self, monkeypatch, name, rows):
+        from g2i.community import CommunityModel
+
+        self._seven_row_blocks(monkeypatch, rows)
+        # centroids that are the rows' own buffer, and fitted centroids
+        for C in (rows[:20], rows, kmeans(rows, 5, 0)[0]):
+            model = CommunityModel(P=len(C), centroids=C, assignment=np.zeros(len(C), int),
+                                   inertia_history=(), seed=0)
+            D = _whole_distances(C)
+            assoc = association_matrix(model)
+            assert _bits_equal(assoc.raw_distances, D)
+            assert assoc.mu == float(D.mean()) and assoc.sigma == float(D.std())
+            assert _bits_equal(assoc.values, (D - D.mean()) / D.std())
+
+
+class TestDistinctRows:
+    def test_raises_exactly_when_unique_has_fewer_than_p_rows(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            base = rng.integers(-1, 2, size=(int(rng.integers(1, 6)), 3)).astype(np.float64)
+            rows = base[rng.integers(0, len(base), size=int(rng.integers(1, 12)))]
+            rows[(rows == 0) & (rng.random(rows.shape) < 0.5)] = -0.0
+            distinct = np.unique(rows, axis=0).shape[0]
+            for P in range(1, len(rows) + 1):
+                if distinct < P:
+                    with pytest.raises(DegenerateData, match=f"fewer than P={P} distinct rows"):
+                        kmeanspp_init(rows, P, seed=0)
+                else:
+                    assert kmeanspp_init(rows, P, seed=0).shape == (P, 3)
+
+
+def test_kmeans_holds_no_matrix_sized_temporary():
+    # numpy reports its buffers to tracemalloc; the 1000 x 1000 rows are made
+    # before tracing starts, so the peak counts only what kmeans allocates
+    rows = generate_sbm((250, 250, 250, 250), 0.1, 0.01, 4, 0.0, seed=0).adjacency
+    tracemalloc.start()
+    try:
+        kmeans(rows, 4, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes / 4, f"{peak / 2**20:.2f} MB on {rows.nbytes / 2**20:.2f} MB rows"

@@ -1,5 +1,6 @@
-"""Stage timings of the reference run and microbenchmarks of the CNN kernels and
-of Shapley sampling, written to one BENCH_*.json file.
+"""Stage timings of the reference run and microbenchmarks of the CNN kernels, of
+Shapley sampling and of k-means and the silhouette, written to one BENCH_*.json
+file.
 
 Run from the root of a source checkout:
 
@@ -20,11 +21,14 @@ bytes; the exit code is 1 when they did not. The kernel microbenchmarks time
 the conv forward, weight-gradient and input-gradient kernels and the FC
 products at the shapes that explain and train give them, in float64 and
 float32, and ``shapley_sample`` on one image of the reference shape with
-every feature cell a player and M=4: each round times every kernel in a
-fresh process per tree, the rounds alternate between the trees, and the file
-keeps each kernel's median over the rounds. The FC products call numpy
-alone, not g2i, so their differences between trees show the noise of the
-machine.
+every feature cell a player and M=4, and ``kmeans`` and ``silhouette`` at
+the node counts of the reference run (240) and of the many_nodes workload
+(1,200): each round times every kernel in a fresh process per tree, the
+rounds alternate between the trees, and the file keeps each kernel's median
+over the rounds. The k-means and silhouette rows also hold ``peak_mb``, the
+most memory one call allocates, as numpy reports its buffers to tracemalloc.
+The FC products call numpy alone, not g2i, so their differences between
+trees show the noise of the machine.
 
 This script is not part of the test suite; a default run takes several
 minutes.
@@ -42,6 +46,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib import metadata
 from pathlib import Path
 
@@ -58,6 +63,11 @@ CONV_SHAPES = (
     ("train_hidden", 32, 16, 8, 16),
     ("train_hidden_11x11", 32, 16, 11, 16),
 )
+# (nodes, P, p_in, p_out, embedding width): k-means on the SBM adjacency that
+# cluster sees, at P = ceil(sqrt(k)), and the silhouette of the metrics
+# stage's image embedding, on the reference run (k=64, 2x8x8 images) and the
+# many_nodes workload (k=16, 2x4x4 images)
+CLUSTER_SHAPES = ((240, 8, 0.3, 0.02, 128), (1200, 4, 0.1, 0.01, 32))
 # (name, batch, fan in, fan out): the first two FC layers at image sides 8 and 11
 FC_SHAPES = (
     ("explain_fc0", 65, 8 * 8 * 16, 768),
@@ -155,12 +165,24 @@ def _per_call_s(fn, repeats=7, min_s=0.05):
     return statistics.median(samples)
 
 
+def _peak_mb(fn):
+    """MB that one call of ``fn`` holds at its peak beyond what existed before,
+    as numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def kernel_benchmarks():
-    """Microseconds per call of the conv kernels and FC products of the g2i
-    package on sys.path, by kernel, shape and dtype."""
+    """Microseconds per call of the conv kernels, FC products, Shapley
+    sampling, k-means and silhouette of the g2i package on sys.path, by
+    kernel, shape and dtype."""
     import numpy as np
 
-    from g2i import attribution, cnn
+    from g2i import attribution, cnn, community, graph, metrics
 
     rng = np.random.default_rng(0)
     out = {}
@@ -203,6 +225,17 @@ def kernel_benchmarks():
         "us": 1e6 * _per_call_s(lambda: attribution.shapley_sample(
             lambda batch: cnn.predict_proba(params, batch), image, 1, background, players,
             4, 0))}
+    for n, P, p_in, p_out, width in CLUSTER_SHAPES:
+        adjacency = graph.generate_sbm((n // 4,) * 4, p_in, p_out, 4, 0.0, seed=0).adjacency
+        embedding = rng.normal(size=(n, width))
+        labels = np.repeat(np.arange(4), n // 4)
+        for name, shape, call in (
+            (f"kmeans n={n}", f"{n}x{n} adjacency P={P}",
+             lambda: community.kmeans(adjacency, P, seed=0)),
+            (f"silhouette n={n}", f"{n}x{width} embedding, 4 classes",
+             lambda: metrics.silhouette(embedding, labels)),
+        ):
+            out[name] = {"shape": shape, "us": 1e6 * _per_call_s(call), "peak_mb": _peak_mb(call)}
     return out
 
 
@@ -285,7 +318,8 @@ def main(argv=None):
         result["trees"][label]["kernels_us"] = {
             name: {"shape": bench["shape"],
                    "median": statistics.median(r[name]["us"] for r in runs),
-                   "rounds": [r[name]["us"] for r in runs]}
+                   "rounds": [r[name]["us"] for r in runs],
+                   **({"peak_mb": bench["peak_mb"]} if "peak_mb" in bench else {})}
             for name, bench in runs[0].items()
         }
     Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n",
