@@ -2,10 +2,11 @@
 
 Architecture: a stack of same-padded conv+ReLU layers, flatten, two
 fully-connected ReLU layers, then a softmax head. A network computes in the
-dtype of its parameters. Training, evaluation and the gradient checks run in
-double precision, so the finite-difference checks are meaningful; a float32
-copy (``ConvNetParams.astype``) serves inference where last-bit agreement with
-float64 is not needed.
+dtype of its parameters. Training runs in float32, the precision the
+checkpoint stores, so the weights it returns are the ones every later stage
+loads. Evaluation and the gradient checks run in double precision, so the
+finite-difference checks are meaningful; explain scores coalitions with a
+float32 copy (``ConvNetParams.astype``).
 
 A convolution is k*k tap products, summed in a fixed tap order, each one a
 BLAS gemm on contiguous operands. The forward pass and the input gradient
@@ -16,9 +17,9 @@ einsum convolution, so float64 outputs and parameter gradients are bit-equal
 to it; tests/test_cnn.py keeps that einsum as the reference. loss_and_grad
 does not compute the gradient of the input images, which nothing reads.
 
-train holds four network-sized sets of arrays: the weights, their velocity,
-the best weights so far and one set of gradients, which every batch refills;
-the momentum update runs in place.
+train holds four float32 network-sized sets of arrays: the weights, their
+velocity, the best weights so far and one set of gradients, which every batch
+refills; the momentum update runs in place.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def loss_and_grad(params, batch, labels, out=None):
     B = probs.shape[0]
     if labels.shape != (B,):
         raise ShapeMismatch(f"labels shape {labels.shape} does not match batch {B}")
-    loss = float(-np.log(np.clip(probs[np.arange(B), labels], 1e-300, None)).mean())
+    loss = _cross_entropy(probs, labels)
     if out is None:
         dtype = params.conv_w[0].dtype
         out = _build_params(params.config, lambda name, shape: np.empty(shape, dtype=dtype))
@@ -267,36 +268,47 @@ def predict_proba(params, X):
     return np.concatenate(out, axis=0)
 
 
+def _cross_entropy(probs, labels):
+    """Mean -log of each row's probability of its label, in float64: the
+    1e-300 floor is 0 in float32, where a confidently wrong row would score
+    -log(0) = inf."""
+    picked = probs[np.arange(len(labels)), labels].astype(np.float64)
+    return float(-np.log(np.clip(picked, 1e-300, None)).mean())
+
+
 def _mean_ce(params, X, y):
     probs = predict_proba(params, X)
-    return float(-np.log(np.clip(probs[np.arange(len(y)), y], 1e-300, None)).mean()), probs
+    return _cross_entropy(probs, y), probs
 
 
 def train(images, split, config):
-    """SGDM training with best-validation-loss checkpointing.
+    """SGDM training in float32 with best-validation-loss checkpointing.
 
     Returns (best params, TrainReport); deterministic for a fixed config seed.
+    The best params are float32, and the report's test metrics score them in
+    float64, as ``g2i eval`` scores them after a checkpoint round trip.
     """
     for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
         if len(idx) == 0:
             raise EmptySplit(f"{name} split is empty")
-    X = images.tensors.astype(np.float64)
+    dtype = np.float32      # the precision of the checkpoint
+    X = np.asarray(images.tensors, dtype=dtype)
     y = np.asarray(images.labels)
-    params = init_params(config)
-    velocity = _build_params(config, lambda name, shape: np.zeros(shape))
-    grads = _build_params(config, lambda name, shape: np.empty(shape))
+    params = init_params(config).astype(dtype)
+    velocity = _build_params(config, lambda name, shape: np.zeros(shape, dtype=dtype))
+    grads = _build_params(config, lambda name, shape: np.empty(shape, dtype=dtype))
     # glibc maps blocks above a size threshold straight from the OS and keeps
     # freed heap space up to twice that size, raising both to the largest
     # mapped block freed so far. Training frees nothing that large, so without
     # this block, freed at once, every batch's temporaries went back to the OS
-    # and were faulted in again: 136,000 minor page faults per train on the
-    # sbm_ref workload against 8,000 with it.
-    np.empty(max(a.size for _, a in params.arrays()))
+    # and were faulted in again: in float64, 136,000 minor page faults per
+    # train on the sbm_ref workload against 8,000 with it.
+    np.empty(max(a.size for _, a in params.arrays()), dtype=dtype)
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = TrainReport()
     best_val = np.inf
-    best_params = params.astype(np.float64)     # a copy, refilled in place
-    lr, mom = config.learning_rate, config.momentum
+    best_params = params.astype(dtype)      # a copy, refilled in place
+    lr, mom = dtype(config.learning_rate), dtype(config.momentum)
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(split.train)
         epoch_losses = []
@@ -320,7 +332,8 @@ def train(images, split, config):
             for (_, best), (_, p) in zip(best_params.arrays(), params.arrays()):
                 np.copyto(best, p)
             report.best_epoch = epoch
-    report.test_metrics = evaluate(best_params, images, split.test)
+    del params, velocity, grads     # the float64 copy below takes two of their size
+    report.test_metrics = evaluate(best_params.astype(np.float64), images, split.test)
     return best_params, report
 
 

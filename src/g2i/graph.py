@@ -45,11 +45,14 @@ class AttributedGraph:
         A = self.adjacency
         if A.shape != (self.n, self.n):
             raise ValueError(f"adjacency shape {A.shape} != ({self.n}, {self.n})")
-        if not np.array_equal(A, A.T):
-            raise ValueError("adjacency is not symmetric")
+        # a band of about 1 MB of rows at a time, with no n x n temporary
+        step = max(1, (1 << 20) // (8 * max(self.n, 1)))
+        for start in range(0, self.n, step):
+            if not np.array_equal(A[start : start + step], A[:, start : start + step].T):
+                raise ValueError("adjacency is not symmetric")
         if np.any(np.diagonal(A) != 0):
             raise SelfLoop("adjacency has nonzero diagonal")
-        if np.any(A < 0):
+        if A.min(initial=0.0) < 0:
             raise ValueError("negative edge weight")
         if self.features.shape[0] != self.n:
             raise ValueError("feature row count does not match node count")
@@ -109,7 +112,8 @@ def load_graph(edge_path, feature_path, label_path=None):
     nodes = load_nodes(feature_path, label_path)
     index = {nid: i for i, nid in enumerate(nodes.node_ids)}
     adjacency = np.zeros((nodes.n, nodes.n), dtype=np.float64)
-    seen = {}
+    # an edge listed before is nonzero in the matrix, or one of these
+    zero_weight = {}        # (i, j), i < j -> the weight, 0.0 or -0.0
     with read_text(edge_path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -132,16 +136,17 @@ def load_graph(edge_path, feature_path, label_path=None):
             for nid in (src, dst):
                 if nid not in index:
                     raise UnknownNodeId(f"{edge_path}:{lineno}: unknown node id {nid!r}")
-            key = (min(src, dst), max(src, dst))
-            if key in seen:
-                raise AsymmetricDuplicate(
-                    f"{edge_path}:{lineno}: edge {key} listed twice "
-                    f"(weights {seen[key]} and {w})"
-                )
-            seen[key] = w
-            if w == 0:
-                continue  # zero-weight edges are dropped
             i, j = index[src], index[dst]
+            pair = (min(i, j), max(i, j))
+            first = float(adjacency[i, j]) or zero_weight.get(pair)
+            if first is not None:
+                raise AsymmetricDuplicate(
+                    f"{edge_path}:{lineno}: edge {(min(src, dst), max(src, dst))} listed "
+                    f"twice (weights {first} and {w})"
+                )
+            if w == 0:
+                zero_weight[pair] = w
+                continue  # zero-weight edges are dropped
             adjacency[i, j] = w
             adjacency[j, i] = w
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def _einsum_conv_same(x, w, b):
     F, _, k, _ = w.shape
     p = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    out = np.zeros((B, F, H, W))
+    out = np.zeros((B, F, H, W), dtype=x.dtype)
     for di in range(k):
         for dj in range(k):
             out += np.einsum("fc,bcij->bfij", w[:, :, di, dj], xp[:, :, di : di + H, dj : dj + W], optimize=True)
@@ -87,7 +88,7 @@ def _use_einsum_conv(monkeypatch):
     monkeypatch.setattr(cnn, "_conv_same_param_grads",
                         lambda x, w, dout: _einsum_conv_same_backward(x, w, dout)[:2])
     monkeypatch.setattr(cnn, "_conv_same_input_grad", lambda w, dout: _einsum_conv_same_backward(
-        np.zeros((dout.shape[0], w.shape[1], *dout.shape[2:])), w, dout)[2])
+        np.zeros((dout.shape[0], w.shape[1], *dout.shape[2:]), dtype=dout.dtype), w, dout)[2])
 
 
 def _maybe_transposed(a, transposed):
@@ -174,7 +175,7 @@ class TestConvEqualsEinsum:
 
 class TestFloat32Inference:
     """explain scores coalitions with a float32 copy of the trained network;
-    training and evaluation stay float64."""
+    evaluation and the gradient checks stay float64."""
 
     def test_conv_keeps_float32(self):
         rng = np.random.default_rng(11)
@@ -341,6 +342,26 @@ class TestLossAndGrad:
         assert worst < 1e-3
 
 
+class TestFloat32Loss:
+    """exp(-200) underflows to 0 in float32, and so does the 1e-300 floor of
+    the cross-entropy; the loss takes the picked probabilities as float64."""
+
+    def test_underflowed_probability_gives_finite_loss(self):
+        params = init_params(_tiny_config()).astype(np.float32)
+        params.fc_b[-1][...] = [0.0, 200.0, 0.0]    # exp(-200) is 0 in float32
+        X = np.random.default_rng(14).normal(size=(4, 2, 6, 6)).astype(np.float32)
+        y = np.array([0, 1, 2, 1])
+        probs = forward(params, X)
+        picked = probs[np.arange(len(y)), y]
+        assert probs.dtype == np.float32 and np.count_nonzero(picked == 0) == 2
+        want = float(-np.log(np.clip(picked.astype(np.float64), 1e-300, None)).mean())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, _ = loss_and_grad(params, X, y)
+            val_loss, _ = cnn._mean_ce(params, X, y)
+        assert np.isfinite(want) and loss == want and val_loss == want
+
+
 class TestTrain:
     def test_zero_lr_keeps_params(self):
         images = _image_fixture(n=40)
@@ -349,9 +370,9 @@ class TestTrain:
                             conv_layers=2, kernel=3, filters=4, fc_sizes=(8,),
                             learning_rate=0.0, max_epochs=3, seed=1)
         params, report = train(images, split, cfg)
-        fresh = init_params(cfg)
+        fresh = init_params(cfg).astype(np.float32)
         for (_, a), (_, b) in zip(params.arrays(), fresh.arrays()):
-            assert np.array_equal(a, b)
+            assert a.dtype == np.float32 and np.array_equal(a, b)
         assert len(set(report.val_loss)) == 1
 
     def test_best_epoch_attains_min_val_loss(self):
@@ -376,6 +397,25 @@ class TestTrain:
         assert r1.test_metrics["accuracy"] == r2.test_metrics["accuracy"]
         assert np.array_equal(r1.test_metrics["confusion"], r2.test_metrics["confusion"])
 
+    def test_report_scores_the_checkpointed_weights(self, tmp_path):
+        # train returns the float32 weights that save_checkpoint stores, and its
+        # test metrics are those g2i eval computes from the checkpoint
+        images = _image_fixture(n=60, noise=2.5)
+        split = split_dataset(images.labels, seed=1)
+        cfg = ConvNetConfig(input_side=8, input_channels=2, classes=2, conv_layers=2,
+                            kernel=3, filters=4, fc_sizes=(16,), learning_rate=1e-3,
+                            max_epochs=3, seed=2)
+        params, report = train(images, split, cfg)
+        path = tmp_path / "checkpoint.g2t"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path, cfg)
+        for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
+            assert a.dtype == np.float32 and np.array_equal(a, b), name
+        result = evaluate(loaded, images, split.test)
+        assert np.array_equal(report.test_metrics["confusion"], result["confusion"])
+        for key in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
+            assert report.test_metrics[key] == result[key], key
+
     def test_empty_split(self):
         images = _image_fixture(n=20)
         from g2i.graph import DatasetSplit
@@ -388,11 +428,11 @@ class TestTrain:
 
 def _copying_train(images, split, config):
     """cnn.train as it was with `v -= lr * g` and a deepcopy of the weights at
-    each better epoch, as the reference of the in-place update."""
-    X = images.tensors.astype(np.float64)
+    each better epoch, as the reference of the in-place update, in float32."""
+    X = images.tensors.astype(np.float32)
     y = np.asarray(images.labels)
-    params = init_params(config)
-    velocity = cnn._build_params(config, lambda name, shape: np.zeros(shape))
+    params = init_params(config).astype(np.float32)
+    velocity = cnn._build_params(config, lambda name, shape: np.zeros(shape, dtype=np.float32))
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = cnn.TrainReport()
     best_val = np.inf
@@ -417,7 +457,7 @@ def _copying_train(images, split, config):
             best_val = val_loss
             best_params = copy.deepcopy(params)
             report.best_epoch = epoch
-    report.test_metrics = evaluate(best_params, images, split.test)
+    report.test_metrics = evaluate(best_params.astype(np.float64), images, split.test)
     return best_params, report
 
 
@@ -451,7 +491,7 @@ class TestTrainInPlace:
         # reports its buffers to tracemalloc, and the images and activations
         # take less than half a model here
         images, split, cfg = self._setup()
-        model_bytes = sum(a.nbytes for _, a in init_params(cfg).arrays())
+        model_bytes = sum(a.nbytes for _, a in init_params(cfg).astype(np.float32).arrays())
         tracemalloc.start()
         try:
             train(images, split, cfg)

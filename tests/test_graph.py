@@ -56,6 +56,47 @@ def test_duplicate_edge_rejected(tmp_path):
         load_graph(edges, feats)
 
 
+@pytest.mark.parametrize("lines, message", [
+    ("a\tb\t1.0\nb\ta\t2.0\n", "edge ('a', 'b') listed twice (weights 1.0 and 2.0)"),
+    ("c\tb\t0.5\nb\tc\t0\n", "edge ('b', 'c') listed twice (weights 0.5 and 0.0)"),
+    ("b\tc\t0\nb\tc\t3\n", "edge ('b', 'c') listed twice (weights 0.0 and 3.0)"),
+    ("a\tc\t-0\nc\ta\t0.0\n", "edge ('a', 'c') listed twice (weights -0.0 and 0.0)"),
+    ("c\ta\t0\nd\ta\t7\n", "edge ('a', 'd') listed twice (weights 1e-320 and 7.0)"),
+])
+def test_duplicate_edge_names_line_and_both_weights(tmp_path, lines, message):
+    # the first edge's subnormal weight is nonzero in the matrix
+    edges = _write(tmp_path, "edges.tsv", "a\td\t1e-320\n" + lines)
+    feats = _feature_file(tmp_path, ["a", "b", "c", "d"])
+    with pytest.raises(AsymmetricDuplicate) as info:
+        load_graph(edges, feats)
+    assert str(info.value) == f"{edges}:3: {message}"
+
+
+def _graph_of(adjacency):
+    n = len(adjacency)
+    return AttributedGraph(n=n, node_ids=tuple(map(str, range(n))), adjacency=adjacency,
+                           features=np.zeros((n, 1)), feature_names=("x",))
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (39, 40), (40, 39), (399, 0), (250, 399)])
+def test_asymmetric_adjacency_rejected_in_every_band(i, j):
+    # 400 nodes are checked in bands of 40 rows
+    A = np.ones((400, 400)) - np.eye(400)
+    _graph_of(A.copy())
+    A[i, j] = 2.0
+    with pytest.raises(ValueError, match="adjacency is not symmetric"):
+        _graph_of(A)
+
+
+def test_negative_weight_rejected():
+    A = np.zeros((5, 5))
+    A[3, 1] = A[1, 3] = -0.5
+    with pytest.raises(ValueError, match="negative edge weight"):
+        _graph_of(A)
+    A[3, 1] = A[1, 3] = -0.0
+    assert _graph_of(A).n == 5
+
+
 def test_unknown_node_id(tmp_path):
     edges = _write(tmp_path, "edges.tsv", "a\tz\t1.0\n")
     feats = _feature_file(tmp_path, ["a", "b"])

@@ -20,7 +20,9 @@ the sha256 of each file under ``--out`` and whether the runs wrote the same
 bytes; the exit code is 1 when they did not. The kernel microbenchmarks time
 the conv forward, weight-gradient and input-gradient kernels and the FC
 products at the shapes that explain and train give them, in float64 and
-float32, and ``shapley_sample`` on one image of the reference shape with
+float32, one train batch of the reference network (``loss_and_grad`` on 32
+images and the in-place SGDM update, as ``cnn.train`` runs them) in float64
+and float32, ``shapley_sample`` on one image of the reference shape with
 every feature cell a player and M=4, and ``kmeans`` and ``silhouette`` at
 the node counts of the reference run (240) and of the many_nodes workload
 (1,200): each round times every kernel in a fresh process per tree, the
@@ -177,9 +179,9 @@ def _peak_mb(fn):
 
 
 def kernel_benchmarks():
-    """Microseconds per call of the conv kernels, FC products, Shapley
-    sampling, k-means and silhouette of the g2i package on sys.path, by
-    kernel, shape and dtype."""
+    """Microseconds per call of the conv kernels, FC products, train batch,
+    Shapley sampling, k-means and silhouette of the g2i package on sys.path,
+    by kernel, shape and dtype."""
     import numpy as np
 
     from g2i import attribution, cnn, community, graph, metrics
@@ -213,6 +215,27 @@ def kernel_benchmarks():
             ):
                 out[f"{kernel} {name} {dtype}"] = {
                     "shape": shape, "us": 1e6 * _per_call_s(call)}
+        # one batch of cnn.train on the reference network: the gradients go into
+        # one set that every batch refills, then the momentum update in place
+        config = cnn.ConvNetConfig(input_side=8, input_channels=2, classes=4)
+        params = cnn.init_params(config, seed=0).astype(dtype)
+        velocity = cnn._build_params(config, lambda name, shape: np.zeros(shape, dtype=dtype))
+        grads = cnn._build_params(config, lambda name, shape: np.empty(shape, dtype=dtype))
+        X = rng.normal(size=(32, 2, 8, 8)).astype(dtype)
+        y = rng.integers(0, config.classes, 32)
+        scalar = np.dtype(dtype).type
+        lr, mom = scalar(config.learning_rate), scalar(config.momentum)
+
+        def train_batch():
+            cnn.loss_and_grad(params, X, y, out=grads)
+            for (_, v), (_, g), (_, p) in zip(velocity.arrays(), grads.arrays(), params.arrays()):
+                g *= lr
+                v *= mom
+                v -= g
+                p += v
+
+        out[f"train_batch reference {dtype}"] = {
+            "shape": "B=32 2x8x8, 4 classes", "us": 1e6 * _per_call_s(train_batch)}
     # one image's Shapley sampling as explain runs it: the reference network in
     # float32, a 2x8x8 image, every one of the k=64 feature cells a player
     config = cnn.ConvNetConfig(input_side=8, input_channels=2, classes=4)

@@ -14,7 +14,10 @@ on those inputs into an ``--out`` directory, each in a fresh
 ``tools/bench_reference.py`` (one BLAS thread). The script prints, per
 workload and seed, how many files each tree wrote and the sha256 of every
 input or ``--out`` file that differs between the trees, and exits 1 if any
-file differs or any run fails.
+file differs or any run fails. When ``importance.csv`` or ``eval.csv``
+differs, it also prints how far the attributions drifted: the largest
+|delta shap_raw| over the rows, whether every class keeps its top feature,
+and both trees' eval metrics.
 
 This script is not part of the test suite; at two seeds the three workloads
 take a few minutes per tree.
@@ -23,6 +26,7 @@ take a few minutes per tree.
 from __future__ import annotations
 
 import argparse
+import csv
 import subprocess
 import sys
 import tempfile
@@ -58,6 +62,37 @@ def artifacts(src, workload, seed, work):
             for name, sha in file_sha256(d).items()}
 
 
+def _rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def drift_report(outs):
+    """Lines on how far ``importance.csv`` and ``eval.csv`` moved between the
+    ``--out`` directories ``{label: out}`` of two trees."""
+    shap = {label: {(r["feature"], r["modality"], r["class"]): float(r["shap_raw"])
+                    for r in _rows(out / "importance.csv")}
+            for label, out in outs.items()}
+    (a, sa), (b, sb) = shap.items()
+    if sa.keys() != sb.keys():
+        lines = ["importance.csv: the trees score different features or classes"]
+    else:
+        delta = max(abs(sa[key] - sb[key]) for key in sa)
+        lines = [f"largest |delta shap_raw|: {delta:.3g}"]
+    # class -> (feature, modality) of its largest shap_raw; the first row wins a tie
+    tops = {label: {cls: max((key for key in values if key[2] == cls), key=values.get)[:2]
+                    for cls in dict.fromkeys(key[2] for key in values)}
+            for label, values in shap.items()}
+    moved = [f"{cls} {tops[a][cls]} -> {tops[b].get(cls)}"
+             for cls in tops[a] if tops[a][cls] != tops[b].get(cls)]
+    lines.append("top feature moved: " + "; ".join(moved) if moved
+                 else "every class keeps its top feature")
+    for label, out in outs.items():
+        metrics = ", ".join(f"{r['metric']} {r['value']}" for r in _rows(out / "eval.csv"))
+        lines.append(f"{label} eval: {metrics}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", required=True,
@@ -89,6 +124,12 @@ def main(argv=None):
                 for f in changed:
                     print(f"  {f}: {a} {ha.get(f, 'missing')}, {b} {hb.get(f, 'missing')}")
                 differ = differ or bool(changed)
+                if (all(hashes.values()) and
+                        {"out/importance.csv", "out/eval.csv"} & set(changed)):
+                    outs = {label: Path(work) / f"{name}-{seed}-{label}" / "out"
+                            for label in trees}
+                    for line in drift_report(outs):
+                        print(f"  {line}")
     return 1 if differ else 0
 
 
