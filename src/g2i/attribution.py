@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadArgument, DegenerateData, LayoutMismatch, TooLarge
+from .errors import BadArgument, DegenerateData, LayoutMismatch
 
 
 @dataclass(frozen=True)
@@ -106,36 +106,6 @@ def shapley_sample(predict, image, class_idx, background_mean, players, M, seed)
         scores = predict(batch)[:, class_idx]
         values[order] += np.diff(scores)
     return values / M
-
-
-def shapley_exact(predict, image, class_idx, background_mean, players):
-    """Exact Shapley values by subset enumeration (<= 8 players); ``image``
-    and ``background_mean`` are (C, P, P) tensors."""
-    players = list(players)
-    P = len(players)
-    if P > 8:
-        raise TooLarge(f"exhaustive Shapley limited to 8 players, got {P}")
-    image = np.asarray(image, dtype=np.float64)
-    background = np.asarray(background_mean, dtype=np.float64)
-    tensors = []
-    for mask in range(1 << P):
-        t = background.copy()
-        for pi in range(P):
-            if mask >> pi & 1:
-                ch, r, c = players[pi]
-                t[ch, r, c] = image[ch, r, c]
-        tensors.append(t)
-    scores = predict(np.stack(tensors))[:, class_idx]
-    fact = [math.factorial(i) for i in range(P + 1)]
-    values = np.zeros(P)
-    for pi in range(P):
-        for mask in range(1 << P):
-            if mask >> pi & 1:
-                continue
-            s = bin(mask).count("1")
-            weight = fact[s] * fact[P - s - 1] / fact[P]
-            values[pi] += weight * (scores[mask | (1 << pi)] - scores[mask])
-    return values
 
 
 def class_global_importance(predict, images, test_indices, n_classes, players,

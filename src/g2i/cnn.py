@@ -8,23 +8,33 @@ loads. Evaluation and the gradient checks run in double precision, so the
 finite-difference checks are meaningful; explain scores coalitions with a
 float32 copy (``ConvNetParams.astype``).
 
-A convolution is k*k tap products, summed in a fixed tap order, each one a
-BLAS gemm on contiguous operands. The forward pass and the input gradient
-compute each tap as one stacked matmul over a channel-last padded copy; the
-weight gradient multiplies each tap's input patch with the output gradient,
-laid out once per layer. Every sum and its order are those of the per-tap
-einsum convolution, so float64 outputs and parameter gradients are bit-equal
-to it; tests/test_cnn.py keeps that einsum as the reference. loss_and_grad
-does not compute the gradient of the input images, which nothing reads.
+The conv stack keeps its activations channel-last, (B, H, W, C): the input
+batch is transposed once on the way in, and the last conv output once before
+the flatten, so FC0 and the checkpoint keep their (F, H, W) order. Every conv
+pass is an im2col GEMM (Chellapilla, Puri & Simard, 2006). The column matrix
+of a chunk of images, one row per output pixel and one column per (tap,
+channel), is one strided copy of the zero-padded chunk. The forward pass
+multiplies it with the weights as a (k*k*C, F) matrix; the weight gradient
+sums cols.T @ dout over the chunks, in chunk order; the input gradient is the
+forward conv of dout with the flipped, transposed kernel. A chunk holds as
+many images as keep its column matrix near 1 MB, so that it stays in a
+core's L2 cache for its GEMM and the memory a pass takes stays near its
+output's size. The chunk depends only on the image shape and dtype, so the
+sums, and the bits, are the same on every machine. loss_and_grad does not
+compute the gradient of the input images, which nothing reads.
 
-train holds four float32 network-sized sets of arrays: the weights, their
-velocity, the best weights so far and one set of gradients, which every batch
-refills; the momentum update runs in place.
+train holds four float32 network-sized sets: the weights, their velocity,
+the best weights so far and one set of gradients, which every batch refills.
+Each set is one flat buffer that its per-layer arrays view, in one layout
+for all four, so the momentum update is four in-place ufunc calls and
+keeping the best weights is one copy.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +43,11 @@ from .errors import BadArgument, DegenerateData, EmptySplit, ShapeMismatch
 
 # images per forward call in predict_proba; the batch size can change BLAS sums
 _CHUNK = 256
+# bytes of one im2col column matrix. About 1 MB keeps it in a core's 2 MB L2
+# cache beside the GEMM's other operands. A whole-batch column matrix (6 MB at
+# 11x11, B=32) made loss_and_grad about 10 % slower, and at predict_proba's
+# 256 images it would take 48 MB.
+_COL_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,7 @@ class TrainReport:
     val_acc: list = field(default_factory=list)
     best_epoch: int = -1
     test_metrics: dict | None = None
+    epoch_s: list = field(default_factory=list)     # wall time; not in report.csv
 
 
 def _build_params(config, array):
@@ -107,6 +123,29 @@ def _build_params(config, array):
     return ConvNetParams(config=config, conv_w=conv_w, conv_b=conv_b, fc_w=fc_w, fc_b=fc_b)
 
 
+def _flat_params(config, dtype, values=None):
+    """(flat, params): one 1-D ``dtype`` buffer the size of ``config``'s
+    network, and a ConvNetParams whose arrays are views of consecutive slices
+    of it, in _build_params's order; they hold the arrays of the ConvNetParams
+    ``values``, cast, or zeros. Every set made here shares that layout, so one
+    ufunc call on the flat buffers updates every array."""
+    source = {} if values is None else dict(values.arrays())
+    sizes = _build_params(config, lambda name, shape: math.prod(shape)).arrays()
+    flat = np.zeros(sum(size for _, size in sizes), dtype=dtype)
+    offset = 0
+
+    def view(name, shape):
+        nonlocal offset
+        size = math.prod(shape)
+        offset += size
+        out = flat[offset - size : offset].reshape(shape)
+        if name in source:
+            np.copyto(out, source[name])
+        return out
+
+    return flat, _build_params(config, view)
+
+
 def init_params(config, seed=None):
     """Fan-in uniform weights in +/- sqrt(6/fan_in); zero biases."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
@@ -120,71 +159,81 @@ def init_params(config, seed=None):
     return _build_params(config, draw)
 
 
-def _taps(w, order, rows):
-    """Every tap of the weights ``w`` (F, C, k, k), as ``w.transpose(*order)``
-    so that ``[di, dj]`` is one (C, F) or (F, C) tap. Copied to a contiguous
-    array, which BLAS gemm takes as it is, when a tap product has more than
-    one row. A one-row product would go to BLAS gemv, which sums over C in
-    another order than the einsum reference; the strided taps keep numpy's
-    own matmul loop there."""
-    taps = w.transpose(*order)
-    return np.ascontiguousarray(taps) if rows > 1 else taps
+def _chunk_images(H, W, k, C, itemsize):
+    """Images per im2col chunk: as many as keep the column matrix within
+    _COL_BYTES, and at least one. It depends on the image shape and dtype
+    alone, so every machine sums the same chunks."""
+    return max(1, _COL_BYTES // (H * W * k * k * C * itemsize))
 
 
-def _conv_same(x, w, b):
-    # x (B, C, H, W), w (F, C, k, k) -> (B, F, H, W) with same padding, one
-    # (H, W*B, C) @ (C, F) product per tap on a channel-last padded copy, in
-    # the input's dtype.
-    B, C, H, W = x.shape
-    F, _, k, _ = w.shape
+def _im2col(x, k):
+    """Yield ``(start, stop, cols)`` for consecutive chunks of the channel-last
+    batch ``x`` (B, H, W, C). ``cols`` is the (n*H*W, k*k*C) column matrix of
+    images ``start:stop``, same-padded: row (b, i, j), column (di, dj, c) holds
+    x[b, i + di - k//2, j + dj - k//2, c]. Its buffer is refilled for the next
+    chunk. A padded window row is k*C consecutive values, so each column
+    matrix is one strided copy."""
+    B, H, W, C = x.shape
     p = k // 2
-    xp = np.zeros((H + 2 * p, W + 2 * p, B, C), dtype=x.dtype)
-    xp[p : p + H, p : p + W] = x.transpose(2, 3, 0, 1)
-    taps = _taps(w, (2, 3, 1, 0), W * B)
-    out = np.zeros((H, W * B, F), dtype=x.dtype)
-    for di in range(k):
-        for dj in range(k):
-            out += xp[di : di + H, dj : dj + W].reshape(H, W * B, C) @ taps[di, dj]
+    n = min(B, _chunk_images(H, W, k, C, x.itemsize))
+    xp = np.zeros((n, H + 2 * p, W + 2 * p, C), dtype=x.dtype)
+    s_b, s_i, s_j, s_c = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (n, H, W, k, k * C), (s_b, s_i, s_j, s_i, s_c), writeable=False)
+    cols = np.empty((n, H, W, k, k * C), dtype=x.dtype)
+    for start in range(0, B, n):
+        m = min(n, B - start)
+        xp[:m, p : p + H, p : p + W] = x[start : start + m]
+        np.copyto(cols[:m], windows[:m])
+        yield start, start + m, cols[:m].reshape(m * H * W, k * k * C)
+
+
+def _conv(x, w_cols, k):
+    """Same-padded convolution of the channel-last batch ``x`` (B, H, W, C)
+    with the weights ``w_cols`` (k*k*C, F), rows in the column order of
+    _im2col: (B, H, W, F), one GEMM per chunk."""
+    B, H, W, _ = x.shape
+    out = np.empty((B * H * W, w_cols.shape[1]), dtype=x.dtype)
+    for start, stop, cols in _im2col(x, k):
+        np.matmul(cols, w_cols, out=out[start * H * W : stop * H * W])
+    return out.reshape(B, H, W, -1)
+
+
+def _conv_forward(x, w, b):
+    """Conv layer on the channel-last batch ``x`` (B, H, W, C) with the weights
+    ``w`` (F, C, k, k) and bias ``b``: (B, H, W, F), before the ReLU."""
+    F, C, k, _ = w.shape
+    out = _conv(x, w.transpose(2, 3, 1, 0).reshape(k * k * C, F), k)
     out += b
-    return np.ascontiguousarray(out.reshape(H, W, B, F).transpose(2, 3, 0, 1))
+    return out
 
 
-def _conv_same_param_grads(x, w, dout):
-    """dW and db of _conv_same. Each dW tap is one (C, B*H*W) @ (B*H*W, F)
-    gemm against ``dout`` laid out once as (B*H*W, F): the product, operand
-    order and layout that einsum("bfij,bcij->fc", optimize=True) hands BLAS
-    on its own, without its copy of ``dout`` per tap."""
-    B, C, H, W = x.shape
+def _conv_weight_grad(x, w, dout):
+    """dW (F, C, k, k) and db of _conv_forward for the channel-last output
+    gradient ``dout`` (B, H, W, F): dW sums cols.T @ dout over the chunks of
+    ``x``, in chunk order."""
+    B, H, W, C = x.shape
     F, k = w.shape[0], w.shape[2]
-    p = k // 2
-    xp = np.zeros((C, B, H + 2 * p, W + 2 * p), dtype=x.dtype)
-    xp[:, :, p : p + H, p : p + W] = x.transpose(1, 0, 2, 3)
-    d = dout.transpose(0, 2, 3, 1).reshape(-1, F)
-    dw = np.zeros_like(w)
-    for di in range(k):
-        for dj in range(k):
-            patch = xp[:, :, di : di + H, dj : dj + W].reshape(C, -1)
-            dw[:, :, di, dj] = np.dot(patch, d).T
-    return dw, dout.sum(axis=(0, 2, 3))
+    d = dout.reshape(B * H * W, F)
+    dw = np.zeros((k * k * C, F), dtype=x.dtype)
+    for start, stop, cols in _im2col(x, k):
+        dw += cols.T @ d[start * H * W : stop * H * W]
+    return dw.reshape(k, k, C, F).transpose(3, 2, 0, 1), d.sum(axis=0)
 
 
-def _conv_same_input_grad(w, dout):
-    """dX of _conv_same: the forward's taps run backwards on channel-last
-    buffers, (H, W*B, F) @ (F, C) per tap; returned C-contiguous. Bit-equal
-    to the einsum's dX when C = F, as in every layer after the first."""
-    B, F, H, W = dout.shape
-    C, k = w.shape[1], w.shape[2]
-    p = k // 2
-    d = np.ascontiguousarray(dout.transpose(2, 3, 0, 1)).reshape(H, W * B, F)
-    taps = _taps(w, (2, 3, 0, 1), W * B)
-    dxp = np.zeros((H + 2 * p, W + 2 * p, B, C), dtype=dout.dtype)
-    for di in range(k):
-        for dj in range(k):
-            dxp[di : di + H, dj : dj + W].reshape(H, W * B, C)[...] += d @ taps[di, dj]
-    return np.ascontiguousarray(dxp[p : p + H, p : p + W].transpose(2, 3, 0, 1))
+def _conv_input_grad(w, dout):
+    """dX (B, H, W, C) of _conv_forward: the same-padded convolution of
+    ``dout`` (B, H, W, F) with the kernel flipped in both spatial axes and
+    its F and C axes swapped."""
+    F, C, k, _ = w.shape
+    return _conv(dout, w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * F, C), k)
 
 
 def _forward_cached(params, batch):
+    """Class probabilities of ``batch`` (B, C, H, W), and the activations that
+    loss_and_grad reads: the conv layers' channel-last inputs and ReLU
+    outputs, and the FC layers' inputs. A ReLU output is positive exactly
+    where its input is, so it doubles as the backward pass's mask."""
     cfg = params.config
     x = np.asarray(batch, dtype=params.conv_w[0].dtype)
     if x.ndim != 4 or x.shape[1:] != (cfg.input_channels, cfg.input_side, cfg.input_side):
@@ -192,28 +241,24 @@ def _forward_cached(params, batch):
             f"batch shape {x.shape} does not match (B, {cfg.input_channels}, "
             f"{cfg.input_side}, {cfg.input_side})"
         )
-    conv_in, conv_pre = [], []
-    h = x
+    h = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+    conv_acts = [h]
     for w, b in zip(params.conv_w, params.conv_b):
-        conv_in.append(h)
-        z = _conv_same(h, w, b)
-        conv_pre.append(z)
-        h = np.maximum(z, 0.0)
-    flat = h.reshape(h.shape[0], -1)
-    fc_in, fc_pre = [], []
-    a = flat
+        h = np.maximum(_conv_forward(h, w, b), 0.0)
+        conv_acts.append(h)
+    # FC0 reads its input in (F, H, W) order, as the checkpoint stores it
+    a = h.transpose(0, 3, 1, 2).reshape(h.shape[0], -1)
+    fc_acts = [a]
     n_fc = len(params.fc_w)
     for i, (w, b) in enumerate(zip(params.fc_w, params.fc_b)):
-        fc_in.append(a)
-        z = a @ w.T + b
-        fc_pre.append(z)
-        a = z if i == n_fc - 1 else np.maximum(z, 0.0)
-    logits = a
-    shifted = logits - logits.max(axis=1, keepdims=True)
+        a = a @ w.T + b
+        if i < n_fc - 1:
+            a = np.maximum(a, 0.0)
+        fc_acts.append(a)
+    shifted = a - a.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
-    cache = (conv_in, conv_pre, fc_in, fc_pre, h.shape)
-    return probs, cache
+    return probs, (conv_acts, fc_acts)
 
 
 def forward(params, batch):
@@ -228,8 +273,7 @@ def loss_and_grad(params, batch, labels, out=None):
     when it is given: train fills one such set for every batch, where fresh
     arrays would be freed and faulted in again each time."""
     labels = np.asarray(labels)
-    probs, cache = _forward_cached(params, batch)
-    conv_in, conv_pre, fc_in, fc_pre, conv_out_shape = cache
+    probs, (conv_acts, fc_acts) = _forward_cached(params, batch)
     B = probs.shape[0]
     if labels.shape != (B,):
         raise ShapeMismatch(f"labels shape {labels.shape} does not match batch {B}")
@@ -245,19 +289,20 @@ def loss_and_grad(params, batch, labels, out=None):
     grad = dlogits
     for i in range(len(params.fc_w) - 1, -1, -1):
         if i != len(params.fc_w) - 1:
-            grad = grad * (fc_pre[i] > 0)
-        np.matmul(grad.T, fc_in[i], out=out.fc_w[i])
+            grad = grad * (fc_acts[i + 1] > 0)
+        np.matmul(grad.T, fc_acts[i], out=out.fc_w[i])
         np.sum(grad, axis=0, out=out.fc_b[i])
         grad = grad @ params.fc_w[i]
 
-    grad = grad.reshape(conv_out_shape)
+    _, H, W, F = conv_acts[-1].shape
+    grad = np.ascontiguousarray(grad.reshape(B, F, H, W).transpose(0, 2, 3, 1))
     for i in range(len(params.conv_w) - 1, -1, -1):
-        grad = grad * (conv_pre[i] > 0)
-        dw, db = _conv_same_param_grads(conv_in[i], params.conv_w[i], grad)
+        grad *= conv_acts[i + 1] > 0
+        dw, db = _conv_weight_grad(conv_acts[i], params.conv_w[i], grad)
         np.copyto(out.conv_w[i], dw)
         np.copyto(out.conv_b[i], db)
         if i:   # nothing reads the gradient of the input images
-            grad = _conv_same_input_grad(params.conv_w[i], grad)
+            grad = _conv_input_grad(params.conv_w[i], grad)
     return loss, out
 
 
@@ -294,9 +339,7 @@ def train(images, split, config):
     dtype = np.float32      # the precision of the checkpoint
     X = np.asarray(images.tensors, dtype=dtype)
     y = np.asarray(images.labels)
-    params = init_params(config).astype(dtype)
-    velocity = _build_params(config, lambda name, shape: np.zeros(shape, dtype=dtype))
-    grads = _build_params(config, lambda name, shape: np.empty(shape, dtype=dtype))
+    weights, params = _flat_params(config, dtype, init_params(config))
     # glibc maps blocks above a size threshold straight from the OS and keeps
     # freed heap space up to twice that size, raising both to the largest
     # mapped block freed so far. Training frees nothing that large, so without
@@ -304,24 +347,25 @@ def train(images, split, config):
     # and were faulted in again: in float64, 136,000 minor page faults per
     # train on the sbm_ref workload against 8,000 with it.
     np.empty(max(a.size for _, a in params.arrays()), dtype=dtype)
+    velocity = _flat_params(config, dtype)[0]
+    grad_flat, grads = _flat_params(config, dtype)
+    best, best_params = _flat_params(config, dtype, params)
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = TrainReport()
     best_val = np.inf
-    best_params = params.astype(dtype)      # a copy, refilled in place
     lr, mom = dtype(config.learning_rate), dtype(config.momentum)
     for epoch in range(config.max_epochs):
+        started = time.perf_counter()
         order = shuffle_rng.permutation(split.train)
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            loss, _ = loss_and_grad(params, X[batch_idx], y[batch_idx], out=grads)
-            epoch_losses.append(loss)
+            epoch_losses.append(loss_and_grad(params, X[batch_idx], y[batch_idx], out=grads)[0])
             # v = mom * v - lr * g in place, rounded as `v -= lr * g` rounds it
-            for (_, v), (_, g), (_, p) in zip(velocity.arrays(), grads.arrays(), params.arrays()):
-                g *= lr
-                v *= mom
-                v -= g
-                p += v
+            grad_flat *= lr
+            velocity *= mom
+            velocity -= grad_flat
+            weights += velocity
         val_loss, val_probs = _mean_ce(params, X[split.val], y[split.val])
         val_acc = float((val_probs.argmax(axis=1) == y[split.val]).mean())
         report.train_loss.append(float(np.mean(epoch_losses)))
@@ -329,10 +373,11 @@ def train(images, split, config):
         report.val_acc.append(val_acc)
         if val_loss < best_val:
             best_val = val_loss
-            for (_, best), (_, p) in zip(best_params.arrays(), params.arrays()):
-                np.copyto(best, p)
+            np.copyto(best, weights)
             report.best_epoch = epoch
-    del params, velocity, grads     # the float64 copy below takes two of their size
+        report.epoch_s.append(time.perf_counter() - started)
+    # the float64 copy below takes two of their size
+    del weights, params, velocity, grad_flat, grads
     report.test_metrics = evaluate(best_params.astype(np.float64), images, split.test)
     return best_params, report
 

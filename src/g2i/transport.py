@@ -23,7 +23,6 @@ from .errors import (
     GridTooSmall,
     NumericalUnderflow,
     NonConvergence,
-    TooLarge,
 )
 
 _MAX_OUTER = 1000       # outer Frank-Wolfe / mirror-descent steps per restart
@@ -60,15 +59,6 @@ def _linear_term(C1, C2, T):
     row = T.sum(axis=1)
     col = T.sum(axis=0)
     return (C1**2) @ row[:, None] + ((C2**2) @ col)[None, :] - 2.0 * C1 @ T @ C2
-
-
-def gw_objective(C_item, C_grid, T):
-    """Distortion sum_{i,j,k,l} (C_item[i,k] - C_grid[j,l])^2 T[i,j] T[k,l]."""
-    C1, C2 = _check_pair(C_item, C_grid)
-    M = T.matrix if isinstance(T, TransportPlan) else np.asarray(T, dtype=np.float64)
-    if M.shape != C1.shape:
-        raise DimensionMismatch(f"plan shape {M.shape} does not match costs {C1.shape}")
-    return float(np.sum(_linear_term(C1, C2, M) * M))
 
 
 def sinkhorn(cost, p, q, epsilon, max_iter=10000, tol=1e-9):
@@ -367,24 +357,6 @@ def _lexmin_max_assignment(M):
             perm[i] = free_cols.pop(0)
             fixed += cost[i, perm[i]]
     return perm
-
-
-def brute_force_gw(C_item, C_grid):
-    """Exhaustive minimum over all m! permutation plans (verification oracle)."""
-    import itertools
-
-    C1, C2 = _check_pair(C_item, C_grid)
-    m = C1.shape[0]
-    if m > 8:
-        raise TooLarge(f"brute force limited to m <= 8, got {m}")
-    best_perm = None
-    best_obj = math.inf
-    for perm in itertools.permutations(range(m)):
-        obj = _perm_objective(C1, C2, list(perm))
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best_perm = perm
-    return best_perm, best_obj
 
 
 def pad_to_square(C_item, g):

@@ -19,12 +19,12 @@ from g2i.attribution import (
     hvf_players,
     map_to_features,
     select_hvf,
-    shapley_exact,
     shapley_sample,
 )
 from g2i.cnn import ConvNetConfig, init_params, predict_proba
 from g2i.errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch, TooLarge
 from g2i.imaging import ImageSet
+from oracles import shapley_exact
 
 
 def _linear_predict(weights):

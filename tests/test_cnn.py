@@ -50,7 +50,7 @@ def _image_fixture(n=200, side=8, noise=0.5, seed=42):
 
 
 def _einsum_conv_same(x, w, b):
-    """Reference: the per-tap einsum convolution the channel-last one replaced."""
+    """Reference: the per-tap einsum convolution on (B, C, H, W) images."""
     B, C, H, W = x.shape
     F, _, k, _ = w.shape
     p = k // 2
@@ -82,25 +82,119 @@ def _einsum_conv_same_backward(x, w, dout):
     return dw, db, dx
 
 
+def _nchw(a):
+    return a.transpose(0, 3, 1, 2)
+
+
+def _nhwc(a):
+    return a.transpose(0, 2, 3, 1)
+
+
+def _reference_im2col(x, k):
+    """(start, stop, cols) over the same chunks as cnn._im2col, each column
+    matrix built tap by tap from a zero-padded copy of the channel-last ``x``."""
+    B, H, W, C = x.shape
+    p = k // 2
+    n = min(B, cnn._chunk_images(H, W, k, C, x.itemsize))
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    for start in range(0, B, n):
+        stop = min(B, start + n)
+        cols = np.empty((stop - start, H, W, k * k * C), dtype=x.dtype)
+        for di in range(k):
+            for dj in range(k):
+                tap = (di * k + dj) * C
+                cols[..., tap : tap + C] = xp[start:stop, di : di + H, dj : dj + W]
+        yield start, stop, cols.reshape(-1, k * k * C)
+
+
+def _reference_w_cols(w):
+    """The (k*k*C, F) GEMM operand of the weights ``w`` (F, C, k, k): row
+    (di, dj, c) holds w[:, c, di, dj]."""
+    F, C, k, _ = w.shape
+    out = np.empty((k * k * C, F), dtype=w.dtype)
+    for di in range(k):
+        for dj in range(k):
+            tap = (di * k + dj) * C
+            out[tap : tap + C] = w[:, :, di, dj].T
+    return out
+
+
+def _reference_conv(x, w_cols, k):
+    B, H, W, _ = x.shape
+    out = np.empty((B * H * W, w_cols.shape[1]), dtype=x.dtype)
+    for start, stop, cols in _reference_im2col(x, k):
+        out[start * H * W : stop * H * W] = np.matmul(cols, w_cols)
+    return out.reshape(B, H, W, -1)
+
+
+def _reference_conv_forward(x, w, b):
+    """Reference: the channel-last conv as chunked im2col GEMMs."""
+    return _reference_conv(x, _reference_w_cols(w), w.shape[2]) + b
+
+
+def _reference_conv_weight_grad(x, w, dout):
+    """Reference: dW and db of _reference_conv_forward, summed in chunk order."""
+    B, H, W, C = x.shape
+    F, k = w.shape[0], w.shape[2]
+    d = np.ascontiguousarray(dout).reshape(-1, F)
+    dw = np.zeros((k * k * C, F), dtype=x.dtype)
+    for start, stop, cols in _reference_im2col(x, k):
+        dw += cols.T @ d[start * H * W : stop * H * W]
+    out = np.empty_like(w)
+    for di in range(k):
+        for dj in range(k):
+            tap = (di * k + dj) * C
+            out[:, :, di, dj] = dw[tap : tap + C].T
+    return out, d.sum(axis=0)
+
+
+def _reference_conv_input_grad(w, dout):
+    """Reference: dX of _reference_conv_forward, the conv of ``dout`` with the
+    spatially flipped kernel whose F and C axes are swapped."""
+    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return _reference_conv(dout, _reference_w_cols(flipped), w.shape[2])
+
+
+def _use_conv(monkeypatch, forward, weight_grad, input_grad):
+    """Run the network on the given channel-last conv kernels."""
+    monkeypatch.setattr(cnn, "_conv_forward", forward)
+    monkeypatch.setattr(cnn, "_conv_weight_grad", weight_grad)
+    monkeypatch.setattr(cnn, "_conv_input_grad", input_grad)
+
+
+def _use_reference_conv(monkeypatch):
+    _use_conv(monkeypatch, _reference_conv_forward, _reference_conv_weight_grad,
+              _reference_conv_input_grad)
+
+
 def _use_einsum_conv(monkeypatch):
-    """Run the network on the reference einsum kernels."""
-    monkeypatch.setattr(cnn, "_conv_same", _einsum_conv_same)
-    monkeypatch.setattr(cnn, "_conv_same_param_grads",
-                        lambda x, w, dout: _einsum_conv_same_backward(x, w, dout)[:2])
-    monkeypatch.setattr(cnn, "_conv_same_input_grad", lambda w, dout: _einsum_conv_same_backward(
-        np.zeros((dout.shape[0], w.shape[1], *dout.shape[2:]), dtype=dout.dtype), w, dout)[2])
+    """Run the network on the per-tap einsum kernels, through channel-last views."""
+    def input_grad(w, dout):
+        x = np.zeros((dout.shape[0], w.shape[1], *dout.shape[1:3]), dtype=dout.dtype)
+        return _nhwc(_einsum_conv_same_backward(x, w, _nchw(dout))[2])
+
+    _use_conv(monkeypatch,
+              lambda x, w, b: _nhwc(_einsum_conv_same(_nchw(x), w, b)),
+              lambda x, w, dout: _einsum_conv_same_backward(_nchw(x), w, _nchw(dout))[:2],
+              input_grad)
 
 
 def _maybe_transposed(a, transposed):
     """``a`` itself, or an equal array that is a transposed (non-contiguous) view."""
     if not transposed:
         return a
-    return np.ascontiguousarray(a.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+    return np.ascontiguousarray(a.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+
+
+def _assert_close_to_einsum(got, want, case):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=str(case))
 
 
 class TestConvEqualsEinsum:
-    """The channel-last conv keeps the einsum's per-tap sums and tap order, so
-    every output and gradient must be bit-equal to the reference, not close."""
+    """The conv kernels sum each output in the order of one im2col GEMM per
+    chunk of images, so they must be bit-equal to a reference that builds the
+    same column matrices tap by tap and makes the same GEMM calls, and, in
+    float64, close to the per-tap einsum convolution."""
 
     @pytest.mark.parametrize("C", [1, 2, 16])
     @pytest.mark.parametrize("B", [1, 8, 32, 65, 256])
@@ -108,37 +202,61 @@ class TestConvEqualsEinsum:
         F, k = 16, 5
         rng = np.random.default_rng(1000 * B + C)
         for side, transposed in itertools.product([1, 4, 5, 8, 11], [False, True]):
-            x = _maybe_transposed(rng.normal(size=(B, C, side, side)), transposed)
+            x = _maybe_transposed(rng.normal(size=(B, side, side, C)), transposed)
             w = rng.normal(size=(F, C, k, k))
             b = rng.normal(size=F)
-            dout = _maybe_transposed(rng.normal(size=(B, F, side, side)), transposed)
+            dout = _maybe_transposed(rng.normal(size=(B, side, side, F)), transposed)
             case = (B, C, side, transposed)
 
-            assert np.array_equal(cnn._conv_same(x, w, b), _einsum_conv_same(x, w, b)), case
-            ref_dw, ref_db, ref_dx = _einsum_conv_same_backward(x, w, dout)
-            dw, db = cnn._conv_same_param_grads(x, w, dout)
+            out = cnn._conv_forward(x, w, b)
+            assert np.array_equal(out, _reference_conv_forward(x, w, b)), case
+            dw, db = cnn._conv_weight_grad(x, w, dout)
+            ref_dw, ref_db = _reference_conv_weight_grad(x, w, dout)
             assert np.array_equal(dw, ref_dw), case
             assert np.array_equal(db, ref_db), case
-            dx = cnn._conv_same_input_grad(w, dout)
+            dx = cnn._conv_input_grad(w, dout)
             assert dx.flags.c_contiguous, case
-            if C == F:
-                assert np.array_equal(dx, ref_dx), case
-            else:
-                # C < F is the first layer's shape only, and loss_and_grad skips
-                # that layer's dX. There (C = 1 and 2, B = 1 and 65) BLAS sums
-                # a few entries in another order, so these are only close.
-                np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(dx, _reference_conv_input_grad(w, dout)), case
+
+            _assert_close_to_einsum(_nchw(out), _einsum_conv_same(_nchw(x), w, b), case)
+            ein_dw, ein_db, ein_dx = _einsum_conv_same_backward(_nchw(x), w, _nchw(dout))
+            _assert_close_to_einsum(dw, ein_dw, case)
+            _assert_close_to_einsum(db, ein_db, case)
+            _assert_close_to_einsum(_nchw(dx), ein_dx, case)
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_hidden_layer_dx_bit_equal_at_other_widths(self, width):
         # layers after the first have C = F = filters
         rng = np.random.default_rng(width)
         for B, side in itertools.product([1, 8, 65], [1, 4, 5, 8]):
-            x = rng.normal(size=(B, width, side, side))
+            x = rng.normal(size=(B, side, side, width))
             w = rng.normal(size=(width, width, 5, 5))
-            dout = rng.normal(size=(B, width, side, side))
-            ref_dx = _einsum_conv_same_backward(x, w, dout)[2]
-            assert np.array_equal(cnn._conv_same_input_grad(w, dout), ref_dx), (B, side)
+            dout = rng.normal(size=(B, side, side, width))
+            dx = cnn._conv_input_grad(w, dout)
+            assert np.array_equal(dx, _reference_conv_input_grad(w, dout)), (B, side)
+            ein_dx = _einsum_conv_same_backward(_nchw(x), w, _nchw(dout))[2]
+            _assert_close_to_einsum(_nchw(dx), ein_dx, (B, side))
+
+    def test_chunks_bound_the_memory(self):
+        # one forward, dW and dX pass allocates its output and column matrices
+        # of about 1 MB, not a column matrix of the whole batch (48 MB)
+        B, C, side, k = 256, 16, 11, 5
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(B, side, side, C)).astype(np.float32)
+        w = rng.normal(size=(C, C, k, k)).astype(np.float32)
+        b = rng.normal(size=C).astype(np.float32)
+        dout = rng.normal(size=(B, side, side, C)).astype(np.float32)
+        for name, call in (("forward", lambda: cnn._conv_forward(x, w, b)),
+                           ("dW", lambda: cnn._conv_weight_grad(x, w, dout)),
+                           ("dX", lambda: cnn._conv_input_grad(w, dout))):
+            tracemalloc.start()
+            try:
+                result = call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            out_bytes = sum(a.nbytes for a in (result if isinstance(result, tuple) else (result,)))
+            assert peak <= out_bytes + 3 * 2**20, (name, peak, out_bytes)
 
     def test_loss_and_grad_bit_equal(self, monkeypatch):
         cfg = ConvNetConfig(input_side=8, input_channels=2, classes=3, fc_sizes=(64, 32), seed=4)
@@ -147,11 +265,16 @@ class TestConvEqualsEinsum:
         X = rng.normal(size=(32, 2, 8, 8)).astype(np.float32)
         y = rng.integers(0, 3, 32)
         loss, grads = loss_and_grad(params, X, y)
-        _use_einsum_conv(monkeypatch)
+        _use_reference_conv(monkeypatch)
         ref_loss, ref_grads = loss_and_grad(params, X, y)
         assert loss == ref_loss
         for (name, g), (_, ref) in zip(grads.arrays(), ref_grads.arrays()):
             assert np.array_equal(g, ref), name
+        _use_einsum_conv(monkeypatch)
+        ein_loss, ein_grads = loss_and_grad(params, X, y)
+        assert loss == pytest.approx(ein_loss, rel=1e-12, abs=1e-12)
+        for (name, g), (_, ein) in zip(grads.arrays(), ein_grads.arrays()):
+            _assert_close_to_einsum(g, ein, name)
 
     def test_train_bit_equal(self, monkeypatch, tmp_path):
         images = _image_fixture(n=80)
@@ -160,7 +283,7 @@ class TestConvEqualsEinsum:
                             fc_sizes=(32,), learning_rate=1e-3, max_epochs=2, seed=5)
         params, report = train(images, split, cfg)
         save_checkpoint(params, tmp_path / "new.g2t")
-        _use_einsum_conv(monkeypatch)
+        _use_reference_conv(monkeypatch)
         ref_params, ref_report = train(images, split, cfg)
         save_checkpoint(ref_params, tmp_path / "ref.g2t")
         for (name, a), (_, ref) in zip(params.arrays(), ref_params.arrays()):
@@ -180,12 +303,13 @@ class TestFloat32Inference:
     def test_conv_keeps_float32(self):
         rng = np.random.default_rng(11)
         for B, side in [(1, 1), (1, 4), (8, 1), (32, 8)]:
-            x = rng.normal(size=(B, 2, side, side))
+            x = rng.normal(size=(B, side, side, 2))
             w = rng.normal(size=(16, 2, 5, 5))
             b = rng.normal(size=16)
-            out = cnn._conv_same(x.astype(np.float32), w.astype(np.float32), b.astype(np.float32))
+            out = cnn._conv_forward(x.astype(np.float32), w.astype(np.float32), b.astype(np.float32))
             assert out.dtype == np.float32 and out.flags.c_contiguous, (B, side)
-            np.testing.assert_allclose(out, _einsum_conv_same(x, w, b), rtol=1e-4, atol=1e-4)
+            np.testing.assert_allclose(_nchw(out), _einsum_conv_same(_nchw(x), w, b),
+                                       rtol=1e-4, atol=1e-4)
 
     def test_forward_follows_params_dtype(self):
         params = init_params(_tiny_config())
@@ -396,6 +520,18 @@ class TestTrain:
         assert r1.val_loss == r2.val_loss
         assert r1.test_metrics["accuracy"] == r2.test_metrics["accuracy"]
         assert np.array_equal(r1.test_metrics["confusion"], r2.test_metrics["confusion"])
+
+    def test_epoch_s_times_every_epoch_outside_report_csv(self, tmp_path):
+        images = _image_fixture(n=40)
+        split = split_dataset(images.labels, seed=2)
+        cfg = _tiny_config(input_side=8, classes=2, max_epochs=3)
+        _, report = train(images, split, cfg)
+        assert len(report.epoch_s) == cfg.max_epochs
+        assert all(t >= 0 for t in report.epoch_s)
+        write_report(report, tmp_path / "timed.csv")
+        report.epoch_s = []
+        write_report(report, tmp_path / "untimed.csv")
+        assert (tmp_path / "timed.csv").read_bytes() == (tmp_path / "untimed.csv").read_bytes()
 
     def test_report_scores_the_checkpointed_weights(self, tmp_path):
         # train returns the float32 weights that save_checkpoint stores, and its

@@ -11,14 +11,13 @@ from g2i.transport import (
     _plan_permutation,
     _swap_deltas,
     _two_opt,
-    brute_force_gw,
     grid_cost,
-    gw_objective,
     pad_to_square,
     resolve_assignment,
     sinkhorn,
     solve_gw,
 )
+from oracles import brute_force_gw, gw_objective
 
 
 def _uniform_plan(m):

@@ -20,17 +20,19 @@ the sha256 of each file under ``--out`` and whether the runs wrote the same
 bytes; the exit code is 1 when they did not. The kernel microbenchmarks time
 the conv forward, weight-gradient and input-gradient kernels and the FC
 products at the shapes that explain and train give them, in float64 and
-float32, one train batch of the reference network (``loss_and_grad`` on 32
-images and the in-place SGDM update, as ``cnn.train`` runs them) in float64
-and float32, ``shapley_sample`` on one image of the reference shape with
-every feature cell a player and M=4, and ``kmeans`` and ``silhouette`` at
-the node counts of the reference run (240) and of the many_nodes workload
-(1,200): each round times every kernel in a fresh process per tree, the
-rounds alternate between the trees, and the file keeps each kernel's median
-over the rounds. The k-means and silhouette rows also hold ``peak_mb``, the
-most memory one call allocates, as numpy reports its buffers to tracemalloc.
-The FC products call numpy alone, not g2i, so their differences between
-trees show the noise of the machine.
+float32, one train batch of the reference network and of many_nodes' 4x4
+one (``loss_and_grad`` on 32 images and the in-place SGDM update, as
+``cnn.train`` runs them) in float64 and float32, ``shapley_sample`` on one
+image of the reference shape with every feature cell a player and M=4, and
+``kmeans`` and ``silhouette`` at the node counts of the reference run (240)
+and of the many_nodes workload (1,200): each round times every kernel in a
+fresh process per tree, the rounds alternate between the trees, and the file
+keeps each kernel's median over the rounds. The k-means and silhouette rows
+also hold ``peak_mb``, the most memory one call allocates, as numpy reports
+its buffers to tracemalloc. The FC products call numpy alone, not g2i, so
+their differences between trees show the noise of the machine. Trees from
+before the im2col conv kernels are timed through their per-tap kernels under
+the same row names.
 
 This script is not part of the test suite; a default run takes several
 minutes.
@@ -58,13 +60,20 @@ KERNEL_ROUNDS = 3
 STAGES = ("synth", "ingest", "cluster", "layout", "render", "train", "eval", "explain", "metrics")
 
 # (name, batch, channels in, image side, filters): the conv shapes of the
-# reference network, in explain's 65-image batches and train's 32-image ones
+# reference network, in explain's 65-image batches and train's 32-image ones,
+# of wide_features' 11x11 images and of many_nodes' 4x4 images (k=16, so
+# explain scores 17 coalitions per batch)
 CONV_SHAPES = (
     ("explain_first", 65, 2, 8, 16),
     ("explain_hidden", 65, 16, 8, 16),
     ("train_hidden", 32, 16, 8, 16),
     ("train_hidden_11x11", 32, 16, 11, 16),
+    ("train_first_4x4", 32, 2, 4, 16),
+    ("train_hidden_4x4", 32, 16, 4, 16),
+    ("explain_hidden_4x4", 17, 16, 4, 16),
 )
+# (name, image side): train batches of the reference network and of many_nodes'
+TRAIN_SIDES = (("reference", 8), ("many_nodes", 4))
 # (nodes, P, p_in, p_out, embedding width): k-means on the SBM adjacency that
 # cluster sees, at P = ceil(sqrt(k)), and the silhouette of the metrics
 # stage's image embedding, on the reference run (k=64, 2x8x8 images) and the
@@ -178,6 +187,54 @@ def _peak_mb(fn):
         tracemalloc.stop()
 
 
+def conv_kernels(cnn, x, w, b, dout):
+    """(name, call) pairs that run the conv forward, weight-gradient and
+    input-gradient kernels of the module ``cnn`` on the channel-last batch
+    ``x`` and output gradient ``dout``. Trees from before the im2col kernels
+    take (B, C, H, W) batches; they get them laid out outside the timed call."""
+    import numpy as np
+
+    if hasattr(cnn, "_conv_forward"):
+        return (("conv_forward", lambda: cnn._conv_forward(x, w, b)),
+                ("conv_weight_grad", lambda: cnn._conv_weight_grad(x, w, dout)),
+                ("conv_input_grad", lambda: cnn._conv_input_grad(w, dout)))
+    x, dout = (np.ascontiguousarray(a.transpose(0, 3, 1, 2)) for a in (x, dout))
+    return (("conv_forward", lambda: cnn._conv_same(x, w, b)),
+            ("conv_weight_grad", lambda: cnn._conv_same_param_grads(x, w, dout)),
+            ("conv_input_grad", lambda: cnn._conv_same_input_grad(w, dout)))
+
+
+def train_batch(cnn, config, dtype, X, y):
+    """One batch of ``cnn.train`` as a call: ``loss_and_grad`` into one
+    gradient set that every batch refills, then the momentum update in place,
+    on the flat buffers where the tree trains on them and array by array
+    where it does not."""
+    import numpy as np
+
+    if hasattr(cnn, "_flat_params"):
+        weights, params = cnn._flat_params(config, dtype, cnn.init_params(config, seed=0))
+        grad_flat, grads = cnn._flat_params(config, dtype)
+        sets = [(cnn._flat_params(config, dtype)[0], grad_flat, weights)]
+    else:
+        params = cnn.init_params(config, seed=0).astype(dtype)
+        velocity = cnn._build_params(config, lambda name, shape: np.zeros(shape, dtype=dtype))
+        grads = cnn._build_params(config, lambda name, shape: np.empty(shape, dtype=dtype))
+        sets = [(v, g, p) for (_, v), (_, g), (_, p)
+                in zip(velocity.arrays(), grads.arrays(), params.arrays())]
+    scalar = np.dtype(dtype).type
+    lr, mom = scalar(config.learning_rate), scalar(config.momentum)
+
+    def call():
+        cnn.loss_and_grad(params, X, y, out=grads)
+        for v, g, p in sets:
+            g *= lr
+            v *= mom
+            v -= g
+            p += v
+
+    return call
+
+
 def kernel_benchmarks():
     """Microseconds per call of the conv kernels, FC products, train batch,
     Shapley sampling, k-means and silhouette of the g2i package on sys.path,
@@ -190,16 +247,12 @@ def kernel_benchmarks():
     out = {}
     for dtype in ("float64", "float32"):
         for name, B, C, side, F in CONV_SHAPES:
-            x = rng.normal(size=(B, C, side, side)).astype(dtype)
+            x = rng.normal(size=(B, side, side, C)).astype(dtype)
             w = rng.normal(size=(F, C, 5, 5)).astype(dtype)
             b = rng.normal(size=F).astype(dtype)
-            dout = rng.normal(size=(B, F, side, side)).astype(dtype)
+            dout = rng.normal(size=(B, side, side, F)).astype(dtype)
             shape = f"B={B} C={C} {side}x{side} F={F}"
-            for kernel, call in (
-                ("_conv_same", lambda: cnn._conv_same(x, w, b)),
-                ("_conv_same_param_grads", lambda: cnn._conv_same_param_grads(x, w, dout)),
-                ("_conv_same_input_grad", lambda: cnn._conv_same_input_grad(w, dout)),
-            ):
+            for kernel, call in conv_kernels(cnn, x, w, b, dout):
                 out[f"{kernel} {name} {dtype}"] = {
                     "shape": shape, "us": 1e6 * _per_call_s(call)}
         for name, B, n_in, n_out in FC_SHAPES:
@@ -215,27 +268,13 @@ def kernel_benchmarks():
             ):
                 out[f"{kernel} {name} {dtype}"] = {
                     "shape": shape, "us": 1e6 * _per_call_s(call)}
-        # one batch of cnn.train on the reference network: the gradients go into
-        # one set that every batch refills, then the momentum update in place
-        config = cnn.ConvNetConfig(input_side=8, input_channels=2, classes=4)
-        params = cnn.init_params(config, seed=0).astype(dtype)
-        velocity = cnn._build_params(config, lambda name, shape: np.zeros(shape, dtype=dtype))
-        grads = cnn._build_params(config, lambda name, shape: np.empty(shape, dtype=dtype))
-        X = rng.normal(size=(32, 2, 8, 8)).astype(dtype)
-        y = rng.integers(0, config.classes, 32)
-        scalar = np.dtype(dtype).type
-        lr, mom = scalar(config.learning_rate), scalar(config.momentum)
-
-        def train_batch():
-            cnn.loss_and_grad(params, X, y, out=grads)
-            for (_, v), (_, g), (_, p) in zip(velocity.arrays(), grads.arrays(), params.arrays()):
-                g *= lr
-                v *= mom
-                v -= g
-                p += v
-
-        out[f"train_batch reference {dtype}"] = {
-            "shape": "B=32 2x8x8, 4 classes", "us": 1e6 * _per_call_s(train_batch)}
+        for name, side in TRAIN_SIDES:
+            config = cnn.ConvNetConfig(input_side=side, input_channels=2, classes=4)
+            X = rng.normal(size=(32, 2, side, side)).astype(dtype)
+            y = rng.integers(0, config.classes, 32)
+            out[f"train_batch {name} {dtype}"] = {
+                "shape": f"B=32 2x{side}x{side}, 4 classes",
+                "us": 1e6 * _per_call_s(train_batch(cnn, config, dtype, X, y))}
     # one image's Shapley sampling as explain runs it: the reference network in
     # float32, a 2x8x8 image, every one of the k=64 feature cells a player
     config = cnn.ConvNetConfig(input_side=8, input_channels=2, classes=4)
