@@ -23,11 +23,11 @@ output's size. The chunk depends only on the image shape and dtype, so the
 sums, and the bits, are the same on every machine. loss_and_grad does not
 compute the gradient of the input images, which nothing reads.
 
-train holds four float32 network-sized sets: the weights, their velocity,
-the best weights so far and one set of gradients, which every batch refills.
-Each set is one flat buffer that its per-layer arrays view, in one layout
-for all four, so the momentum update is four in-place ufunc calls and
-keeping the best weights is one copy.
+A network's parameters are one flat buffer that its per-layer arrays view,
+in checkpoint order (ConvNetParams). train holds four float32 buffers of that
+size: the weights, their velocity, the best weights so far and one set of
+gradients, which every batch refills. So the momentum update is four in-place
+ufunc calls, and keeping the best weights is one copy.
 """
 
 from __future__ import annotations
@@ -74,29 +74,51 @@ class ConvNetConfig:
                 raise BadArgument(f"{name} must be positive, got {getattr(self, name)}")
 
 
-@dataclass
+def _param_table(config):
+    """(name, shape) of every parameter array of ``config``'s network, in
+    checkpoint order: conv0_w, conv0_b, ..., fc{n}_w, fc{n}_b."""
+    f, k = config.filters, config.kernel
+    table = []
+    for i in range(config.conv_layers):
+        table += [(f"conv{i}_w", (f, config.input_channels if i == 0 else f, k, k)),
+                  (f"conv{i}_b", (f,))]
+    sizes = [config.input_side * config.input_side * f, *config.fc_sizes, config.classes]
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        table += [(f"fc{i}_w", (fan_out, fan_in)), (f"fc{i}_b", (fan_out,))]
+    return table
+
+
 class ConvNetParams:
-    config: ConvNetConfig
-    conv_w: list
-    conv_b: list
-    fc_w: list
-    fc_b: list
+    """``config``'s network as one 1-D buffer, ``flat``, and per-layer arrays
+    that view consecutive slices of it in _param_table's order. Every set of
+    one config shares that layout, so one ufunc call on ``flat`` updates every
+    array."""
+
+    def __init__(self, config, flat):
+        self.config, self.flat = config, flat
+        self._arrays, offset = [], 0
+        for name, shape in _param_table(config):
+            size = math.prod(shape)
+            self._arrays.append((name, flat[offset : offset + size].reshape(shape)))
+            offset += size
+        views = [a for _, a in self._arrays]
+        n = 2 * config.conv_layers
+        self.conv_w, self.conv_b = views[0:n:2], views[1:n:2]
+        self.fc_w, self.fc_b = views[n::2], views[n + 1 :: 2]
+
+    @classmethod
+    def zeros(cls, config, dtype):
+        """A set of ``config``'s network holding zeros of ``dtype``."""
+        size = sum(math.prod(shape) for _, shape in _param_table(config))
+        return cls(config, np.zeros(size, dtype=dtype))
 
     def arrays(self):
-        """(name, array) pairs in a fixed order."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.conv_w, self.conv_b)):
-            out.append((f"conv{i}_w", w))
-            out.append((f"conv{i}_b", b))
-        for i, (w, b) in enumerate(zip(self.fc_w, self.fc_b)):
-            out.append((f"fc{i}_w", w))
-            out.append((f"fc{i}_b", b))
-        return out
+        """(name, array) pairs in checkpoint order."""
+        return self._arrays
 
     def astype(self, dtype):
         """A copy of the network with every array cast to ``dtype``."""
-        arrays = dict(self.arrays())
-        return _build_params(self.config, lambda name, shape: arrays[name].astype(dtype))
+        return ConvNetParams(self.config, self.flat.astype(dtype))
 
 
 @dataclass
@@ -109,54 +131,20 @@ class TrainReport:
     epoch_s: list = field(default_factory=list)     # wall time; not in report.csv
 
 
-def _build_params(config, array):
-    """ConvNetParams holding ``array(name, shape)`` for each parameter of
-    ``config``'s network, asked for as conv weights, conv biases, FC weights,
-    FC biases, each in layer order."""
-    f, k = config.filters, config.kernel
-    conv_w = [array(f"conv{i}_w", (f, config.input_channels if i == 0 else f, k, k))
-              for i in range(config.conv_layers)]
-    conv_b = [array(f"conv{i}_b", (f,)) for i in range(config.conv_layers)]
-    sizes = [config.input_side * config.input_side * f, *config.fc_sizes, config.classes]
-    fc_w = [array(f"fc{i}_w", shape) for i, shape in enumerate(zip(sizes[1:], sizes))]
-    fc_b = [array(f"fc{i}_b", (d,)) for i, d in enumerate(sizes[1:])]
-    return ConvNetParams(config=config, conv_w=conv_w, conv_b=conv_b, fc_w=fc_w, fc_b=fc_b)
-
-
-def _flat_params(config, dtype, values=None):
-    """(flat, params): one 1-D ``dtype`` buffer the size of ``config``'s
-    network, and a ConvNetParams whose arrays are views of consecutive slices
-    of it, in _build_params's order; they hold the arrays of the ConvNetParams
-    ``values``, cast, or zeros. Every set made here shares that layout, so one
-    ufunc call on the flat buffers updates every array."""
-    source = {} if values is None else dict(values.arrays())
-    sizes = _build_params(config, lambda name, shape: math.prod(shape)).arrays()
-    flat = np.zeros(sum(size for _, size in sizes), dtype=dtype)
-    offset = 0
-
-    def view(name, shape):
-        nonlocal offset
-        size = math.prod(shape)
-        offset += size
-        out = flat[offset - size : offset].reshape(shape)
-        if name in source:
-            np.copyto(out, source[name])
-        return out
-
-    return flat, _build_params(config, view)
-
-
 def init_params(config, seed=None):
-    """Fan-in uniform weights in +/- sqrt(6/fan_in); zero biases."""
+    """Fan-in uniform weights in +/- sqrt(6/fan_in), drawn in checkpoint
+    order; zero biases, which draw nothing."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-
-    def draw(name, shape):
-        if name.endswith("_b"):
-            return np.zeros(shape)
-        bound = np.sqrt(6.0 / np.prod(shape[1:]))
-        return rng.uniform(-bound, bound, size=shape)
-
-    return _build_params(config, draw)
+    params = ConvNetParams.zeros(config, np.float64)
+    for name, w in params.arrays():
+        if name.endswith("_w"):
+            bound = np.sqrt(6.0 / np.prod(w.shape[1:]))
+            # rng.uniform(-bound, bound)'s -bound + 2 * bound * U, without a
+            # temporary the size of the layer
+            rng.random(out=w)
+            w *= 2 * bound
+            w -= bound
+    return params
 
 
 def _chunk_images(H, W, k, C, itemsize):
@@ -235,7 +223,7 @@ def _forward_cached(params, batch):
     outputs, and the FC layers' inputs. A ReLU output is positive exactly
     where its input is, so it doubles as the backward pass's mask."""
     cfg = params.config
-    x = np.asarray(batch, dtype=params.conv_w[0].dtype)
+    x = np.asarray(batch, dtype=params.flat.dtype)
     if x.ndim != 4 or x.shape[1:] != (cfg.input_channels, cfg.input_side, cfg.input_side):
         raise ShapeMismatch(
             f"batch shape {x.shape} does not match (B, {cfg.input_channels}, "
@@ -269,9 +257,10 @@ def forward(params, batch):
 
 def loss_and_grad(params, batch, labels, out=None):
     """Mean cross-entropy and gradients for every parameter array. The
-    gradients are written into ``out``, a ConvNetParams with the same shapes,
-    when it is given: train fills one such set for every batch, where fresh
-    arrays would be freed and faulted in again each time."""
+    gradients are written into ``out``, a ConvNetParams of the same config,
+    when it is given, and into a new zeroed set when not: train fills one such
+    set for every batch, where fresh arrays would be freed and faulted in
+    again each time."""
     labels = np.asarray(labels)
     probs, (conv_acts, fc_acts) = _forward_cached(params, batch)
     B = probs.shape[0]
@@ -279,8 +268,7 @@ def loss_and_grad(params, batch, labels, out=None):
         raise ShapeMismatch(f"labels shape {labels.shape} does not match batch {B}")
     loss = _cross_entropy(probs, labels)
     if out is None:
-        dtype = params.conv_w[0].dtype
-        out = _build_params(params.config, lambda name, shape: np.empty(shape, dtype=dtype))
+        out = ConvNetParams.zeros(params.config, params.flat.dtype)
 
     dlogits = probs.copy()
     dlogits[np.arange(B), labels] -= 1.0
@@ -339,17 +327,10 @@ def train(images, split, config):
     dtype = np.float32      # the precision of the checkpoint
     X = np.asarray(images.tensors, dtype=dtype)
     y = np.asarray(images.labels)
-    weights, params = _flat_params(config, dtype, init_params(config))
-    # glibc maps blocks above a size threshold straight from the OS and keeps
-    # freed heap space up to twice that size, raising both to the largest
-    # mapped block freed so far. Training frees nothing that large, so without
-    # this block, freed at once, every batch's temporaries went back to the OS
-    # and were faulted in again: in float64, 136,000 minor page faults per
-    # train on the sbm_ref workload against 8,000 with it.
-    np.empty(max(a.size for _, a in params.arrays()), dtype=dtype)
-    velocity = _flat_params(config, dtype)[0]
-    grad_flat, grads = _flat_params(config, dtype)
-    best, best_params = _flat_params(config, dtype, params)
+    params = init_params(config).astype(dtype)
+    velocity = np.zeros_like(params.flat)
+    grads = ConvNetParams.zeros(config, dtype)
+    best = ConvNetParams(config, params.flat.copy())
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = TrainReport()
     best_val = np.inf
@@ -362,10 +343,10 @@ def train(images, split, config):
             batch_idx = order[start : start + config.batch_size]
             epoch_losses.append(loss_and_grad(params, X[batch_idx], y[batch_idx], out=grads)[0])
             # v = mom * v - lr * g in place, rounded as `v -= lr * g` rounds it
-            grad_flat *= lr
+            grads.flat *= lr
             velocity *= mom
-            velocity -= grad_flat
-            weights += velocity
+            velocity -= grads.flat
+            params.flat += velocity
         val_loss, val_probs = _mean_ce(params, X[split.val], y[split.val])
         val_acc = float((val_probs.argmax(axis=1) == y[split.val]).mean())
         report.train_loss.append(float(np.mean(epoch_losses)))
@@ -373,13 +354,13 @@ def train(images, split, config):
         report.val_acc.append(val_acc)
         if val_loss < best_val:
             best_val = val_loss
-            np.copyto(best, weights)
+            np.copyto(best.flat, params.flat)
             report.best_epoch = epoch
         report.epoch_s.append(time.perf_counter() - started)
     # the float64 copy below takes two of their size
-    del weights, params, velocity, grad_flat, grads
-    report.test_metrics = evaluate(best_params.astype(np.float64), images, split.test)
-    return best_params, report
+    del params, velocity, grads
+    report.test_metrics = evaluate(best.astype(np.float64), images, split.test)
+    return best, report
 
 
 def classification_metrics(y_true, y_pred, n_classes):
@@ -411,7 +392,7 @@ def evaluate(params, images, indices):
     indices = np.asarray(indices)
     if len(indices) == 0:
         raise EmptySplit("no indices to evaluate")
-    X = images.tensors[indices].astype(np.float64)
+    X = images.tensors[indices]     # forward casts each chunk to the network's dtype
     y = np.asarray(images.labels)[indices]
     preds = predict_proba(params, X).argmax(axis=1)
     return classification_metrics(y, preds, params.config.classes)
@@ -434,18 +415,17 @@ def load_checkpoint(path, config):
 
     entries, _ = read_named_tensors(path)
     stored = {name: arr for name, _, arr in entries}
-
-    def take(name, shape):
+    params = ConvNetParams.zeros(config, np.float64)
+    for name, view in params.arrays():
         if name not in stored:
             raise ShapeMismatch(f"{path}: no array {name!r}")
-        if stored[name].shape != shape:
+        if stored[name].shape != view.shape:
             raise ShapeMismatch(f"{path}: {name} has shape {stored[name].shape}, "
-                                f"the model expects {shape}")
+                                f"the model expects {view.shape}")
         if not np.isfinite(stored[name]).all():
             raise DegenerateData(f"{path}: {name} holds NaN or infinite values")
-        return stored[name].astype(np.float64)
-
-    return _build_params(config, take)
+        view[...] = stored[name]
+    return params
 
 
 def write_report(report, path):

@@ -124,30 +124,6 @@ def kmeanspp_init(rows, P, seed):
     return rows[chosen]
 
 
-def _centroid_sums(rows, assignment, P):
-    """(P, width) sums of each community's rows. Each sum adds its rows in row
-    order to 0.0, as rows[assignment == c].mean(axis=0) does, but a block at a
-    time: the sum so far leads each block's members into one reduction. (numpy
-    sums a single column pairwise, so rows one column wide can differ from that
-    mean in the last bit; no g2i stage clusters such rows.)"""
-    sums = np.zeros((P, rows.shape[1]))
-    for blk in _blocks(rows):
-        block_assignment = assignment[blk]
-        for c in np.unique(block_assignment):
-            sums[c] = _add_rows(sums[c], rows[blk], np.flatnonzero(block_assignment == c))
-    return sums
-
-
-def _add_rows(total, rows, idx):
-    # np.add.reduce over ``total`` and then rows[idx], in one buffer that is
-    # freed on return; mode="clip" fills `out` directly, where the default
-    # mode would fill a copy first
-    members = np.empty((1 + len(idx), rows.shape[1]))
-    members[0] = total
-    np.take(rows, idx, axis=0, out=members[1:], mode="clip")
-    return np.add.reduce(members, axis=0)
-
-
 def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
     """Lloyd's algorithm on arbitrary row vectors.
 
@@ -173,7 +149,13 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
             break
         assignment = new_assignment
         counts = np.bincount(assignment, minlength=P)
-        sums = _centroid_sums(rows, assignment, P)
+        # each community's rows added in row order to 0.0, as
+        # rows[assignment == c].mean(axis=0) sums them, without a copy of them
+        # (numpy sums a single column pairwise, so rows one column wide can
+        # differ from that mean in the last bit; no g2i stage clusters such rows)
+        sums = np.zeros((P, rows.shape[1]))
+        for row, c in zip(rows, assignment.tolist()):
+            sums[c] += row
         for c in range(P):
             if counts[c]:
                 centroids[c] = sums[c] / counts[c]

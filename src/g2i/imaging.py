@@ -17,6 +17,7 @@ Binary tensor container (little-endian):
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -123,6 +124,10 @@ def render_all(graph, model, s_layout, f_layouts, modalities=None, channel_names
 # --- serialization ---
 
 _MAX_DIM = 2**32 - 1
+# numpy (2.0 and later) makes arrays of at most 64 dimensions, whose nonzero
+# dimensions take at most intp-max bytes
+_MAX_NDIM = 64
+_MAX_BYTES = np.iinfo(np.intp).max
 
 
 def write_named_tensors(entries, channel_names, path):
@@ -148,7 +153,8 @@ def write_named_tensors(entries, channel_names, path):
 
 
 def read_named_tensors(path):
-    """Inverse of write_named_tensors; returns (entries, channel_names)."""
+    """Inverse of write_named_tensors; returns (entries, channel_names). A
+    file it cannot read raises a G2IError that names the file and the byte."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -164,36 +170,43 @@ def read_named_tensors(path):
         pos += size
         return out
 
+    def text(what):
+        nonlocal pos
+        (length,) = take("<H")
+        if pos + length > len(data):
+            raise TruncatedFile(f"{path}: truncated {what} at byte {pos}")
+        try:
+            out = data[pos : pos + length].decode("utf-8")
+        except UnicodeDecodeError:
+            raise BadMagic(f"{path}: {what} at byte {pos} is not UTF-8") from None
+        pos += length
+        return out
+
     version, count = take("<HI")
     if version != VERSION:
         raise BadMagic(f"{path}: unsupported version {version}")
     entries = []
     for _ in range(count):
-        (nlen,) = take("<H")
-        if pos + nlen > len(data):
-            raise TruncatedFile(f"{path}: truncated name at byte {pos}")
-        name = data[pos : pos + nlen].decode("utf-8")
-        pos += nlen
+        start = pos
+        name = text("tensor name")
         label, ndim = take("<iB")
+        if ndim > _MAX_NDIM:
+            raise ShapeOverflow(f"{path}: tensor {name!r} at byte {start} has {ndim} "
+                                f"dimensions, more than numpy's {_MAX_NDIM}")
         shape = take(f"<{ndim}I")
-        n_values = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        if n_values < 0 or n_values * 4 > len(data):
-            raise ShapeOverflow(f"{path}: tensor {name!r} shape {shape} too large")
+        # exact products: an int64 one can wrap past the size check
+        n_values = math.prod(shape)
+        if n_values * 4 > len(data) or math.prod(filter(None, shape)) * 4 > _MAX_BYTES:
+            raise ShapeOverflow(f"{path}: tensor {name!r} at byte {start} has shape "
+                                f"{shape}, too large")
         nbytes = n_values * 4
         if pos + nbytes > len(data):
-            raise TruncatedFile(f"{path}: truncated payload for {name!r}")
+            raise TruncatedFile(f"{path}: truncated payload for {name!r} at byte {pos}")
         arr = np.frombuffer(data, dtype="<f4", count=n_values, offset=pos).reshape(shape)
         pos += nbytes
         entries.append((name, label, arr.copy()))
     (ncn,) = take("<H")
-    channel_names = []
-    for _ in range(ncn):
-        (clen,) = take("<H")
-        if pos + clen > len(data):
-            raise TruncatedFile(f"{path}: truncated channel name")
-        channel_names.append(data[pos : pos + clen].decode("utf-8"))
-        pos += clen
-    return entries, tuple(channel_names)
+    return entries, tuple(text("channel name") for _ in range(ncn))
 
 
 def write_tensor(image_set, path):

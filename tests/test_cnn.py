@@ -334,6 +334,62 @@ class TestFloat32Inference:
         np.testing.assert_allclose(low, cnn.predict_proba(params, X), rtol=0, atol=1e-5)
 
 
+def _checkpoint_order(config):
+    """conv0_w, conv0_b, ..., fc{n}_w, fc{n}_b of ``config``'s network."""
+    layers = [f"conv{i}" for i in range(config.conv_layers)]
+    layers += [f"fc{i}" for i in range(len(config.fc_sizes) + 1)]
+    return [f"{layer}_{part}" for layer in layers for part in "wb"]
+
+
+class TestFlatLayout:
+    """Every ConvNetParams is one 1-D buffer, ``flat``, whose arrays view it
+    back to back in checkpoint order."""
+
+    def _assert_flat(self, params, dtype):
+        flat = params.flat
+        assert flat.ndim == 1 and flat.dtype == dtype and flat.flags.c_contiguous
+        assert [name for name, _ in params.arrays()] == _checkpoint_order(params.config)
+        by_name = dict(params.arrays())
+        for i, (w, b) in enumerate(zip(params.conv_w, params.conv_b)):
+            assert w is by_name[f"conv{i}_w"] and b is by_name[f"conv{i}_b"]
+        for i, (w, b) in enumerate(zip(params.fc_w, params.fc_b)):
+            assert w is by_name[f"fc{i}_w"] and b is by_name[f"fc{i}_b"]
+        # writing the buffer shows through every array in order, with no gap
+        flat[...] = np.arange(flat.size)
+        joined = np.concatenate([a.reshape(-1) for _, a in params.arrays()])
+        assert joined.size == flat.size and np.array_equal(joined, np.arange(flat.size))
+
+    def test_every_set_is_one_buffer(self, tmp_path):
+        cfg = _tiny_config(conv_layers=3)
+        params = init_params(cfg)
+        save_checkpoint(params, tmp_path / "ckpt.g2t")
+        X = np.random.default_rng(15).normal(size=(4, 2, 6, 6))
+        grads = loss_and_grad(params, X, np.array([0, 1, 2, 0]))[1]
+        low = params.astype(np.float32)
+        loaded = load_checkpoint(tmp_path / "ckpt.g2t", cfg)
+        zeros = cnn.ConvNetParams.zeros(cfg, np.float32)
+        assert not zeros.flat.any()
+        for case, dtype in [(params, np.float64), (grads, np.float64), (low, np.float32),
+                            (loaded, np.float64), (zeros, np.float32)]:
+            self._assert_flat(case, dtype)
+
+    def test_train_returns_one_buffer(self):
+        images = _image_fixture(n=40)
+        split = split_dataset(images.labels, seed=0)
+        params, _ = train(images, split, _tiny_config(input_side=8, classes=2, max_epochs=1))
+        self._assert_flat(params, np.float32)
+
+    def test_checkpoint_entries_in_checkpoint_order(self, tmp_path):
+        cfg = _tiny_config(conv_layers=3)
+        params = init_params(cfg)
+        save_checkpoint(params, tmp_path / "ckpt.g2t")
+        entries, channels = read_named_tensors(tmp_path / "ckpt.g2t")
+        assert [name for name, _, _ in entries] == _checkpoint_order(cfg)
+        assert channels == () and all(label == -1 for _, label, _ in entries)
+        for (name, _, stored), (_, a) in zip(entries, params.arrays()):
+            assert np.array_equal(stored, a.astype(np.float32)), name
+
+
 class TestConfig:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -568,7 +624,7 @@ def _copying_train(images, split, config):
     X = images.tensors.astype(np.float32)
     y = np.asarray(images.labels)
     params = init_params(config).astype(np.float32)
-    velocity = cnn._build_params(config, lambda name, shape: np.zeros(shape, dtype=np.float32))
+    velocity = cnn.ConvNetParams.zeros(config, np.float32)
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = cnn.TrainReport()
     best_val = np.inf

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2i.community import association_matrix, community_count, fit_communities
-from g2i.errors import BadMagic, G2IError, LayoutMismatch, TruncatedFile
+from g2i.errors import BadMagic, G2IError, LayoutMismatch, ShapeOverflow, TruncatedFile
 from g2i.graph import generate_sbm
 from g2i.imaging import (
     build_feature_layout,
@@ -272,6 +274,61 @@ class TestSerialization:
         for (n1, l1, a1), (n2, l2, a2) in zip(entries, loaded):
             assert n1 == n2 and l1 == l2
             assert np.array_equal(a1, a2)
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """A directory of small files laid out as g2i writes centroids.g2t,
+    images.g2t and checkpoint.g2t."""
+    directory = tmp_path_factory.mktemp("containers")
+    rng = np.random.default_rng(3)
+    write_named_tensors([("centroids", -1, rng.normal(size=(4, 6)))], (),
+                        directory / "centroids.g2t")
+    write_named_tensors([(f"node{i}", i % 2, rng.normal(size=(2, 3, 3))) for i in range(3)],
+                        ("structure", "modality0"), directory / "images.g2t")
+    write_named_tensors([("conv0_w", -1, rng.normal(size=(2, 2, 3, 3))),
+                         ("conv0_b", -1, np.zeros(2)),
+                         ("fc0_w", -1, rng.normal(size=(2, 18))),
+                         ("fc0_b", -1, np.zeros(2))], (), directory / "checkpoint.g2t")
+    return directory
+
+
+class TestMutatedContainers:
+    """A damaged container file ends as a G2IError that names the file and
+    the byte, never as a raw numpy or decoding error."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_read_tensor_returns_or_raises_g2ierror(self, containers, data):
+        name = data.draw(st.sampled_from(["centroids.g2t", "images.g2t", "checkpoint.g2t"]))
+        raw = bytearray((containers / name).read_bytes())
+        edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+        for pos, value in data.draw(st.lists(edits, min_size=1, max_size=4)):
+            raw[pos] = value
+        path = containers / "mutated.g2t"
+        path.write_bytes(bytes(raw[: data.draw(st.integers(4, len(raw)))]))
+        try:
+            read_tensor(path)
+        except G2IError as exc:
+            assert str(path) in str(exc)
+
+    # centroids.g2t: a 9-byte name at byte 12, its label at 21, its dimension
+    # count at 25. 65 zero dimensions make an empty tensor, and 65536**4 wraps
+    # an int64 product to 0, which would pass the size check.
+    @pytest.mark.parametrize("offset, patch, error, message", [
+        (12, b"\xff", BadMagic, r"tensor name at byte 12 is not UTF-8"),
+        (25, b"\x41" + bytes(65 * 4), ShapeOverflow,
+         r"tensor 'centroids' at byte 10 has 65 dimensions"),
+        (25, b"\x04" + (65536).to_bytes(4, "little") * 4, ShapeOverflow,
+         r"tensor 'centroids' at byte 10 has shape \(65536, 65536, 65536, 65536\), too large"),
+    ], ids=["non-utf8-name", "65-dimensions", "wrapping-shape"])
+    def test_named_error(self, containers, offset, patch, error, message):
+        raw = bytearray((containers / "centroids.g2t").read_bytes())
+        raw[offset : offset + len(patch)] = patch
+        path = containers / "edited.g2t"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(error, match=f"edited.g2t: {message}"):
+            read_named_tensors(path)
 
 
 class TestMultiModality:

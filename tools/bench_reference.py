@@ -30,9 +30,9 @@ fresh process per tree, the rounds alternate between the trees, and the file
 keeps each kernel's median over the rounds. The k-means and silhouette rows
 also hold ``peak_mb``, the most memory one call allocates, as numpy reports
 its buffers to tracemalloc. The FC products call numpy alone, not g2i, so
-their differences between trees show the noise of the machine. Trees from
-before the im2col conv kernels are timed through their per-tap kernels under
-the same row names.
+their differences between trees show the noise of the machine. The script
+times the im2col conv kernels and the ``ConvNetParams.flat`` buffers, so it
+measures no tree older than those.
 
 This script is not part of the test suite; a default run takes several
 minutes.
@@ -187,50 +187,24 @@ def _peak_mb(fn):
         tracemalloc.stop()
 
 
-def conv_kernels(cnn, x, w, b, dout):
-    """(name, call) pairs that run the conv forward, weight-gradient and
-    input-gradient kernels of the module ``cnn`` on the channel-last batch
-    ``x`` and output gradient ``dout``. Trees from before the im2col kernels
-    take (B, C, H, W) batches; they get them laid out outside the timed call."""
-    import numpy as np
-
-    if hasattr(cnn, "_conv_forward"):
-        return (("conv_forward", lambda: cnn._conv_forward(x, w, b)),
-                ("conv_weight_grad", lambda: cnn._conv_weight_grad(x, w, dout)),
-                ("conv_input_grad", lambda: cnn._conv_input_grad(w, dout)))
-    x, dout = (np.ascontiguousarray(a.transpose(0, 3, 1, 2)) for a in (x, dout))
-    return (("conv_forward", lambda: cnn._conv_same(x, w, b)),
-            ("conv_weight_grad", lambda: cnn._conv_same_param_grads(x, w, dout)),
-            ("conv_input_grad", lambda: cnn._conv_same_input_grad(w, dout)))
-
-
 def train_batch(cnn, config, dtype, X, y):
     """One batch of ``cnn.train`` as a call: ``loss_and_grad`` into one
-    gradient set that every batch refills, then the momentum update in place,
-    on the flat buffers where the tree trains on them and array by array
-    where it does not."""
+    gradient set that every batch refills, then the momentum update in place
+    on the flat buffers."""
     import numpy as np
 
-    if hasattr(cnn, "_flat_params"):
-        weights, params = cnn._flat_params(config, dtype, cnn.init_params(config, seed=0))
-        grad_flat, grads = cnn._flat_params(config, dtype)
-        sets = [(cnn._flat_params(config, dtype)[0], grad_flat, weights)]
-    else:
-        params = cnn.init_params(config, seed=0).astype(dtype)
-        velocity = cnn._build_params(config, lambda name, shape: np.zeros(shape, dtype=dtype))
-        grads = cnn._build_params(config, lambda name, shape: np.empty(shape, dtype=dtype))
-        sets = [(v, g, p) for (_, v), (_, g), (_, p)
-                in zip(velocity.arrays(), grads.arrays(), params.arrays())]
+    params = cnn.init_params(config, seed=0).astype(dtype)
+    velocity = cnn.ConvNetParams.zeros(config, dtype)
+    grads = cnn.ConvNetParams.zeros(config, dtype)
     scalar = np.dtype(dtype).type
     lr, mom = scalar(config.learning_rate), scalar(config.momentum)
 
     def call():
         cnn.loss_and_grad(params, X, y, out=grads)
-        for v, g, p in sets:
-            g *= lr
-            v *= mom
-            v -= g
-            p += v
+        grads.flat *= lr
+        velocity.flat *= mom
+        velocity.flat -= grads.flat
+        params.flat += velocity.flat
 
     return call
 
@@ -252,7 +226,11 @@ def kernel_benchmarks():
             b = rng.normal(size=F).astype(dtype)
             dout = rng.normal(size=(B, side, side, F)).astype(dtype)
             shape = f"B={B} C={C} {side}x{side} F={F}"
-            for kernel, call in conv_kernels(cnn, x, w, b, dout):
+            for kernel, call in (
+                ("conv_forward", lambda: cnn._conv_forward(x, w, b)),
+                ("conv_weight_grad", lambda: cnn._conv_weight_grad(x, w, dout)),
+                ("conv_input_grad", lambda: cnn._conv_input_grad(w, dout)),
+            ):
                 out[f"{kernel} {name} {dtype}"] = {
                     "shape": shape, "us": 1e6 * _per_call_s(call)}
         for name, B, n_in, n_out in FC_SHAPES:
