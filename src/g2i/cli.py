@@ -131,65 +131,107 @@ def _add_modality(cfg, name, path, where):
     cfg.modalities[name] = path
 
 
-# --- artifact paths ---
+# --- artifacts ---
+
+# every file the stages write under --out: key -> (file name, the stage that
+# writes it); `layout` also writes one _f_layout_path per modality.
+# perfbench/child.py hashes the files that _paths and _f_layout_path name.
+_ARTIFACTS = {
+    "edges": ("edges.tsv", "ingest"),
+    "features": ("features.csv", "ingest"),
+    "labels": ("labels.csv", "ingest"),
+    "communities": ("communities.csv", "cluster"),
+    "centroids": ("centroids.g2t", "cluster"),
+    "s_layout": ("structural_layout.csv", "layout"),
+    "images": ("images.g2t", "render"),
+    "checkpoint": ("checkpoint.g2t", "train"),
+    "report": ("report.csv", "train"),
+    "eval": ("eval.csv", "eval"),
+    "importance": ("importance.csv", "explain"),
+    "dendrogram": ("class_dendrogram.nwk", "explain"),
+    "metrics": ("metrics.csv", "metrics"),
+    "debug_image": ("image0.csv", "render"),
+}
+
+
+def _path(cfg, key):
+    return Path(cfg.out) / _ARTIFACTS[key][0]
+
 
 def _paths(cfg):
-    out = Path(cfg.out)
-    return {
-        "edges": out / "edges.tsv",
-        "features": out / "features.csv",
-        "labels": out / "labels.csv",
-        "communities": out / "communities.csv",
-        "centroids": out / "centroids.g2t",
-        "s_layout": out / "structural_layout.csv",
-        "images": out / "images.g2t",
-        "checkpoint": out / "checkpoint.g2t",
-        "report": out / "report.csv",
-        "eval": out / "eval.csv",
-        "importance": out / "importance.csv",
-        "dendrogram": out / "class_dendrogram.nwk",
-        "metrics": out / "metrics.csv",
-        "debug_image": out / "image0.csv",
-    }
+    return {key: _path(cfg, key) for key in _ARTIFACTS}
 
 
 def _f_layout_path(cfg, name):
     return Path(cfg.out) / f"feature_layout_{name}.csv"
 
 
-def _labels_path(cfg):
-    """The ingested label file, or None when the input had no labels."""
-    path = _paths(cfg)["labels"]
-    return path if path.exists() else None
+def _written(path, stage):
+    """``path``, which g2i ``stage`` writes and a later stage reads."""
+    if not path.exists():
+        raise G2IError(f"{path} is missing; g2i {stage} writes it")
+    return path
 
 
-def _load_nodes(cfg):
-    """The ingested nodes, features and labels; the stages after cluster never
-    read the edges."""
-    return load_nodes(_paths(cfg)["features"], _labels_path(cfg))
+def _input(cfg, key):
+    """The path of artifact ``key``, which an earlier stage wrote; None for the
+    labels of input ingested without them."""
+    path = _path(cfg, key)
+    if key == "labels" and not path.exists():
+        return None
+    return _written(path, _ARTIFACTS[key][1])
 
 
 def _modality_list(cfg, nodes):
-    """(name, feature matrix, feature names) per modality; primary first."""
+    """(name, feature matrix, feature names) per modality, primary first; the
+    rows of each --modality file in ``nodes``' order."""
+    from .graph import _read_features
+
     mods = [("features", nodes.features, list(nodes.feature_names))]
-    for name in sorted(cfg.modalities):
-        F, fnames = _read_feature_csv(cfg.modalities[name], nodes.node_ids)
-        mods.append((name, F, fnames))
+    for name, path in sorted(cfg.modalities.items()):
+        ids, F, fnames = _read_features(path)
+        index = {nid: i for i, nid in enumerate(ids)}
+        missing = [nid for nid in nodes.node_ids if nid not in index]
+        if missing:
+            raise UnknownNodeId(f"{path}: no row for {len(missing)} node id(s), first "
+                                f"{', '.join(map(repr, missing[:5]))}")
+        mods.append((name, F[[index[nid] for nid in nodes.node_ids]], fnames))
     return mods
 
 
-def _read_feature_csv(path, node_ids):
-    """Feature rows of ``path`` in ``node_ids`` order, and the feature names."""
-    from .graph import _read_features
+def _read_model(cfg, nodes):
+    """The communities that cluster wrote for ``nodes``."""
+    centroids = community.read_centroids(_input(cfg, "centroids"), nodes.n)
+    P = len(centroids)
+    assignment = community.read_assignment(_input(cfg, "communities"), nodes.node_ids, P)
+    return community.CommunityModel(P=P, centroids=centroids, assignment=assignment,
+                                    inertia_history=(), seed=stage_seed(cfg.seed, "cluster"))
 
-    ids, F, names = _read_features(path)
-    index = {nid: i for i, nid in enumerate(ids)}
-    missing = [nid for nid in node_ids if nid not in index]
-    if missing:
-        raise UnknownNodeId(f"{path}: no row for {len(missing)} node id(s), first "
-                            f"{', '.join(map(repr, missing[:5]))}")
-    rows = np.array([index[nid] for nid in node_ids])
-    return F[rows], names
+
+def _read_feature_layouts(cfg, mods):
+    """The feature cells of each modality, read back from its layout file,
+    whose lines name the modality's features in order."""
+    side = _image_side(mods)
+    return [imaging.read_layout(_written(_f_layout_path(cfg, name), "layout"), side, fnames)
+            for name, _, fnames in mods]
+
+
+def _read_dataset(cfg):
+    """The labeled images, their split, and the config of the network that
+    learns them."""
+    path = _input(cfg, "images")
+    image_set = imaging.read_tensor(path)
+    if image_set.labels is None:
+        raise G2IError(f"{path}: this stage requires labeled images (ingest with --labels)")
+    split = split_dataset(image_set.labels, cfg.ratios, stage_seed(cfg.seed, "split"))
+    _, channels, side, _ = image_set.tensors.shape
+    config = cnn.ConvNetConfig(
+        input_side=side, input_channels=channels, classes=int(image_set.labels.max()) + 1,
+        learning_rate=cfg.learning_rate, momentum=cfg.momentum,
+        batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
+        seed=stage_seed(cfg.seed, "train"),
+    )
+    return image_set, split, config
 
 
 # --- stages ---
@@ -197,21 +239,21 @@ def _read_feature_csv(path, node_ids):
 def stage_synth(cfg):
     graph = generate_sbm(cfg.blocks, cfg.p_in, cfg.p_out, cfg.k, cfg.signal,
                          stage_seed(cfg.seed, "synth"))
-    p = _paths(cfg)
-    write_graph(graph, p["edges"], p["features"], p["labels"])
+    write_graph(graph, *(_path(cfg, key) for key in ("edges", "features", "labels")))
     return graph
 
 
 def stage_ingest(cfg):
+    for flag in ("edges", "features"):
+        if not getattr(cfg, flag):
+            raise BadArgument(f"ingest needs --{flag} FILE")
     graph = load_graph(cfg.edges, cfg.features, cfg.labels or None)
-    p = _paths(cfg)
-    write_graph(graph, p["edges"], p["features"], p["labels"] if graph.labels is not None else None)
+    write_graph(graph, *(_path(cfg, key) for key in ("edges", "features", "labels")))
     return graph
 
 
 def stage_cluster(cfg):
-    p = _paths(cfg)
-    graph = load_graph(p["edges"], p["features"], _labels_path(cfg))
+    graph = load_graph(_input(cfg, "edges"), _input(cfg, "features"), _input(cfg, "labels"))
     if cfg.p_override is None:
         P = community.community_count(graph.k)
     else:
@@ -222,20 +264,10 @@ def stage_cluster(cfg):
                               f"ceil(sqrt(P)) must fit the image side {side}, the widest "
                               f"modality's ceil(sqrt(k))")
     model = community.fit_communities(graph, P, stage_seed(cfg.seed, "cluster"))
-    community.write_communities(model, graph, p["communities"])
-    imaging.write_named_tensors([("centroids", -1, model.centroids)], (), p["centroids"])
+    community.write_communities(model, graph, _path(cfg, "communities"))
+    imaging.write_named_tensors([("centroids", -1, model.centroids)], (),
+                                _path(cfg, "centroids"))
     return model
-
-
-def _load_model(cfg, nodes):
-    p = _paths(cfg)
-    entries, _ = imaging.read_named_tensors(p["centroids"])
-    centroids = entries[0][2].astype(np.float64)
-    assignment = community.read_assignment(p["communities"], nodes.node_ids, centroids.shape[0])
-    return community.CommunityModel(
-        P=centroids.shape[0], centroids=centroids, assignment=assignment,
-        inertia_history=(), seed=stage_seed(cfg.seed, "cluster"),
-    )
 
 
 def _image_side(mods):
@@ -244,13 +276,12 @@ def _image_side(mods):
 
 
 def stage_layout(cfg):
-    nodes = _load_nodes(cfg)
-    model = _load_model(cfg, nodes)
+    nodes = load_nodes(_input(cfg, "features"), _input(cfg, "labels"))
+    model = _read_model(cfg, nodes)
     assoc = community.association_matrix(model)
     seed = stage_seed(cfg.seed, "layout")
     s_layout = imaging.build_structural_layout(assoc, seed, cfg.epsilon, cfg.restarts)
-    p = _paths(cfg)
-    imaging.write_layout(s_layout, _community_names(model.P), p["s_layout"])
+    imaging.write_layout(s_layout, _community_names(model.P), _path(cfg, "s_layout"))
     mods = _modality_list(cfg, nodes)
     side = _image_side(mods)
     for name, F, fnames in mods:
@@ -264,28 +295,19 @@ def _community_names(P):
     return [f"community{i}" for i in range(P)]
 
 
-def _read_feature_layouts(cfg, mods):
-    """The feature cells of each modality, read back from its layout file,
-    whose lines name the modality's features in order."""
-    side = _image_side(mods)
-    return [imaging.read_layout(_f_layout_path(cfg, name), side, fnames)
-            for name, _, fnames in mods]
-
-
 def stage_render(cfg):
-    nodes = _load_nodes(cfg)
-    model = _load_model(cfg, nodes)
+    nodes = load_nodes(_input(cfg, "features"), _input(cfg, "labels"))
+    model = _read_model(cfg, nodes)
     mods = _modality_list(cfg, nodes)
-    p = _paths(cfg)
-    s_layout = imaging.read_layout(p["s_layout"], community.community_count(model.P),
+    s_layout = imaging.read_layout(_input(cfg, "s_layout"), community.community_count(model.P),
                                    _community_names(model.P))
     image_set = imaging.render_all(
         nodes, model, s_layout, _read_feature_layouts(cfg, mods),
         modalities=[F for _, F, _ in mods],
         channel_names=["structure"] + [name for name, _, _ in mods],
     )
-    imaging.write_tensor(image_set, p["images"])
-    _dump_debug_image(image_set, p["debug_image"])
+    imaging.write_tensor(image_set, _path(cfg, "images"))
+    _dump_debug_image(image_set, _path(cfg, "debug_image"))
     return image_set
 
 
@@ -298,48 +320,18 @@ def _dump_debug_image(image_set, path):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _cnn_config(cfg, image_set):
-    _, channels, side, _ = image_set.tensors.shape
-    classes = int(np.asarray(image_set.labels).max()) + 1
-    return cnn.ConvNetConfig(
-        input_side=side, input_channels=channels, classes=classes,
-        learning_rate=cfg.learning_rate, momentum=cfg.momentum,
-        batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
-        seed=stage_seed(cfg.seed, "train"),
-    )
-
-
-def _split_for(cfg, image_set):
-    return split_dataset(image_set.labels, cfg.ratios, stage_seed(cfg.seed, "split"))
-
-
-def _read_labeled_images(cfg):
-    path = _paths(cfg)["images"]
-    image_set = imaging.read_tensor(path)
-    if image_set.labels is None:
-        raise G2IError(f"{path}: this stage requires labeled images (ingest with --labels)")
-    return image_set
-
-
 def stage_train(cfg):
-    p = _paths(cfg)
-    image_set = _read_labeled_images(cfg)
-    split = _split_for(cfg, image_set)
-    config = _cnn_config(cfg, image_set)
-    params, report = cnn.train(image_set, split, config)
-    cnn.save_checkpoint(params, p["checkpoint"])
-    cnn.write_report(report, p["report"])
+    params, report = cnn.train(*_read_dataset(cfg))
+    cnn.save_checkpoint(params, _path(cfg, "checkpoint"))
+    cnn.write_report(report, _path(cfg, "report"))
     return params, report
 
 
 def stage_eval(cfg):
-    p = _paths(cfg)
-    image_set = _read_labeled_images(cfg)
-    split = _split_for(cfg, image_set)
-    config = _cnn_config(cfg, image_set)
-    params = cnn.load_checkpoint(p["checkpoint"], config)
+    image_set, split, config = _read_dataset(cfg)
+    params = cnn.load_checkpoint(_input(cfg, "checkpoint"), config)
     result = cnn.evaluate(params, image_set, split.test)
-    with open(p["eval"], "w", encoding="utf-8") as fh:
+    with open(_path(cfg, "eval"), "w", encoding="utf-8") as fh:
         fh.write("metric,value\n")
         for key in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
             fh.write(f"{key},{result[key]!r}\n")
@@ -347,16 +339,13 @@ def stage_eval(cfg):
 
 
 def stage_explain(cfg):
-    p = _paths(cfg)
-    nodes = _load_nodes(cfg)
+    nodes = load_nodes(_input(cfg, "features"), _input(cfg, "labels"))
     mods = _modality_list(cfg, nodes)
     f_layouts = _read_feature_layouts(cfg, mods)
-    image_set = _read_labeled_images(cfg)
-    split = _split_for(cfg, image_set)
-    config = _cnn_config(cfg, image_set)
+    image_set, split, config = _read_dataset(cfg)
     # coalitions are scored in float32, about twice as fast as float64; the
     # checkpoint stores float32, so the cast loses nothing
-    params = cnn.load_checkpoint(p["checkpoint"], config).astype(np.float32)
+    params = cnn.load_checkpoint(_input(cfg, "checkpoint"), config).astype(np.float32)
     predict = lambda batch: cnn.predict_proba(params, batch)
 
     feature_sets = [attribution.select_hvf(F, cfg.n_hvf) for _, F, _ in mods]
@@ -372,25 +361,24 @@ def stage_explain(cfg):
         values, feature_sets, [fnames for _, _, fnames in mods], class_names,
         modality_names=[name for name, _, _ in mods],
     )
-    table.to_csv(p["importance"])
+    table.to_csv(_path(cfg, "importance"))
 
     # class-level dendrogram over raw SHAP profiles
     if len(class_names) >= 2:
         dend = attribution.cluster_profiles(table.raw.T, labels=list(class_names))
-        with open(p["dendrogram"], "w", encoding="utf-8") as fh:
+        with open(_path(cfg, "dendrogram"), "w", encoding="utf-8") as fh:
             fh.write(attribution.dendrogram_to_newick(dend) + "\n")
     return table
 
 
 def stage_metrics(cfg):
-    p = _paths(cfg)
-    image_set = _read_labeled_images(cfg)
+    image_set, _, _ = _read_dataset(cfg)
     # flattened in (P, P, C) order, which the silhouette's summation order depends on
     n = len(image_set.node_ids)
     embedding = image_set.tensors.transpose(0, 2, 3, 1).reshape(n, -1).astype(np.float64)
     scores = metrics.score_embedding(embedding, image_set.labels,
                                      seed=stage_seed(cfg.seed, "metrics"))
-    metrics.write_scores({"g2i": scores}, p["metrics"])
+    metrics.write_scores({"g2i": scores}, _path(cfg, "metrics"))
     return scores
 
 

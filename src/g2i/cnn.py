@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadArgument, DegenerateData, EmptySplit, ShapeMismatch
+from .errors import BadArgument, EmptySplit, ShapeMismatch
 
 # images per forward call in predict_proba; the batch size can change BLAS sums
 _CHUNK = 256
@@ -72,6 +72,11 @@ class ConvNetConfig:
                      "filters", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise BadArgument(f"{name} must be positive, got {getattr(self, name)}")
+        # written so that NaN fails them; a rate of 0 trains nothing, which tests use
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise BadArgument(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise BadArgument(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 def _param_table(config):
@@ -409,8 +414,9 @@ def save_checkpoint(params, path):
 
 def load_checkpoint(path, config):
     """Parameters of ``config``'s network from a checkpoint file; every array
-    must be present with the shape the config gives it, and finite: a diverged
-    network would score every input NaN."""
+    must be present with the shape the config gives it. read_named_tensors
+    rejects a NaN or infinite weight, with which a diverged network would
+    score every input NaN."""
     from .imaging import read_named_tensors
 
     entries, _ = read_named_tensors(path)
@@ -422,8 +428,6 @@ def load_checkpoint(path, config):
         if stored[name].shape != view.shape:
             raise ShapeMismatch(f"{path}: {name} has shape {stored[name].shape}, "
                                 f"the model expects {view.shape}")
-        if not np.isfinite(stored[name]).all():
-            raise DegenerateData(f"{path}: {name} holds NaN or infinite values")
         view[...] = stored[name]
     return params
 

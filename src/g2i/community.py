@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadArgument, DegenerateData, MalformedLine, UnknownNodeId
+from .errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch, UnknownNodeId
 from .graph import read_int_rows
 
 
@@ -201,6 +201,20 @@ def write_communities(model, graph, path):
         writer.writerow(_HEADER)
         for nid, c in zip(graph.node_ids, model.assignment):
             writer.writerow([nid, int(c)])
+
+
+def read_centroids(path, n):
+    """The (P, n) centroids of a centroids.g2t file: one 2-D array with P >= 1
+    rows and one column per node. read_named_tensors rejects NaN or infinite
+    values."""
+    from .imaging import read_named_tensors
+
+    entries, _ = read_named_tensors(path)
+    shapes = [arr.shape for _, _, arr in entries]
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] < 1 or shapes[0][1] != n:
+        raise ShapeMismatch(f"{path}: expected one (P, {n}) array of centroids with P >= 1, "
+                            f"found shape(s) {shapes}")
+    return entries[0][2].astype(np.float64)
 
 
 def read_assignment(path, node_ids, P):

@@ -29,6 +29,11 @@ from .errors import (
 )
 
 
+# every number read from a text input must fit the float32 that images.g2t
+# and centroids.g2t store
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
 @dataclass(frozen=True)
 class AttributedGraph:
     """Symmetric weighted graph with per-node features and optional labels."""
@@ -129,6 +134,9 @@ def load_graph(edge_path, feature_path, label_path=None):
                 raise MalformedLine(edge_path, lineno, f"bad weight {wtext!r}") from None
             if not math.isfinite(w):
                 raise MalformedLine(edge_path, lineno, f"non-finite weight {wtext!r}")
+            if abs(w) > _F32_MAX:
+                raise MalformedLine(edge_path, lineno, f"weight {wtext!r} exceeds float32's "
+                                                       f"largest finite value")
             if w < 0:
                 raise MalformedLine(edge_path, lineno, f"negative weight {w}")
             if src == dst:
@@ -198,11 +206,13 @@ def _read_features(path):
                 raise MalformedLine(path, lineno, "non-numeric feature value") from None
     node_ids = list(line_of)
     features = np.asarray(rows, dtype=np.float64).reshape(len(node_ids), len(feature_names))
-    bad = np.argwhere(~np.isfinite(features))
-    if len(bad):
-        r, c = bad[0]
+    # min and max take no temporary, and NaN fails the test
+    if not -_F32_MAX <= features.min(initial=0.0) <= features.max(initial=0.0) <= _F32_MAX:
+        r, c = np.argwhere(~(np.abs(features) <= _F32_MAX))[0]
+        value, where = float(features[r, c]), f"in column {feature_names[c]!r}"
         raise MalformedLine(path, line_of[node_ids[r]],
-                            f"non-finite value {features[r, c]} in column {feature_names[c]!r}")
+                            f"value {value!r} {where} exceeds float32's largest finite value"
+                            if math.isfinite(value) else f"non-finite value {value} {where}")
     return node_ids, features, feature_names
 
 
@@ -352,8 +362,10 @@ def generate_sbm(blocks, p_in, p_out, feature_dim, signal, seed):
     """
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
         raise BadArgument(f"p_in and p_out must lie in [0, 1], got {p_in} and {p_out}")
-    if signal < 0:
-        raise BadArgument(f"signal must be non-negative, got {signal}")
+    if not 0.0 <= signal < math.inf:
+        raise BadArgument(f"signal must be finite and non-negative, got {signal}")
+    if feature_dim < 1:
+        raise BadArgument(f"feature_dim must be >= 1, got {feature_dim}")
     blocks = list(blocks)
     if min(blocks, default=0) < 1:
         raise BadArgument(f"blocks must be positive sizes, got {blocks}")

@@ -154,7 +154,8 @@ def write_named_tensors(entries, channel_names, path):
 
 def read_named_tensors(path):
     """Inverse of write_named_tensors; returns (entries, channel_names). A
-    file it cannot read raises a G2IError that names the file and the byte."""
+    file it cannot read raises a G2IError that names the file and the byte,
+    and a NaN or infinite value one that names the file and the tensor."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != MAGIC:
@@ -185,7 +186,7 @@ def read_named_tensors(path):
     version, count = take("<HI")
     if version != VERSION:
         raise BadMagic(f"{path}: unsupported version {version}")
-    entries = []
+    heads, payloads = [], []      # (name, label, shape) and values of each tensor
     for _ in range(count):
         start = pos
         name = text("tensor name")
@@ -202,11 +203,20 @@ def read_named_tensors(path):
         nbytes = n_values * 4
         if pos + nbytes > len(data):
             raise TruncatedFile(f"{path}: truncated payload for {name!r} at byte {pos}")
-        arr = np.frombuffer(data, dtype="<f4", count=n_values, offset=pos).reshape(shape)
+        payloads.append(np.frombuffer(data, dtype="<f4", count=n_values, offset=pos))
+        heads.append((name, label, shape))
         pos += nbytes
-        entries.append((name, label, arr.copy()))
     (ncn,) = take("<H")
-    return entries, tuple(text("channel name") for _ in range(ncn))
+    channel_names = tuple(text("channel name") for _ in range(ncn))
+    # every payload in one copy, checked at once: its min and max take no
+    # temporary, and are finite exactly when every value is
+    flat = np.concatenate([np.empty(0, np.float32), *payloads])
+    ends = np.cumsum([p.size for p in payloads]).tolist()
+    if not (math.isfinite(flat.min(initial=0.0)) and math.isfinite(flat.max(initial=0.0))):
+        name = heads[np.searchsorted(ends, np.argmin(np.isfinite(flat)), side="right")][0]
+        raise DegenerateData(f"{path}: {name} holds NaN or infinite values")
+    return [(name, label, flat[end - p.size : end].reshape(shape))
+            for (name, label, shape), p, end in zip(heads, payloads, ends)], channel_names
 
 
 def write_tensor(image_set, path):

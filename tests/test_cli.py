@@ -71,12 +71,19 @@ class TestPipeline:
 
     def test_full_run_produces_artifacts(self, tmp_path):
         assert main(["synth", *_small_args(tmp_path)]) == 0
-        rc = main(["run", *_small_args(tmp_path), *_data_args(tmp_path)])
+        argv = ["run", *_small_args(tmp_path), *_data_args(tmp_path)]
+        rc = main(argv)
         assert rc == 0
         for name in ("images.g2t", "checkpoint.g2t", "report.csv", "eval.csv",
                      "importance.csv", "metrics.csv", "communities.csv",
                      "structural_layout.csv", "image0.csv"):
             assert (tmp_path / name).exists(), name
+        # perfbench hashes the files that _paths and _f_layout_path name, and
+        # fails a run that lacks one: a labeled run writes those and no others
+        cfg = build_config(make_parser().parse_args(argv))
+        named = {*cli._paths(cfg).values(), cli._f_layout_path(cfg, "features")}
+        assert len(named) == 15
+        assert set(tmp_path.iterdir()) == named
 
     def test_main_runs_openblas_on_one_thread(self, tmp_path):
         # a second BLAS thread can change the bits of a product, and with them
@@ -182,6 +189,37 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{features}:5" in err and repr(header[3]) in err and "non-finite" in err
 
+    @pytest.mark.parametrize("source", ["features", "modality"])
+    def test_feature_beyond_float32_names_file_line_and_column(self, tmp_path, capsys, source):
+        # images.g2t stores float32, in which 1e39 would be inf
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        lines = (tmp_path / "features.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[4].split(",")
+        row[3] = "1e39"
+        lines[4] = ",".join(row)
+        path = tmp_path / ("extra.csv" if source == "modality" else "features.csv")
+        path.write_text("\n".join(lines) + "\n")
+        flags = ["--modality", f"extra={path}"] if source == "modality" else []
+        assert main(["run", *_small_args(tmp_path), *_data_args(tmp_path), *flags]) == 1
+        err = capsys.readouterr().err
+        stage = "layout" if source == "modality" else "ingest"
+        assert err == (f"error in stage {stage}: {path}:5: value 1e+39 in column {header[3]!r} "
+                       f"exceeds float32's largest finite value\n")
+
+    def test_edge_weight_beyond_float32_names_file_and_line(self, tmp_path, capsys):
+        # a weight of 1e300 made k-means++ draw from NaN probabilities
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        edges = tmp_path / "edges.tsv"
+        lines = edges.read_text().splitlines()
+        src, dst, _ = lines[2].split("\t")
+        lines[2] = f"{src}\t{dst}\t1e300"
+        edges.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", *_small_args(tmp_path), *_data_args(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error in stage ingest: {edges}:3: weight '1e300' exceeds float32's "
+                       f"largest finite value\n")
+
     @pytest.mark.parametrize("flags, name", [
         (["--restarts", "0", "--epsilon", "0.5"], "restarts"),
         (["--epsilon", "-1"], "epsilon"),
@@ -207,6 +245,14 @@ class TestPipeline:
         ("cluster", ["--p", "-1"], "P must be >= 1"),
         ("cluster", ["--p", "0"], "P must be >= 1"),
         ("run", ["--config", "max_epoch=3"], "max_epoch"),
+        ("ingest", ["--features", "features.csv"], "--edges"),
+        ("ingest", ["--edges", "edges.tsv"], "--features"),
+        ("run", ["--learning-rate", "nan"], "learning_rate"),
+        ("run", ["--learning-rate", "-1"], "learning_rate"),
+        ("run", ["--momentum", "nan"], "momentum"),
+        ("run", ["--momentum", "1"], "momentum"),
+        ("synth", ["--signal", "nan"], "signal"),
+        ("synth", ["--k", "0"], "feature_dim"),
     ])
     def test_bad_setting_is_named(self, tmp_path, capsys, command, flags, name):
         if flags[0] == "--config":      # the setting is a line of a config file
@@ -422,3 +468,60 @@ class TestBadStageFiles:
         err = capsys.readouterr().err
         assert err == (f"error in stage {stage}: {path}:1: expected header {header!r}, "
                        f"got {first!r}\n")
+
+    # cluster writes centroids.g2t as one (P, n) array, here (3, 24)
+    _SHAPES = "expected one (P, 24) array of centroids with P >= 1, found shape(s) "
+
+    @pytest.mark.parametrize("entries, message", [
+        ([], _SHAPES + "[]"),
+        ([("centroids", -1, np.ones(24))], _SHAPES + "[(24,)]"),
+        ([("centroids", -1, np.ones((0, 24)))], _SHAPES + "[(0, 24)]"),
+        ([("centroids", -1, np.ones((3, 23)))], _SHAPES + "[(3, 23)]"),
+        ([("centroids", -1, np.full((3, 24), np.nan))], "centroids holds NaN or infinite values"),
+    ], ids=["empty", "1-D", "no-rows", "wrong-width", "nan"])
+    @pytest.mark.parametrize("stage", ["layout", "render"])
+    def test_bad_centroids_name_file(self, laid_out, tmp_path, capsys, entries, message, stage):
+        out = tmp_path / "out"
+        shutil.copytree(laid_out, out)
+        path = out / "centroids.g2t"
+        write_named_tensors(entries, (), path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main([stage, *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage {stage}: {path}: {message}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not (out / "images.g2t").exists()
+
+    @pytest.mark.parametrize("name, stage, writer", [
+        ("features.csv", "layout", "ingest"),
+        ("centroids.g2t", "layout", "cluster"),
+        ("communities.csv", "render", "cluster"),
+        ("structural_layout.csv", "render", "layout"),
+        ("feature_layout_features.csv", "render", "layout"),
+        ("images.g2t", "train", "render"),
+    ])
+    def test_missing_file_names_the_stage_that_writes_it(self, laid_out, tmp_path, capsys, name,
+                                                         stage, writer):
+        out = tmp_path / "out"
+        shutil.copytree(laid_out, out)
+        (out / name).unlink(missing_ok=True)
+        assert main([stage, *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage {stage}: {out / name} is missing; g2i {writer} writes it\n"
+
+    @pytest.mark.parametrize("stage", ["train", "eval", "explain", "metrics"])
+    def test_nan_images_stop_stage(self, laid_out, tmp_path, capsys, stage):
+        # with NaN images, train kept its initial weights and eval scored them
+        out = tmp_path / "out"
+        shutil.copytree(laid_out, out)
+        assert main(["render", *_small_args(out)]) == 0
+        path = out / "images.g2t"
+        entries, channels = read_named_tensors(path)
+        write_named_tensors([(name, label, np.full_like(arr, np.nan))
+                             for name, label, arr in entries], channels, path)
+        before = sorted(p.name for p in out.iterdir())
+        capsys.readouterr()
+        assert main([stage, *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage {stage}: {path}: n0000 holds NaN or infinite values\n"
+        assert sorted(p.name for p in out.iterdir()) == before    # no checkpoint

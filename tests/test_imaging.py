@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2i.community import association_matrix, community_count, fit_communities
-from g2i.errors import BadMagic, G2IError, LayoutMismatch, ShapeOverflow, TruncatedFile
+from g2i.errors import (BadMagic, DegenerateData, G2IError, LayoutMismatch, ShapeOverflow,
+                        TruncatedFile)
 from g2i.graph import generate_sbm
 from g2i.imaging import (
     build_feature_layout,
@@ -274,6 +275,27 @@ class TestSerialization:
         for (n1, l1, a1), (n2, l2, a2) in zip(entries, loaded):
             assert n1 == n2 and l1 == l2
             assert np.array_equal(a1, a2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_file_and_tensor(self, tmp_path, value):
+        # the empty tensor "b" ends where "c" begins
+        c = np.ones(4)
+        c[0] = value
+        path = tmp_path / "t.g2t"
+        write_named_tensors([("a", -1, np.ones((2, 3))), ("b", -1, np.zeros(0)), ("c", -1, c)],
+                            (), path)
+        with pytest.raises(DegenerateData, match=f"t.g2t: c holds NaN or infinite values$"):
+            read_named_tensors(path)
+
+    def test_entries_keep_shapes_around_empty_tensors(self, tmp_path):
+        entries = [("a", 0, np.zeros((0, 3))), ("b", 1, np.arange(6.0).reshape(2, 3)),
+                   ("c", 2, np.zeros(0))]
+        path = tmp_path / "t.g2t"
+        write_named_tensors(entries, (), path)
+        loaded, _ = read_named_tensors(path)
+        assert [(n, l, a.shape) for n, l, a in loaded] == [("a", 0, (0, 3)), ("b", 1, (2, 3)),
+                                                          ("c", 2, (0,))]
+        assert np.array_equal(loaded[1][2], entries[1][2])
 
 
 @pytest.fixture(scope="module")
