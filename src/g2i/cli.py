@@ -249,6 +249,8 @@ def stage_ingest(cfg):
             raise BadArgument(f"ingest needs --{flag} FILE")
     graph = load_graph(cfg.edges, cfg.features, cfg.labels or None)
     write_graph(graph, *(_path(cfg, key) for key in ("edges", "features", "labels")))
+    if not cfg.labels:  # the later stages would read an earlier ingest's labels
+        _path(cfg, "labels").unlink(missing_ok=True)
     return graph
 
 

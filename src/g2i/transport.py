@@ -5,7 +5,10 @@ linearizes the quartic GW objective, solves the inner linear problem (exact
 assignment at epsilon=0, Sinkhorn scaling at epsilon>0) and accepts a
 line-search step. A plan is resolved to a layout, an (n_items, 2) int64 array
 holding each item's (row, col) lattice cell, by maximizing the coupled mass
-with an exact linear sum assignment.
+with an exact linear sum assignment. Ties go to the lexicographically smallest
+permutation of tight entries, whose reduced costs under that assignment's dual
+potentials are within the tie tolerance; its mass may thus fall short of the
+maximum by up to m tolerances.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
 
 _MAX_OUTER = 1000       # outer Frank-Wolfe / mirror-descent steps per restart
 _REL_TOL = 1e-9         # relative objective change that counts as converged
-_TIE_SCALE = 1e-9       # assignment masses closer than this times max |M| tie
+_TIE_SCALE = 1e-9       # reduced costs within this times max(1, max |M|) are tight
 
 
 def grid_cost(side):
@@ -298,64 +301,56 @@ def resolve_assignment(T, n_items=None, grid_side=None):
     m = M.shape[0]
     if M.shape != (m, m):
         raise DimensionMismatch(f"plan is not square: {M.shape}")
-    perm = _plan_permutation(M)
-    if perm is None:
-        perm = _lexmin_max_assignment(M)
+    perm = _lexmin_max_assignment(M)
     g = grid_side if grid_side is not None else math.isqrt(m)
     if g * g != m and grid_side is None:
         raise DimensionMismatch(f"plan size {m} is not a perfect square; pass grid_side")
     return np.stack(np.divmod(perm[:n_items], g), axis=1)
 
 
-def _tie_tolerance(M):
-    return _TIE_SCALE * max(1.0, float(np.abs(M).max()))
+def _lexmin_max_assignment(M):
+    """The lexicographically smallest max-mass assignment, from the tight
+    entries of one assignment's reduced costs.
 
-
-def _plan_permutation(M):
-    """The permutation held by a plan with one positive entry per row and
-    column, or None for any other plan.
-
-    Any other assignment gives up at least two of those entries, so when the
-    smallest one exceeds the tie tolerance this permutation is the unique
-    max-mass assignment, the one ``_lexmin_max_assignment`` returns.
+    The shortest-path column potentials ``d`` of the exchange graph of one
+    max-mass assignment ``cols`` (edge ``cols[i] -> j`` of weight ``cost[i, j]
+    - cost[i, cols[i]]``) give each entry a reduced cost >= 0, 0 on ``cols``;
+    an assignment falls short of the maximum by the sum of its own. A tight
+    entry off ``cols`` on no cycle of tight exchange edges is in no max-mass
+    assignment and is dropped, so a unique maximum leaves one per row. Each
+    row then takes the smallest free tight column that leaves the rows below
+    a perfect tight matching: an assignment of zero cost when each non-tight
+    entry costs 1.
     """
     m = M.shape[0]
-    rows, cols = np.nonzero(M > 0)
-    if not (np.array_equal(rows, np.arange(m)) and len(np.unique(cols)) == m):
-        return None
-    if not np.all(np.isfinite(M)) or M[rows, cols].min() <= _tie_tolerance(M):
-        return None
-    return cols
-
-
-def _lexmin_max_assignment(M):
-    """Max-total-mass assignment, lexicographically smallest among optima."""
-    m = M.shape[0]
     cost = -M
-    rows, cols = linear_sum_assignment(cost)
-    best = cost[rows, cols].sum()
-    eps = _tie_tolerance(M)
-    perm = np.full(m, -1, dtype=np.int64)
-    free_cols = list(range(m))
-    fixed = 0.0
+    _, cols = linear_sum_assignment(cost)
+    w = cost - cost[np.arange(m), cols][:, None]
+    d = np.zeros(m)
+    for _ in range(m):
+        relaxed = (d[cols][:, None] + w).min(axis=0)
+        if np.array_equal(relaxed, d):
+            break
+        d = relaxed
+    tight = w + d[cols][:, None] - d <= _TIE_SCALE * max(1.0, float(np.abs(M).max()))
+    reach = tight[np.argsort(cols)].astype(np.float64)  # [c, j]: c's row may take j
+    while not np.array_equal(reach, closed := (reach @ reach > 0).astype(np.float64)):
+        reach = closed
+    tight &= reach.T[cols] > 0
+    perm = np.empty(m, dtype=np.int64)
+    free = np.ones(m, dtype=bool)
     for i in range(m):
-        for pos, j in enumerate(free_cols):
-            rest_cols = free_cols[:pos] + free_cols[pos + 1 :]
-            if i + 1 < m:
-                sub = cost[np.ix_(range(i + 1, m), rest_cols)]
-                r2, c2 = linear_sum_assignment(sub)
-                rest = sub[r2, c2].sum()
-            else:
-                rest = 0.0
-            if fixed + cost[i, j] + rest <= best + eps:
-                perm[i] = j
-                fixed += cost[i, j]
-                free_cols = rest_cols
+        candidates = np.flatnonzero(tight[i] & free)
+        for j in candidates[:-1]:
+            free[j] = False
+            loose = ~tight[i + 1:][:, free]
+            if not loose[linear_sum_assignment(loose)].any():
                 break
-        if perm[i] < 0:
-            # numerical fallback: keep the plain optimal column for this row
-            perm[i] = free_cols.pop(0)
-            fixed += cost[i, perm[i]]
+            free[j] = True
+        else:
+            j = candidates[-1]  # the tight matching of the rows left must use it
+        perm[i] = j
+        free[j] = False
     return perm
 
 

@@ -35,6 +35,18 @@ def brute_force_gw(C_item, C_grid):
     return best_perm, best_obj
 
 
+def lexmin_max_assignment(M):
+    """The lexicographically smallest of the permutations of largest total
+    mass sum_i M[i, perm[i]], by exhaustive search (m <= 8)."""
+    M = np.asarray(M, dtype=np.float64)
+    m = M.shape[0]
+    if m > 8:
+        raise TooLarge(f"exhaustive assignment limited to m <= 8, got {m}")
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64)
+    # permutations() yields lexicographic order, and argmax keeps the first maximum
+    return perms[np.argmax(M[np.arange(m), perms].sum(axis=1))]
+
+
 def shapley_exact(predict, image, class_idx, background_mean, players):
     """Exact Shapley values by subset enumeration (<= 8 players); ``image``
     and ``background_mean`` are (C, P, P) tensors."""

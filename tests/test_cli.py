@@ -153,6 +153,22 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert f"error in stage {stage}" in err and "requires labeled images" in err
 
+    def test_unlabeled_ingest_removes_earlier_labels(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["synth", *_small_args(data)]) == 0
+        assert main(["ingest", *_small_args(out), *_data_args(data)]) == 0
+        assert (out / "labels.csv").exists()
+        unlabeled = ["--edges", str(data / "edges.tsv"), "--features", str(data / "features.csv")]
+        assert main(["ingest", *_small_args(out), *unlabeled]) == 0
+        assert not (out / "labels.csv").exists()
+        for stage in ("cluster", "layout", "render"):
+            assert main([stage, *_small_args(out)]) == 0
+        capsys.readouterr()
+        assert main(["train", *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage train" in err and "requires labeled images" in err
+        assert not (out / "checkpoint.g2t").exists()
+
     def test_modality_missing_node_is_named(self, tmp_path, capsys):
         assert main(["synth", *_small_args(tmp_path)]) == 0
         lines = (tmp_path / "features.csv").read_text().splitlines()

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from g2i import transport
+from g2i import imaging, transport
 from g2i.errors import DimensionMismatch, GridTooSmall, NonConvergence, TooLarge
 from g2i.imaging import build_feature_layout
 from g2i.transport import (
     TransportPlan,
-    _lexmin_max_assignment,
     _perm_objective,
-    _plan_permutation,
     _swap_deltas,
     _two_opt,
     grid_cost,
@@ -17,7 +15,7 @@ from g2i.transport import (
     sinkhorn,
     solve_gw,
 )
-from oracles import brute_force_gw, gw_objective
+from oracles import brute_force_gw, gw_objective, lexmin_max_assignment
 
 
 def _uniform_plan(m):
@@ -275,36 +273,63 @@ class TestResolve:
         layout = resolve_assignment(_plan(T), grid_side=3)
         assert _perm(layout, 3) == [0, 1, 2]
 
-
-class TestPermutationPlan:
-    def test_matches_lexmin_on_permutation_plans(self):
-        rng = np.random.default_rng(33)
-        for trial in range(50):
-            m = int(rng.integers(1, 8))
-            M = np.zeros((m, m))
-            M[np.arange(m), rng.permutation(m)] = rng.uniform(0.01, 1.0, m)
-            got = _plan_permutation(M)
-            assert got is not None
-            assert np.array_equal(got, _lexmin_max_assignment(M))
-
-    def test_defers_on_tied_plan(self):
-        T = np.array([[0.25, 0.25], [0.25, 0.25]])
-        assert _plan_permutation(T) is None
-
-    def test_defers_below_tie_tolerance(self):
+    def test_near_tie_breaks_lexicographically(self):
         # mass 1e-12 on the swap of items 0 and 1 is a tie with the identity
         T = np.diag([0.0, 0.0, 0.5, 0.5])
         T[0, 1] = T[1, 0] = 1e-12
-        assert _plan_permutation(T) is None
         assert _perm(resolve_assignment(_plan(T), grid_side=4), 4) == [0, 1, 2, 3]
 
-    def test_exact_feature_layout_skips_lexmin(self, monkeypatch):
-        def forbidden(M):
-            raise AssertionError("lexmin search run on a permutation plan")
+    def test_matches_oracle_on_integer_plans(self):
+        # integer masses sum exactly, so these plans hold real ties
+        rng = np.random.default_rng(35)
+        for trial in range(60):
+            m = int(rng.integers(1, 9))
+            T = rng.integers(0, 3, (m, m)).astype(np.float64)
+            got = _perm(resolve_assignment(_plan(T), grid_side=m), m)
+            assert got == lexmin_max_assignment(T).tolist()
 
-        monkeypatch.setattr(transport, "_lexmin_max_assignment", forbidden)
+    def test_matches_oracle_on_permutation_plans(self):
+        rng = np.random.default_rng(33)
+        for trial in range(50):
+            m = int(rng.integers(1, 8))
+            T = np.zeros((m, m))
+            T[np.arange(m), rng.permutation(m)] = rng.uniform(0.01, 1.0, m)
+            got = _perm(resolve_assignment(_plan(T), grid_side=m), m)
+            assert got == lexmin_max_assignment(T).tolist()
+
+    def test_matches_oracle_on_uniform_and_dense_plans(self):
+        rng = np.random.default_rng(36)
+        plans = [np.full((m, m), 1.0 / (m * m)) for m in range(1, 9)]
+        plans += [rng.random((m, m)) for m in rng.integers(1, 9, 20)]
+        for T in plans:
+            m = T.shape[0]
+            got = _perm(resolve_assignment(_plan(T), grid_side=m), m)
+            assert got == lexmin_max_assignment(T).tolist()
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    def test_unique_maximum_takes_one_assignment(self, monkeypatch, epsilon):
+        # a k=121 feature layout's plan: a permutation at epsilon=0, a dense
+        # Sinkhorn plan at epsilon=0.5. The second restart's plan wins; the
+        # first starts from the uniform plan and keeps the grid's symmetries,
+        # so its maximum ties.
+        plans, calls = [], []
+        assign = transport.linear_sum_assignment
+
+        def keep(*args, **kwargs):
+            plans.append(solve_gw(*args, **kwargs))
+            return plans[-1]
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return assign(cost)
+
+        monkeypatch.setattr(imaging, "solve_gw", keep)
         F = np.random.default_rng(34).standard_normal((40, 121))
-        layout = build_feature_layout(F, seed=7, epsilon=0.0, restarts=2)
+        build_feature_layout(F, seed=7, epsilon=epsilon, restarts=2)
+        assert np.count_nonzero(plans[0].matrix) == (121 if epsilon == 0 else 121 * 121)
+        monkeypatch.setattr(transport, "linear_sum_assignment", counted)
+        layout = resolve_assignment(plans[0], grid_side=11)
+        assert calls == [(121, 121)]
         assert len(np.unique(layout, axis=0)) == 121
 
 

@@ -1,6 +1,6 @@
 """Stage timings of the reference run and microbenchmarks of the CNN kernels, of
-Shapley sampling and of k-means and the silhouette, written to one BENCH_*.json
-file.
+Shapley sampling, of k-means and the silhouette and of plan resolution, written
+to one BENCH_*.json file.
 
 Run from the root of a source checkout:
 
@@ -25,7 +25,9 @@ one (``loss_and_grad`` on 32 images and the in-place SGDM update, as
 ``cnn.train`` runs them) in float64 and float32, ``shapley_sample`` on one
 image of the reference shape with every feature cell a player and M=4, and
 ``kmeans`` and ``silhouette`` at the node counts of the reference run (240)
-and of the many_nodes workload (1,200): each round times every kernel in a
+and of the many_nodes workload (1,200), and ``resolve_assignment`` on a
+permutation plan and a dense plan at the feature counts of the reference run
+(64) and of the wide_features workload (121): each round times every kernel in a
 fresh process per tree, the rounds alternate between the trees, and the file
 keeps each kernel's median over the rounds. The k-means and silhouette rows
 also hold ``peak_mb``, the most memory one call allocates, as numpy reports
@@ -86,6 +88,8 @@ FC_SHAPES = (
     ("train_fc0_11x11", 32, 11 * 11 * 16, 768),
     ("train_fc1", 32, 768, 512),
 )
+# plan sizes m of resolve_assignment: the reference run's k=64 and wide_features' k=121
+RESOLVE_SIZES = (64, 121)
 
 
 def child_env(src):
@@ -211,11 +215,11 @@ def train_batch(cnn, config, dtype, X, y):
 
 def kernel_benchmarks():
     """Microseconds per call of the conv kernels, FC products, train batch,
-    Shapley sampling, k-means and silhouette of the g2i package on sys.path,
-    by kernel, shape and dtype."""
+    Shapley sampling, k-means, silhouette and plan resolution of the g2i
+    package on sys.path, by kernel, shape and dtype."""
     import numpy as np
 
-    from g2i import attribution, cnn, community, graph, metrics
+    from g2i import attribution, cnn, community, graph, metrics, transport
 
     rng = np.random.default_rng(0)
     out = {}
@@ -276,6 +280,15 @@ def kernel_benchmarks():
              lambda: metrics.silhouette(embedding, labels)),
         ):
             out[name] = {"shape": shape, "us": 1e6 * _per_call_s(call), "peak_mb": _peak_mb(call)}
+    # a permutation plan, as an epsilon=0 layout resolves, and a dense one with a
+    # unique maximum, as an epsilon>0 layout does
+    for m in RESOLVE_SIZES:
+        permutation = np.zeros((m, m))
+        permutation[np.arange(m), rng.permutation(m)] = 1.0 / m
+        for name, plan in (("permutation", permutation), ("dense", rng.random((m, m)) / m**2)):
+            out[f"resolve_assignment {name} m={m}"] = {
+                "shape": f"{m}x{m} {name} plan",
+                "us": 1e6 * _per_call_s(lambda: transport.resolve_assignment(plan))}
     return out
 
 
