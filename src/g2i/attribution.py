@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cnn import PREDICT_CHUNK
 from .errors import BadArgument, DegenerateData, LayoutMismatch
 
 
@@ -85,8 +86,10 @@ def shapley_sample(predict, image, class_idx, background_mean, players, M, seed)
 
     ``predict`` maps a (B, C, P, P) batch to (B, classes) probabilities;
     ``image`` and ``background_mean`` are (C, P, P) tensors; ``players`` holds
-    distinct (channel, row, col) cells, one per row. Each permutation is one
-    predict batch.
+    distinct (channel, row, col) cells, one per row. Each predict batch holds
+    the coalitions of as many whole permutations as fit in one of
+    predict_proba's chunks, and at least one; the permutations are drawn, and
+    their differences added, in the order of one permutation per batch.
     """
     players = np.asarray(players, dtype=np.int64).reshape(-1, 3)
     n = len(players)
@@ -97,14 +100,17 @@ def shapley_sample(predict, image, class_idx, background_mean, players, M, seed)
     background = np.asarray(background_mean, dtype=np.float64)
     ch, r, c = players.T
     values = np.zeros(n)
-    for _ in range(M):
-        order = rng.permutation(n)
-        # coalition t holds the players ranked below t in this permutation
-        played = np.argsort(order) < np.arange(n + 1)[:, None]
-        batch = np.repeat(background[None], n + 1, axis=0)
-        batch[:, ch, r, c] = np.where(played, image[ch, r, c], background[ch, r, c])
-        scores = predict(batch)[:, class_idx]
-        values[order] += np.diff(scores)
+    per_batch = max(1, PREDICT_CHUNK // (n + 1))
+    for first in range(0, M, per_batch):
+        orders = [rng.permutation(n) for _ in range(min(per_batch, M - first))]
+        # coalition t of a permutation holds the players ranked below t in it
+        played = np.argsort(orders, axis=1)[:, None, :] < np.arange(n + 1)[:, None]
+        batch = np.repeat(background[None], len(orders) * (n + 1), axis=0)
+        batch[:, ch, r, c] = np.where(played.reshape(-1, n), image[ch, r, c],
+                                      background[ch, r, c])
+        scores = predict(batch)[:, class_idx].reshape(len(orders), n + 1)
+        for order, row in zip(orders, scores):
+            values[order] += np.diff(row)
     return values / M
 
 

@@ -2,11 +2,13 @@
 
 Architecture: a stack of same-padded conv+ReLU layers, flatten, two
 fully-connected ReLU layers, then a softmax head. A network computes in the
-dtype of its parameters. Training runs in float32, the precision the
-checkpoint stores, so the weights it returns are the ones every later stage
-loads. Evaluation and the gradient checks run in double precision, so the
-finite-difference checks are meaningful; explain scores coalitions with a
-float32 copy (``ConvNetParams.astype``).
+dtype of its parameters. From init_params' float64 draw on, a network lives in
+float32, the precision the checkpoint stores: train casts the draw once and
+trains in it, its report scores the best weights as they are, and
+load_checkpoint returns them in the one buffer the file is read into, which
+``g2i eval`` scores and ``g2i explain`` scores its coalitions with. Only the
+gradient checks run in float64, so that their finite differences mean
+something.
 
 The conv stack keeps its activations channel-last, (B, H, W, C): the input
 batch is transposed once on the way in, and the last conv output once before
@@ -24,10 +26,14 @@ sums, and the bits, are the same on every machine. loss_and_grad does not
 compute the gradient of the input images, which nothing reads.
 
 A network's parameters are one flat buffer that its per-layer arrays view,
-in checkpoint order (ConvNetParams). train holds four float32 buffers of that
-size: the weights, their velocity, the best weights so far and one set of
-gradients, which every batch refills. So the momentum update is four in-place
-ufunc calls, and keeping the best weights is one copy.
+in checkpoint order (ConvNetParams). train holds three float32 buffers of that
+size: the weights, their velocity and the best weights so far; keeping the
+best weights is one copy. It holds no gradient set. The backward walk that
+loss_and_grad also runs hands each layer's gradient over once the layer's
+weights have served the input gradient, an FC weight gradient in row blocks
+of at most _GRAD_BLOCK_BYTES, and train applies the momentum update to the
+matching slices of the weights and velocity: four in-place ufunc calls per
+block, with the rounding of four calls on the whole buffers.
 """
 
 from __future__ import annotations
@@ -42,12 +48,16 @@ import numpy as np
 from .errors import BadArgument, EmptySplit, ShapeMismatch
 
 # images per forward call in predict_proba; the batch size can change BLAS sums
-_CHUNK = 256
+PREDICT_CHUNK = 256
 # bytes of one im2col column matrix. About 1 MB keeps it in a core's 2 MB L2
 # cache beside the GEMM's other operands. A whole-batch column matrix (6 MB at
 # 11x11, B=32) made loss_and_grad about 10 % slower, and at predict_proba's
 # 256 images it would take 48 MB.
 _COL_BYTES = 1 << 20
+# bytes of one row block of an FC weight gradient, which train applies before
+# the next is computed. Beside the three model-sized buffers, at 512 KB the
+# two blocks of a 1 MB FC layer took half a model more at train's peak.
+_GRAD_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -101,15 +111,18 @@ class ConvNetParams:
 
     def __init__(self, config, flat):
         self.config, self.flat = config, flat
-        self._arrays, offset = [], 0
+        self._arrays, starts, offset = [], [], 0
         for name, shape in _param_table(config):
             size = math.prod(shape)
             self._arrays.append((name, flat[offset : offset + size].reshape(shape)))
+            starts.append(offset)
             offset += size
         views = [a for _, a in self._arrays]
         n = 2 * config.conv_layers
         self.conv_w, self.conv_b = views[0:n:2], views[1:n:2]
         self.fc_w, self.fc_b = views[n::2], views[n + 1 :: 2]
+        # where each layer's weights start in ``flat``; its bias follows them
+        self.conv_at, self.fc_at = starts[0:n:2], starts[n::2]
 
     @classmethod
     def zeros(cls, config, dtype):
@@ -150,6 +163,13 @@ def init_params(config, seed=None):
             w *= 2 * bound
             w -= bound
     return params
+
+
+def _grad_block_rows(fan_in, itemsize):
+    """Rows per block of an FC weight gradient: as many as keep the block
+    within _GRAD_BLOCK_BYTES, and at least one. Like _chunk_images, it
+    depends on the shape and dtype alone."""
+    return max(1, _GRAD_BLOCK_BYTES // (fan_in * itemsize))
 
 
 def _chunk_images(H, W, k, C, itemsize):
@@ -260,49 +280,83 @@ def forward(params, batch):
     return probs
 
 
-def loss_and_grad(params, batch, labels, out=None):
-    """Mean cross-entropy and gradients for every parameter array. The
-    gradients are written into ``out``, a ConvNetParams of the same config,
-    when it is given, and into a new zeroed set when not: train fills one such
-    set for every batch, where fresh arrays would be freed and faulted in
-    again each time."""
+def _loss_and_blocks(params, batch, labels):
+    """(loss, blocks) of one batch: its mean cross-entropy, and a generator of
+    the gradient in (start, g) blocks, g holding the gradient of
+    ``params.flat[start : start + g.size]`` in C order. The generator walks the
+    layers backward and yields a layer's blocks only once its weights have
+    served the input gradient, so its consumer may update them in place. An
+    FC weight gradient comes in row blocks of at most _GRAD_BLOCK_BYTES, so no
+    whole-network gradient set exists."""
     labels = np.asarray(labels)
-    probs, (conv_acts, fc_acts) = _forward_cached(params, batch)
+    probs, acts = _forward_cached(params, batch)
+    if labels.shape != (probs.shape[0],):
+        raise ShapeMismatch(f"labels shape {labels.shape} does not match batch {probs.shape[0]}")
+    return _cross_entropy(probs, labels), _gradient_blocks(params, probs, labels, *acts)
+
+
+def _gradient_blocks(params, probs, labels, conv_acts, fc_acts):
+    """The generator of _loss_and_blocks, from the forward pass's results."""
     B = probs.shape[0]
-    if labels.shape != (B,):
-        raise ShapeMismatch(f"labels shape {labels.shape} does not match batch {B}")
-    loss = _cross_entropy(probs, labels)
-    if out is None:
-        out = ConvNetParams.zeros(params.config, params.flat.dtype)
+    grad = probs.copy()
+    grad[np.arange(B), labels] -= 1.0
+    grad /= B
 
-    dlogits = probs.copy()
-    dlogits[np.arange(B), labels] -= 1.0
-    dlogits /= B
-
-    grad = dlogits
-    for i in range(len(params.fc_w) - 1, -1, -1):
-        if i != len(params.fc_w) - 1:
+    n_fc = len(params.fc_w)
+    for i in range(n_fc - 1, -1, -1):
+        w, at = params.fc_w[i], params.fc_at[i]
+        if i != n_fc - 1:
             grad = grad * (fc_acts[i + 1] > 0)
-        np.matmul(grad.T, fc_acts[i], out=out.fc_w[i])
-        np.sum(grad, axis=0, out=out.fc_b[i])
-        grad = grad @ params.fc_w[i]
+        grad_in = grad @ w      # before the consumer may update w
+        fan_out, fan_in = w.shape
+        rows = _grad_block_rows(fan_in, w.itemsize)
+        for r in range(0, fan_out, rows):
+            yield at + r * fan_in, grad.T[r : r + rows] @ fc_acts[i]
+        yield at + w.size, grad.sum(axis=0)
+        grad = grad_in
 
     _, H, W, F = conv_acts[-1].shape
     grad = np.ascontiguousarray(grad.reshape(B, F, H, W).transpose(0, 2, 3, 1))
     for i in range(len(params.conv_w) - 1, -1, -1):
+        w, at = params.conv_w[i], params.conv_at[i]
         grad *= conv_acts[i + 1] > 0
-        dw, db = _conv_weight_grad(conv_acts[i], params.conv_w[i], grad)
-        np.copyto(out.conv_w[i], dw)
-        np.copyto(out.conv_b[i], db)
+        dw, db = _conv_weight_grad(conv_acts[i], w, grad)
         if i:   # nothing reads the gradient of the input images
-            grad = _conv_input_grad(params.conv_w[i], grad)
+            grad = _conv_input_grad(w, grad)
+        yield at, dw
+        yield at + w.size, db
+
+
+def loss_and_grad(params, batch, labels):
+    """Mean cross-entropy and a new set of gradients for every parameter array."""
+    loss, blocks = _loss_and_blocks(params, batch, labels)
+    out = ConvNetParams.zeros(params.config, params.flat.dtype)
+    for start, g in blocks:
+        out.flat[start : start + g.size] = g.reshape(-1)
     return loss, out
+
+
+def _sgdm_step(params, velocity, batch, labels, lr, mom):
+    """One SGDM batch of train, in place on the flat ``params`` and
+    ``velocity``: each gradient block updates its slice of both as soon as
+    the backward walk hands it over. Returns the batch's loss."""
+    loss, blocks = _loss_and_blocks(params, batch, labels)
+    for start, g in blocks:
+        g = g.reshape(-1)
+        v = velocity[start : start + g.size]
+        # v = mom * v - lr * g in place, rounded as `v -= lr * g` rounds it
+        g *= lr
+        v *= mom
+        v -= g
+        params.flat[start : start + g.size] += v
+        del g, v    # before the walk computes the next block
+    return loss
 
 
 def predict_proba(params, X):
     out = []
-    for start in range(0, len(X), _CHUNK):
-        out.append(forward(params, X[start : start + _CHUNK]))
+    for start in range(0, len(X), PREDICT_CHUNK):
+        out.append(forward(params, X[start : start + PREDICT_CHUNK]))
     return np.concatenate(out, axis=0)
 
 
@@ -323,8 +377,8 @@ def train(images, split, config):
     """SGDM training in float32 with best-validation-loss checkpointing.
 
     Returns (best params, TrainReport); deterministic for a fixed config seed.
-    The best params are float32, and the report's test metrics score them in
-    float64, as ``g2i eval`` scores them after a checkpoint round trip.
+    The best params are float32, and the report's test metrics score them as
+    they are, as ``g2i eval`` scores them after a checkpoint round trip.
     """
     for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
         if len(idx) == 0:
@@ -334,7 +388,6 @@ def train(images, split, config):
     y = np.asarray(images.labels)
     params = init_params(config).astype(dtype)
     velocity = np.zeros_like(params.flat)
-    grads = ConvNetParams.zeros(config, dtype)
     best = ConvNetParams(config, params.flat.copy())
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = TrainReport()
@@ -346,12 +399,8 @@ def train(images, split, config):
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            epoch_losses.append(loss_and_grad(params, X[batch_idx], y[batch_idx], out=grads)[0])
-            # v = mom * v - lr * g in place, rounded as `v -= lr * g` rounds it
-            grads.flat *= lr
-            velocity *= mom
-            velocity -= grads.flat
-            params.flat += velocity
+            epoch_losses.append(
+                _sgdm_step(params, velocity, X[batch_idx], y[batch_idx], lr, mom))
         val_loss, val_probs = _mean_ce(params, X[split.val], y[split.val])
         val_acc = float((val_probs.argmax(axis=1) == y[split.val]).mean())
         report.train_loss.append(float(np.mean(epoch_losses)))
@@ -362,9 +411,7 @@ def train(images, split, config):
             np.copyto(best.flat, params.flat)
             report.best_epoch = epoch
         report.epoch_s.append(time.perf_counter() - started)
-    # the float64 copy below takes two of their size
-    del params, velocity, grads
-    report.test_metrics = evaluate(best.astype(np.float64), images, split.test)
+    report.test_metrics = evaluate(best, images, split.test)
     return best, report
 
 
@@ -413,23 +460,26 @@ def save_checkpoint(params, path):
 
 
 def load_checkpoint(path, config):
-    """Parameters of ``config``'s network from a checkpoint file; every array
-    must be present with the shape the config gives it. read_named_tensors
-    rejects a NaN or infinite weight, with which a diverged network would
-    score every input NaN."""
-    from .imaging import read_named_tensors
+    """``config``'s network from a checkpoint file, as one float32 set that
+    views the buffer the file was read into. The file must hold every array
+    with the shape the config gives it, in checkpoint order, as
+    save_checkpoint writes them. read_named_buffer rejects a NaN or infinite
+    weight, with which a diverged network would score every input NaN."""
+    from .imaging import read_named_buffer
 
-    entries, _ = read_named_tensors(path)
-    stored = {name: arr for name, _, arr in entries}
-    params = ConvNetParams.zeros(config, np.float64)
-    for name, view in params.arrays():
+    heads, flat, _ = read_named_buffer(path)
+    stored = {name: shape for name, _, shape in heads}
+    table = _param_table(config)
+    for name, shape in table:
         if name not in stored:
             raise ShapeMismatch(f"{path}: no array {name!r}")
-        if stored[name].shape != view.shape:
-            raise ShapeMismatch(f"{path}: {name} has shape {stored[name].shape}, "
-                                f"the model expects {view.shape}")
-        view[...] = stored[name]
-    return params
+        if stored[name] != shape:
+            raise ShapeMismatch(f"{path}: {name} has shape {stored[name]}, "
+                                f"the model expects {shape}")
+    if [name for name, _, _ in heads] != [name for name, _ in table]:
+        raise ShapeMismatch(f"{path}: holds {[name for name, _, _ in heads]}, not the "
+                            f"network's arrays in checkpoint order")
+    return ConvNetParams(config, flat)
 
 
 def write_report(report, path):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -152,71 +153,86 @@ def write_named_tensors(entries, channel_names, path):
             fh.write(data)
 
 
-def read_named_tensors(path):
-    """Inverse of write_named_tensors; returns (entries, channel_names). A
-    file it cannot read raises a G2IError that names the file and the byte,
-    and a NaN or infinite value one that names the file and the tensor."""
+def read_named_buffer(path):
+    """(heads, flat, channel_names) of a file write_named_tensors wrote:
+    ``(name, label, shape)`` of each tensor, and every tensor's values back
+    to back in ``flat``, one float32 buffer that each payload is read into
+    straight from the file, in file order. A file it cannot read raises a
+    G2IError that names the file and the byte, and a NaN or infinite value
+    one that names the file and the tensor."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {data[:4]!r}")
-    pos = 4
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise BadMagic(f"{path}: bad magic {magic!r}")
+        pos = 4
 
-    def take(fmt):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(data):
-            raise TruncatedFile(f"{path}: truncated at byte {pos}")
-        out = struct.unpack_from(fmt, data, pos)
-        pos += size
-        return out
+        def take(fmt):
+            nonlocal pos
+            n = struct.calcsize(fmt)
+            if pos + n > size:
+                raise TruncatedFile(f"{path}: truncated at byte {pos}")
+            pos += n
+            return struct.unpack(fmt, fh.read(n))
 
-    def text(what):
-        nonlocal pos
-        (length,) = take("<H")
-        if pos + length > len(data):
-            raise TruncatedFile(f"{path}: truncated {what} at byte {pos}")
-        try:
-            out = data[pos : pos + length].decode("utf-8")
-        except UnicodeDecodeError:
-            raise BadMagic(f"{path}: {what} at byte {pos} is not UTF-8") from None
-        pos += length
-        return out
+        def text(what):
+            nonlocal pos
+            (length,) = take("<H")
+            if pos + length > size:
+                raise TruncatedFile(f"{path}: truncated {what} at byte {pos}")
+            try:
+                out = fh.read(length).decode("utf-8")
+            except UnicodeDecodeError:
+                raise BadMagic(f"{path}: {what} at byte {pos} is not UTF-8") from None
+            pos += length
+            return out
 
-    version, count = take("<HI")
-    if version != VERSION:
-        raise BadMagic(f"{path}: unsupported version {version}")
-    heads, payloads = [], []      # (name, label, shape) and values of each tensor
-    for _ in range(count):
-        start = pos
-        name = text("tensor name")
-        label, ndim = take("<iB")
-        if ndim > _MAX_NDIM:
-            raise ShapeOverflow(f"{path}: tensor {name!r} at byte {start} has {ndim} "
-                                f"dimensions, more than numpy's {_MAX_NDIM}")
-        shape = take(f"<{ndim}I")
-        # exact products: an int64 one can wrap past the size check
-        n_values = math.prod(shape)
-        if n_values * 4 > len(data) or math.prod(filter(None, shape)) * 4 > _MAX_BYTES:
-            raise ShapeOverflow(f"{path}: tensor {name!r} at byte {start} has shape "
-                                f"{shape}, too large")
-        nbytes = n_values * 4
-        if pos + nbytes > len(data):
-            raise TruncatedFile(f"{path}: truncated payload for {name!r} at byte {pos}")
-        payloads.append(np.frombuffer(data, dtype="<f4", count=n_values, offset=pos))
-        heads.append((name, label, shape))
-        pos += nbytes
-    (ncn,) = take("<H")
-    channel_names = tuple(text("channel name") for _ in range(ncn))
-    # every payload in one copy, checked at once: its min and max take no
-    # temporary, and are finite exactly when every value is
-    flat = np.concatenate([np.empty(0, np.float32), *payloads])
-    ends = np.cumsum([p.size for p in payloads]).tolist()
+        version, count = take("<HI")
+        if version != VERSION:
+            raise BadMagic(f"{path}: unsupported version {version}")
+        # the payloads fit in the file; pages past the last are never touched
+        flat = np.empty(size // 4, dtype="<f4")
+        heads, filled = [], 0      # (name, label, shape) of each tensor; values read
+        for _ in range(count):
+            start = pos
+            name = text("tensor name")
+            label, ndim = take("<iB")
+            if ndim > _MAX_NDIM:
+                raise ShapeOverflow(f"{path}: tensor {name!r} at byte {start} has {ndim} "
+                                    f"dimensions, more than numpy's {_MAX_NDIM}")
+            shape = take(f"<{ndim}I")
+            # exact products: an int64 one can wrap past the size check
+            n_values = math.prod(shape)
+            if n_values * 4 > size or math.prod(filter(None, shape)) * 4 > _MAX_BYTES:
+                raise ShapeOverflow(f"{path}: tensor {name!r} at byte {start} has shape "
+                                    f"{shape}, too large")
+            if pos + n_values * 4 > size or \
+                    fh.readinto(flat[filled : filled + n_values]) != n_values * 4:
+                raise TruncatedFile(f"{path}: truncated payload for {name!r} at byte {pos}")
+            heads.append((name, label, shape))
+            pos += n_values * 4
+            filled += n_values
+        (ncn,) = take("<H")
+        channel_names = tuple(text("channel name") for _ in range(ncn))
+    flat = flat[:filled]
+    # its min and max take no temporary, and are finite exactly when every value is
     if not (math.isfinite(flat.min(initial=0.0)) and math.isfinite(flat.max(initial=0.0))):
+        ends = np.cumsum([math.prod(shape) for _, _, shape in heads])
         name = heads[np.searchsorted(ends, np.argmin(np.isfinite(flat)), side="right")][0]
         raise DegenerateData(f"{path}: {name} holds NaN or infinite values")
-    return [(name, label, flat[end - p.size : end].reshape(shape))
-            for (name, label, shape), p, end in zip(heads, payloads, ends)], channel_names
+    return heads, flat, channel_names
+
+
+def read_named_tensors(path):
+    """Inverse of write_named_tensors; returns (entries, channel_names), each
+    entry's array a view of read_named_buffer's one buffer."""
+    heads, flat, channel_names = read_named_buffer(path)
+    entries, start = [], 0
+    for name, label, shape in heads:
+        stop = start + math.prod(shape)
+        entries.append((name, label, flat[start:stop].reshape(shape)))
+        start = stop
+    return entries, channel_names
 
 
 def write_tensor(image_set, path):

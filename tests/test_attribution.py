@@ -246,6 +246,13 @@ def _recording(predict):
     return wrapped, batches
 
 
+def _row_by_row(predict):
+    """``predict`` one image at a time, so that a row's score keeps its bits in
+    any batch, as predict_proba's does; numpy's matrix-vector product in
+    _linear_predict rounds a row differently in batches of other lengths."""
+    return lambda batch: np.concatenate([predict(row[None]) for row in batch])
+
+
 class TestShapleySampleReference:
     @staticmethod
     def _cases():
@@ -264,15 +271,33 @@ class TestShapleySampleReference:
 
     def test_equals_loop_reference_exactly(self):
         for w, image, background, players, M, seed in self._cases():
-            got_predict, got_batches = _recording(_linear_predict(w))
-            ref_predict, ref_batches = _recording(_linear_predict(w))
+            got_predict, got_batches = _recording(_row_by_row(_linear_predict(w)))
+            ref_predict, ref_batches = _recording(_row_by_row(_linear_predict(w)))
             got = shapley_sample(got_predict, image, 1, background, players, M, seed)
             ref = _loop_shapley_sample(ref_predict, image, 1, background, players, M, seed)
             assert np.array_equal(got, ref)
-            assert len(got_batches) == len(ref_batches) == M
-            for a, b in zip(got_batches, ref_batches):
-                assert a.shape == (len(players) + 1, *image.shape)
-                assert np.array_equal(a, b)
+            # whole permutations, as many per batch as fit in 256 images
+            assert len(ref_batches) == M
+            per_batch = max(1, 256 // (len(players) + 1))
+            sizes = [min(per_batch, M - first) for first in range(0, M, per_batch)]
+            assert [len(a) for a in got_batches] == [m * (len(players) + 1) for m in sizes]
+            assert np.array_equal(np.concatenate(got_batches), np.concatenate(ref_batches))
+
+    def test_float32_cnn_keeps_its_bits_in_shared_batches(self):
+        # explain's case: 64 players, so 3 permutations (195 images) per batch,
+        # which the reference scores one permutation (65 images) at a time
+        cfg = ConvNetConfig(input_side=8, input_channels=2, classes=4, seed=13)
+        params = init_params(cfg).astype(np.float32)
+        rng = np.random.default_rng(13)
+        image = rng.normal(size=(2, 8, 8)).astype(np.float32)
+        background = rng.normal(size=(2, 8, 8))
+        players = [(1, r, c) for r in range(8) for c in range(8)]
+        got_predict, got_batches = _recording(lambda batch: predict_proba(params, batch))
+        got = shapley_sample(got_predict, image, 2, background, players, 7, 3)
+        ref = _loop_shapley_sample(lambda batch: predict_proba(params, batch), image, 2,
+                                   background, players, 7, 3)
+        assert [len(a) for a in got_batches] == [195, 195, 65]
+        assert np.array_equal(got, ref)
 
 
 def _image_set(tensors, labels):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -167,6 +168,16 @@ def _use_reference_conv(monkeypatch):
               _reference_conv_input_grad)
 
 
+def _use_whole_layer_fc_grads(monkeypatch):
+    """Compute each FC weight gradient as one product, in one block."""
+    monkeypatch.setattr(cnn, "_GRAD_BLOCK_BYTES", 1 << 62)
+
+
+def _most_fc_blocks(params):
+    """The most gradient blocks any FC layer of ``params`` is split into."""
+    return max(-(-len(w) // cnn._grad_block_rows(w.shape[1], w.itemsize)) for w in params.fc_w)
+
+
 def _use_einsum_conv(monkeypatch):
     """Run the network on the per-tap einsum kernels, through channel-last views."""
     def input_grad(w, dout):
@@ -259,46 +270,59 @@ class TestConvEqualsEinsum:
             assert peak <= out_bytes + 3 * 2**20, (name, peak, out_bytes)
 
     def test_loss_and_grad_bit_equal(self, monkeypatch):
-        cfg = ConvNetConfig(input_side=8, input_channels=2, classes=3, fc_sizes=(64, 32), seed=4)
-        params = init_params(cfg)
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(32, 2, 8, 8)).astype(np.float32)
-        y = rng.integers(0, 3, 32)
-        loss, grads = loss_and_grad(params, X, y)
-        _use_reference_conv(monkeypatch)
-        ref_loss, ref_grads = loss_and_grad(params, X, y)
-        assert loss == ref_loss
-        for (name, g), (_, ref) in zip(grads.arrays(), ref_grads.arrays()):
-            assert np.array_equal(g, ref), name
-        _use_einsum_conv(monkeypatch)
-        ein_loss, ein_grads = loss_and_grad(params, X, y)
-        assert loss == pytest.approx(ein_loss, rel=1e-12, abs=1e-12)
-        for (name, g), (_, ein) in zip(grads.arrays(), ein_grads.arrays()):
-            _assert_close_to_einsum(g, ein, name)
+        # FC0's weight gradient in 2 blocks, and in 32
+        for fc_sizes, blocks in [((64, 32), 2), ((1024, 96), 32)]:
+            cfg = ConvNetConfig(input_side=8, input_channels=2, classes=3, fc_sizes=fc_sizes,
+                                seed=4)
+            params = init_params(cfg)
+            assert _most_fc_blocks(params) == blocks
+            rng = np.random.default_rng(4)
+            X = rng.normal(size=(32, 2, 8, 8)).astype(np.float32)
+            y = rng.integers(0, 3, 32)
+            loss, grads = loss_and_grad(params, X, y)
+            with monkeypatch.context() as patch:
+                _use_reference_conv(patch)
+                _use_whole_layer_fc_grads(patch)
+                ref_loss, ref_grads = loss_and_grad(params, X, y)
+                assert loss == ref_loss
+                for (name, g), (_, ref) in zip(grads.arrays(), ref_grads.arrays()):
+                    assert np.array_equal(g, ref), (fc_sizes, name)
+                _use_einsum_conv(patch)
+                ein_loss, ein_grads = loss_and_grad(params, X, y)
+            assert loss == pytest.approx(ein_loss, rel=1e-12, abs=1e-12)
+            for (name, g), (_, ein) in zip(grads.arrays(), ein_grads.arrays()):
+                _assert_close_to_einsum(g, ein, (fc_sizes, name))
 
     def test_train_bit_equal(self, monkeypatch, tmp_path):
         images = _image_fixture(n=80)
         split = split_dataset(images.labels, seed=3)
-        cfg = ConvNetConfig(input_side=8, input_channels=2, classes=2, conv_layers=2,
-                            fc_sizes=(32,), learning_rate=1e-3, max_epochs=2, seed=5)
-        params, report = train(images, split, cfg)
-        save_checkpoint(params, tmp_path / "new.g2t")
-        _use_reference_conv(monkeypatch)
-        ref_params, ref_report = train(images, split, cfg)
-        save_checkpoint(ref_params, tmp_path / "ref.g2t")
-        for (name, a), (_, ref) in zip(params.arrays(), ref_params.arrays()):
-            assert np.array_equal(a, ref), name
-        assert (tmp_path / "new.g2t").read_bytes() == (tmp_path / "ref.g2t").read_bytes()
-        assert report.train_loss == ref_report.train_loss
-        assert report.val_loss == ref_report.val_loss
-        assert report.val_acc == ref_report.val_acc
-        assert report.best_epoch == ref_report.best_epoch
-        assert np.array_equal(report.test_metrics["confusion"], ref_report.test_metrics["confusion"])
+        # FC0's weight gradient in 1 block, and in 8
+        for fc_sizes, blocks in [((32,), 1), ((512,), 8)]:
+            cfg = ConvNetConfig(input_side=8, input_channels=2, classes=2, conv_layers=2,
+                                fc_sizes=fc_sizes, learning_rate=1e-3, max_epochs=2, seed=5)
+            params, report = train(images, split, cfg)
+            assert _most_fc_blocks(params) == blocks
+            save_checkpoint(params, tmp_path / "new.g2t")
+            with monkeypatch.context() as patch:
+                _use_reference_conv(patch)
+                _use_whole_layer_fc_grads(patch)
+                ref_params, ref_report = train(images, split, cfg)
+            save_checkpoint(ref_params, tmp_path / "ref.g2t")
+            for (name, a), (_, ref) in zip(params.arrays(), ref_params.arrays()):
+                assert np.array_equal(a, ref), (fc_sizes, name)
+            assert (tmp_path / "new.g2t").read_bytes() == (tmp_path / "ref.g2t").read_bytes()
+            assert report.train_loss == ref_report.train_loss
+            assert report.val_loss == ref_report.val_loss
+            assert report.val_acc == ref_report.val_acc
+            assert report.best_epoch == ref_report.best_epoch
+            assert np.array_equal(report.test_metrics["confusion"],
+                                  ref_report.test_metrics["confusion"])
 
 
 class TestFloat32Inference:
-    """explain scores coalitions with a float32 copy of the trained network;
-    evaluation and the gradient checks stay float64."""
+    """A network computes in the dtype of its parameters: eval and explain
+    score the float32 network the checkpoint stores, and the gradient checks
+    stay float64."""
 
     def test_conv_keeps_float32(self):
         rng = np.random.default_rng(11)
@@ -370,7 +394,7 @@ class TestFlatLayout:
         zeros = cnn.ConvNetParams.zeros(cfg, np.float32)
         assert not zeros.flat.any()
         for case, dtype in [(params, np.float64), (grads, np.float64), (low, np.float32),
-                            (loaded, np.float64), (zeros, np.float32)]:
+                            (loaded, np.float32), (zeros, np.float32)]:
             self._assert_flat(case, dtype)
 
     def test_train_returns_one_buffer(self):
@@ -649,13 +673,13 @@ def _copying_train(images, split, config):
             best_val = val_loss
             best_params = copy.deepcopy(params)
             report.best_epoch = epoch
-    report.test_metrics = evaluate(best_params.astype(np.float64), images, split.test)
+    report.test_metrics = evaluate(best_params, images, split.test)
     return best_params, report
 
 
 class TestTrainInPlace:
-    """A network whose weights are mostly one 256 x 1024 FC layer, trained for
-    4 epochs; the second is the best."""
+    """A network whose weights are mostly one 256 x 1024 FC layer, four
+    gradient blocks, trained for 4 epochs; the second is the best."""
 
     def _setup(self):
         images = _image_fixture(n=60, noise=2.5)
@@ -665,9 +689,11 @@ class TestTrainInPlace:
                             batch_size=8, seed=1)
         return images, split, cfg
 
-    def test_equals_copying_loop(self, tmp_path):
+    def test_equals_copying_loop(self, monkeypatch):
         images, split, cfg = self._setup()
         params, report = train(images, split, cfg)
+        assert _most_fc_blocks(params) == 4
+        _use_whole_layer_fc_grads(monkeypatch)
         ref_params, ref_report = _copying_train(images, split, cfg)
         assert 0 < report.best_epoch < cfg.max_epochs - 1
         for (name, a), (_, ref) in zip(params.arrays(), ref_params.arrays()):
@@ -678,10 +704,10 @@ class TestTrainInPlace:
         assert report.best_epoch == ref_report.best_epoch
         assert np.array_equal(report.test_metrics["confusion"], ref_report.test_metrics["confusion"])
 
-    def test_peak_memory_is_four_model_sized_sets(self):
-        # weights, velocity, best weights and one batch's gradients; numpy
-        # reports its buffers to tracemalloc, and the images and activations
-        # take less than half a model here
+    def test_peak_memory_is_three_model_sized_sets(self):
+        # weights, velocity and best weights; numpy reports its buffers to
+        # tracemalloc, and one gradient block (a quarter model here), the
+        # images and the activations take less than half a model
         images, split, cfg = self._setup()
         model_bytes = sum(a.nbytes for _, a in init_params(cfg).astype(np.float32).arrays())
         tracemalloc.start()
@@ -690,7 +716,7 @@ class TestTrainInPlace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * model_bytes, f"peak {peak / model_bytes:.2f} models"
+        assert peak < 3.5 * model_bytes, f"peak {peak / model_bytes:.2f} models"
 
 
 def _loop_classification_metrics(y_true, y_pred, n_classes):
@@ -800,6 +826,36 @@ class TestCheckpoint:
                              for name, label, arr in entries], channels, path)
         with pytest.raises(DegenerateData,
                            match=re.escape(f"{path}: fc0_w holds NaN or infinite values")):
+            load_checkpoint(path, cfg)
+
+    def test_load_returns_the_trained_float32_alone(self, tmp_path):
+        # the arrays train saved, bit for bit, in one float32 buffer; loading
+        # and scoring hold little more than that buffer
+        images, split, cfg = TestTrainInPlace()._setup()
+        params, report = train(images, split, dataclasses.replace(cfg, max_epochs=1))
+        path = tmp_path / "checkpoint.g2t"
+        save_checkpoint(params, path)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path, cfg)
+            result = evaluate(loaded, images, split.test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.flat.dtype == np.float32
+        for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
+            assert b.dtype == np.float32 and a.tobytes() == b.tobytes(), name
+        assert np.array_equal(result["confusion"], report.test_metrics["confusion"])
+        assert peak < 1.5 * params.flat.nbytes, f"peak {peak / params.flat.nbytes:.2f} models"
+
+    def test_arrays_out_of_checkpoint_order_name_file(self, tmp_path):
+        cfg = _tiny_config()
+        path = tmp_path / "ckpt.g2t"
+        save_checkpoint(init_params(cfg), path)
+        entries, channels = read_named_tensors(path)
+        write_named_tensors(entries[::-1], channels, path)
+        with pytest.raises(ShapeMismatch, match="ckpt.g2t: holds .* not the network's arrays "
+                                                "in checkpoint order"):
             load_checkpoint(path, cfg)
 
     def test_report_csv(self, tmp_path):

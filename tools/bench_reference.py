@@ -21,9 +21,9 @@ bytes; the exit code is 1 when they did not. The kernel microbenchmarks time
 the conv forward, weight-gradient and input-gradient kernels and the FC
 products at the shapes that explain and train give them, in float64 and
 float32, one train batch of the reference network and of many_nodes' 4x4
-one (``loss_and_grad`` on 32 images and the in-place SGDM update, as
-``cnn.train`` runs them) in float64 and float32, ``shapley_sample`` on one
-image of the reference shape with every feature cell a player and M=4, and
+one (the per-layer SGDM step of ``cnn.train`` on 32 images) in float64 and
+float32, ``shapley_sample`` on one image of the reference shape with every
+feature cell a player and M=4, and
 ``kmeans`` and ``silhouette`` at the node counts of the reference run (240)
 and of the many_nodes workload (1,200), and ``resolve_assignment`` on a
 permutation plan and a dense plan at the feature counts of the reference run
@@ -192,23 +192,27 @@ def _peak_mb(fn):
 
 
 def train_batch(cnn, config, dtype, X, y):
-    """One batch of ``cnn.train`` as a call: ``loss_and_grad`` into one
-    gradient set that every batch refills, then the momentum update in place
-    on the flat buffers."""
+    """One batch of ``cnn.train`` as a call: ``cnn._sgdm_step``, which applies
+    the momentum update to the weights and velocity block by block as the
+    backward walk hands the gradient over. A tree without it, before the
+    per-layer step, gets its own batch: ``loss_and_grad`` into one gradient
+    set that every batch refills, then the update on the whole flat buffers."""
     import numpy as np
 
     params = cnn.init_params(config, seed=0).astype(dtype)
-    velocity = cnn.ConvNetParams.zeros(config, dtype)
-    grads = cnn.ConvNetParams.zeros(config, dtype)
+    velocity = np.zeros_like(params.flat)
     scalar = np.dtype(dtype).type
     lr, mom = scalar(config.learning_rate), scalar(config.momentum)
+    if hasattr(cnn, "_sgdm_step"):
+        return lambda: cnn._sgdm_step(params, velocity, X, y, lr, mom)
+    grads = cnn.ConvNetParams.zeros(config, dtype)
 
     def call():
         cnn.loss_and_grad(params, X, y, out=grads)
         grads.flat *= lr
-        velocity.flat *= mom
-        velocity.flat -= grads.flat
-        params.flat += velocity.flat
+        np.multiply(velocity, mom, out=velocity)
+        np.subtract(velocity, grads.flat, out=velocity)
+        params.flat += velocity
 
     return call
 
@@ -245,7 +249,7 @@ def kernel_benchmarks():
             shape = f"B={B} {n_in}->{n_out}"
             for kernel, call in (
                 ("fc_forward", lambda: a @ w.T + b),        # as in cnn._forward_cached
-                ("fc_weight_grad", lambda: grad.T @ a),     # as in cnn.loss_and_grad
+                ("fc_weight_grad", lambda: grad.T @ a),     # whole layer; train takes row blocks
                 ("fc_input_grad", lambda: grad @ w),
             ):
                 out[f"{kernel} {name} {dtype}"] = {
