@@ -2,10 +2,12 @@
 attributions out.
 
 Subcommand grammar: ``g2i <subcommand> [--config PATH] [--seed N] [flags...]``.
-The config file is flat ``key=value`` UTF-8 text (``#`` comments) whose keys
-name settings, as the flags do with ``_`` for ``-``, or ``modality.NAME``; any
-other key is an error. CLI flags override file values. All randomness derives from one root seed via a fixed
-per-stage derivation. OpenBLAS runs on one thread, so the outputs do not
+Each setting, a field of PipelineConfig, is a flag and a key of the config
+file, which is flat ``key=value`` UTF-8 text (``#`` comments). Its other keys
+are ``modality.NAME``; any other key is an error. Flags override file values,
+and a bad value of either raises a G2IError that names its flag or its file
+and line. All randomness derives from one root seed via a fixed per-stage
+derivation. OpenBLAS runs on one thread, so the outputs do not
 depend on ``OPENBLAS_NUM_THREADS``.
 """
 
@@ -31,13 +33,17 @@ def stage_seed(root, name):
 
 @dataclass
 class PipelineConfig:
+    """Every setting of the pipeline. Each field but ``modalities`` is a flag,
+    its name with ``-`` for ``_``, and a config-file key, its name; SETTINGS
+    converts the text of either."""
+
     edges: str = ""
     features: str = ""
     labels: str = ""
     out: str = ""
     modalities: dict = field(default_factory=dict)   # name -> feature CSV path
     seed: int = 0
-    p_override: int | None = None
+    p: int | None = None                             # community count; None derives it from k
     epsilon: float = 0.0
     restarts: int = 20
     ratios: tuple = (0.70, 0.15, 0.15)
@@ -55,8 +61,18 @@ class PipelineConfig:
     signal: float = 1.5
 
 
-def parse_config_file(path):
-    return {key: value for key, (_, value) in _read_config(path).items()}
+def _converter(default):
+    """Text -> value of a setting, by the type of its default: a tuple's
+    elements are comma-separated, and p, whose default is None, is an int."""
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        return lambda text: tuple(kind(item) for item in text.split(","))
+    return int if default is None else type(default)
+
+
+# every setting's name -> the converter of its text
+SETTINGS = {f.name: _converter(f.default) for f in fields(PipelineConfig)
+            if f.name != "modalities"}
 
 
 def _read_config(path):
@@ -74,51 +90,38 @@ def _read_config(path):
     return values
 
 
-# config keys whose text converts with the type of the field's default
-_SCALARS = {f.name: type(f.default) for f in fields(PipelineConfig)
-            if type(f.default) in (str, int, float)}
-_CONVERTERS = {
-    **_SCALARS, "p": int,
-    "blocks": lambda text: tuple(int(b) for b in text.split(",")),
-    "ratios": lambda text: tuple(float(r) for r in text.split(",")),
-}
-
-
 def _convert(key, text, where):
-    """``text`` as the value of config key ``key``; ``where`` names its source."""
+    """``text`` as the value of setting ``key``; ``where`` names its source."""
     try:
-        return _CONVERTERS[key](text)
+        return SETTINGS[key](text)
     except ValueError:
         raise G2IError(f"{where}: bad value for {key}: {text!r}") from None
 
 
 def build_config(args):
-    raw = _read_config(args.config) if getattr(args, "config", None) else {}
+    """The settings of the config file, if any, overridden by the flags."""
     cfg = PipelineConfig()
-    for key, (lineno, text) in raw.items():
-        where = f"{args.config}:{lineno}"
-        if key in _CONVERTERS:
-            setattr(cfg, "p_override" if key == "p" else key, _convert(key, text, where))
-        elif key.startswith("modality."):
-            _add_modality(cfg, key.split(".", 1)[1], text, where)
-        else:
-            raise G2IError(f"{where}: unknown key {key!r}")
-    # CLI flags override file values
-    for attr in _SCALARS:
-        val = getattr(args, attr, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(args, "p", None) is not None:
-        cfg.p_override = args.p
-    if getattr(args, "blocks", None):
-        cfg.blocks = _convert("blocks", args.blocks, "--blocks")
-    if getattr(args, "modality", None):
-        for entry in args.modality:
-            name, _, path = entry.partition("=")
-            if not path:
-                raise G2IError(f"--modality expects name=path, got {entry!r}")
-            _add_modality(cfg, name, path, "--modality")
+    if args.config:
+        for key, (lineno, text) in _read_config(args.config).items():
+            where = f"{args.config}:{lineno}"
+            if key in SETTINGS:
+                setattr(cfg, key, _convert(key, text, where))
+            elif key.startswith("modality."):
+                _add_modality(cfg, key.split(".", 1)[1], text, where)
+            else:
+                raise G2IError(f"{where}: unknown key {key!r}")
+    for key in SETTINGS:
+        text = getattr(args, key)
+        if text is not None:
+            setattr(cfg, key, _convert(key, text, _flag(key)))
+    for entry in args.modality or ():
+        name, _, path = entry.partition("=")
+        _add_modality(cfg, name, path, "--modality")
     return cfg
+
+
+def _flag(key):
+    return f"--{key.replace('_', '-')}"
 
 
 def _add_modality(cfg, name, path, where):
@@ -128,6 +131,12 @@ def _add_modality(cfg, name, path, where):
         # its layout file would overwrite the primary modality's
         raise G2IError(f"{where}: modality name 'features' is reserved for the primary "
                        f"feature file; give --modality another name")
+    if not name or "/" in name or "\0" in name:
+        # the name is part of the file name of the modality's layout
+        raise G2IError(f"{where}: modality name {name!r} must be a non-empty file name "
+                       f"without '/'")
+    if not path:
+        raise G2IError(f"{where}: modality {name!r} has no feature file; expected name=path")
     cfg.modalities[name] = path
 
 
@@ -255,11 +264,11 @@ def stage_ingest(cfg):
 
 
 def stage_cluster(cfg):
-    graph = load_graph(_input(cfg, "edges"), _input(cfg, "features"), _input(cfg, "labels"))
-    if cfg.p_override is None:
+    graph = load_graph(_input(cfg, "edges"), _input(cfg, "features"))
+    if cfg.p is None:
         P = community.community_count(graph.k)
     else:
-        P = cfg.p_override
+        P = cfg.p
         side = _image_side(_modality_list(cfg, graph))
         if P > side * side:
             raise BadArgument(f"--p {P} exceeds {side * side}: the structural grid side "
@@ -417,12 +426,10 @@ def make_parser():
     for name in [*STAGES, "run"]:
         sp = sub.add_parser(name)
         sp.add_argument("--config")
-        for key, kind in _SCALARS.items():
-            sp.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind)
+        for key in SETTINGS:
+            sp.add_argument(_flag(key), dest=key)
         sp.add_argument("--modality", action="append",
                         help="name=path, repeatable for extra feature files")
-        sp.add_argument("--p", type=int, help="community count override")
-        sp.add_argument("--blocks", help="comma-separated block sizes (synth)")
     return parser
 
 

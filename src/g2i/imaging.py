@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import association_matrix, community_count
-from .errors import (BadMagic, DegenerateData, LayoutMismatch, MalformedLine, ShapeMismatch,
-                     ShapeOverflow, TruncatedFile)
+from .errors import (BadMagic, DegenerateData, G2IError, LayoutMismatch, MalformedLine,
+                     ShapeMismatch, ShapeOverflow, TruncatedFile)
 from .graph import read_int_rows
 from .transport import grid_cost, pad_to_square, resolve_assignment, solve_gw
 
@@ -243,6 +243,8 @@ def write_tensor(image_set, path):
 
 
 def read_tensor(path):
+    """The ImageSet that write_tensor wrote: its labels are all -1, read as
+    None, or all class indices; a mix of the two is an error."""
     entries, channel_names = read_named_tensors(path)
     shapes = sorted({arr.shape for _, _, arr in entries})
     if len(shapes) != 1 or len(shapes[0]) != 3:
@@ -250,8 +252,14 @@ def read_tensor(path):
                             f"{len(shapes)} shape(s), e.g. {shapes[:3]}")
     node_ids, labels, tensors = zip(*entries)
     labels = np.asarray(labels, dtype=np.int64)
-    return ImageSet(node_ids=node_ids, tensors=np.stack(tensors),
-                    labels=None if np.all(labels == -1) else labels,
+    if np.all(labels == -1):
+        labels = None
+    elif labels.min() < 0:
+        # -1 offends among class indices, and a label below -1 anywhere
+        i = int(np.argmax(labels < (0 if labels.max() >= 0 else -1)))
+        raise G2IError(f"{path}: node {node_ids[i]!r} has label {labels[i]}; the labels must "
+                       f"be all -1 (unlabeled) or all class indices >= 0")
+    return ImageSet(node_ids=node_ids, tensors=np.stack(tensors), labels=labels,
                     channel_names=channel_names)
 
 

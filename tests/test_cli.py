@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from g2i import cli
-from g2i.cli import build_config, main, make_parser, parse_config_file, stage_seed
+from g2i.cli import SETTINGS, build_config, main, make_parser, stage_seed
+from g2i.errors import G2IError
 from g2i.imaging import read_named_tensors, write_named_tensors
 
 
@@ -29,8 +32,8 @@ class TestConfig:
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text("# comment\nseed = 5\nout=/tmp/x\nmodality.rna=feat.csv\n")
-        values = parse_config_file(path)
-        assert values == {"seed": "5", "out": "/tmp/x", "modality.rna": "feat.csv"}
+        cfg = build_config(make_parser().parse_args(["run", "--config", str(path)]))
+        assert (cfg.seed, cfg.out, cfg.modalities) == (5, "/tmp/x", {"rna": "feat.csv"})
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "cfg"
@@ -44,8 +47,6 @@ class TestConfig:
         path = tmp_path / "cfg"
         path.write_text("just a line\n")
         args = make_parser().parse_args(["run", "--config", str(path)])
-        from g2i.errors import G2IError
-
         with pytest.raises(G2IError):
             build_config(args)
 
@@ -55,6 +56,38 @@ class TestConfig:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}:2" in err and "restarts" in err
+
+    def test_tuple_and_optional_settings_read_alike_from_file_and_flags(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("p=4\nblocks=5,6\nratios=0.5,0.25,0.25\n")
+        from_file = build_config(make_parser().parse_args(["run", "--config", str(path)]))
+        from_flags = build_config(make_parser().parse_args(
+            ["run", "--p", "4", "--blocks", "5,6", "--ratios", "0.5,0.25,0.25"]))
+        assert from_file == from_flags
+        assert (from_file.p, from_file.blocks, from_file.ratios) == (4, (5, 6), (0.5, 0.25, 0.25))
+
+    @given(key=st.sampled_from(sorted(SETTINGS)),
+           text=st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters="\r\n")))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_setting_text_is_a_value_or_a_named_error(self, tmp_path, key, text):
+        # the same text as a flag and as a config line: each source gives a
+        # config or a G2IError that names the setting and the source, never
+        # anything else
+        path = tmp_path / "cfg"
+        path.write_text(f"{key}={text}\n", encoding="utf-8")
+        flag, outcomes = cli._flag(key), []
+        for argv, where in [([f"{flag}={text}"], flag), (["--config", str(path)], f"{path}:1")]:
+            try:
+                cfg = build_config(make_parser().parse_args(["run", *argv]))
+            except G2IError as exc:
+                assert str(exc).startswith(f"{where}: ") and key in str(exc)
+                outcomes.append(None)
+            else:
+                outcomes.append(repr(getattr(cfg, key)))
+        if text == text.strip():
+            assert outcomes[0] == outcomes[1]
 
     def test_stage_seed_stable_and_distinct(self):
         assert stage_seed(7, "cluster") == stage_seed(7, "cluster")
@@ -269,6 +302,12 @@ class TestPipeline:
         ("run", ["--momentum", "1"], "momentum"),
         ("synth", ["--signal", "nan"], "signal"),
         ("synth", ["--k", "0"], "feature_dim"),
+        ("run", ["--config", "max_epochs=x"], "max_epochs"),
+        ("run", ["--max-epochs", "x"], "--max-epochs"),
+        ("cluster", ["--p", "abc"], "--p"),
+        ("run", ["--ratios", "0.7,x"], "--ratios"),
+        ("run", ["--modality", "rna"], "--modality: modality 'rna' has no feature file"),
+        ("run", ["--config", "modality.rna="], "modality 'rna' has no feature file"),
     ])
     def test_bad_setting_is_named(self, tmp_path, capsys, command, flags, name):
         if flags[0] == "--config":      # the setting is a line of a config file
@@ -279,7 +318,7 @@ class TestPipeline:
         data = _data_args(tmp_path) if command == "run" else []
         assert main([command, *_small_args(tmp_path), *data, *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error") and name in err
+        assert err.startswith("error") and name in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command, out, message", [
         ("layout", None, "--out DIR is required"),
@@ -292,19 +331,25 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_reserved_modality_name_is_rejected(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize("source, name, message", [
+        *(pytest.param(source, "features", "modality name 'features' is reserved for the "
+                       "primary feature file; give --modality another name", id=source)
+          for source in ("flag", "config")),
+        *(pytest.param(source, name, f"modality name {name!r} must be a non-empty file name "
+                       "without '/'", id=f"{source}-{name or 'empty'}")
+          for source in ("flag", "config") for name in ("", "a/b", "../x")),
+    ])
+    def test_reserved_modality_name_is_rejected(self, tmp_path, capsys, source, name, message):
         if source == "flag":
-            flags, where = ["--modality", f"features={tmp_path / 'extra.csv'}"], "--modality"
+            flags, where = ["--modality", f"{name}={tmp_path / 'extra.csv'}"], "--modality"
         else:
             config = tmp_path / "cfg"
-            config.write_text("seed=1\nmodality.features=extra.csv\n")
+            config.write_text(f"seed=1\nmodality.{name}=extra.csv\n")
             flags, where = ["--config", str(config)], f"{config}:2"
         out = tmp_path / "out"
         assert main(["run", "--out", str(out), *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {where}: modality name 'features' is reserved")
-        assert "--modality" in err and err.count("\n") == 1
+        assert err.startswith(f"error: {where}: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_p_beyond_image_side_stops_cluster(self, tmp_path, capsys):
@@ -326,6 +371,16 @@ class TestPipeline:
         (tmp_path / "edges.tsv").unlink()
         for stage in ("layout", "render", "train", "eval", "explain", "metrics"):
             assert main([stage, *args]) == 0, stage
+
+    def test_cluster_does_not_read_labels(self, tmp_path):
+        args = _small_args(tmp_path)
+        assert main(["synth", *args]) == 0
+        assert main(["ingest", *args, *_data_args(tmp_path)]) == 0
+        assert main(["cluster", *args]) == 0
+        communities = (tmp_path / "communities.csv").read_bytes()
+        (tmp_path / "labels.csv").write_bytes(b"\xff not a label file\n")
+        assert main(["cluster", *args]) == 0
+        assert (tmp_path / "communities.csv").read_bytes() == communities
 
     def test_duplicate_feature_id_names_both_lines(self, tmp_path, capsys):
         edges, features = tmp_path / "e.tsv", tmp_path / "f.csv"

@@ -264,6 +264,18 @@ class TestSerialization:
         with pytest.raises(G2IError, match="mixed.g2t"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("labels, node, label", [
+        ([0, -1, 1, -1], "n1", -1),     # unlabeled nodes among labeled ones
+        ([-1, -1, -2], "n2", -2),
+        ([1, -3, 0], "n1", -3),
+    ])
+    def test_mixed_or_negative_labels_name_file_and_node(self, tmp_path, labels, node, label):
+        path = tmp_path / "images.g2t"
+        write_named_tensors([(f"n{i}", lab, np.ones((1, 2, 2))) for i, lab in enumerate(labels)],
+                            ("structure",), path)
+        with pytest.raises(G2IError, match=f"images.g2t: node '{node}' has label {label};"):
+            read_tensor(path)
+
     def test_named_tensor_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         entries = [("w", -1, rng.normal(size=(3, 4)).astype(np.float32)),
