@@ -6,8 +6,9 @@ Each setting, a field of PipelineConfig, is a flag and a key of the config
 file, which is flat ``key=value`` UTF-8 text (``#`` comments). Its other keys
 are ``modality.NAME``; any other key is an error. Flags override file values,
 and a bad value of either raises a G2IError that names its flag or its file
-and line. All randomness derives from one root seed via a fixed per-stage
-derivation. OpenBLAS runs on one thread, so the outputs do not
+and line. So does a command line argparse cannot read, such as an unknown or
+abbreviated flag. All randomness derives from one root seed via a fixed
+per-stage derivation. OpenBLAS runs on one thread, so the outputs do not
 depend on ``OPENBLAS_NUM_THREADS``.
 """
 
@@ -332,8 +333,7 @@ def _dump_debug_image(image_set, path):
 
 
 def stage_train(cfg):
-    params, report = cnn.train(*_read_dataset(cfg))
-    cnn.save_checkpoint(params, _path(cfg, "checkpoint"))
+    params, report = cnn.train(*_read_dataset(cfg), _path(cfg, "checkpoint"))
     cnn.write_report(report, _path(cfg, "report"))
     return params, report
 
@@ -355,13 +355,8 @@ def stage_explain(cfg):
     f_layouts = _read_feature_layouts(cfg, mods)
     image_set, split, config = _read_dataset(cfg)
     params = cnn.load_checkpoint(_input(cfg, "checkpoint"), config)
-    # glibc maps blocks above a size threshold straight from the OS and keeps
-    # freed heap space up to twice that size, raising both to the largest
-    # mapped block freed so far. Nothing that large is freed before the
-    # coalitions are scored, so without this untouched block, freed at once,
-    # every model call's activations went back to the OS and were faulted in
-    # again: 990,000 minor page faults per reference explain against 2,600.
-    np.empty(params.flat.size, dtype=np.float64)
+    # nothing that large is freed before the coalitions are scored
+    cnn.raise_heap_thresholds(config)
     predict = lambda batch: cnn.predict_proba(params, batch)
 
     feature_sets = [attribution.select_hvf(F, cfg.n_hvf) for _, F, _ in mods]
@@ -420,11 +415,21 @@ STAGES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subcommands' parsers, whose
+    errors raise a one-line G2IError instead of printing the usage text and
+    exiting 2."""
+
+    def error(self, message):
+        raise G2IError(f"{self.prog}: {message}")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(prog="g2i", description=__doc__)
+    # allow_abbrev=False: a flag is its whole name, as a config key is
+    parser = _Parser(prog="g2i", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [*STAGES, "run"]:
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config")
         for key in SETTINGS:
             sp.add_argument(_flag(key), dest=key)
@@ -437,8 +442,8 @@ def main(argv=None):
     # the outputs keep their bytes whatever OPENBLAS_NUM_THREADS says; a second
     # thread changed report.csv and saved no time
     attribution.one_blas_thread()
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = build_config(args)
         if not cfg.out:
             raise G2IError("--out DIR is required for this command")

@@ -2,13 +2,15 @@
 
 Architecture: a stack of same-padded conv+ReLU layers, flatten, two
 fully-connected ReLU layers, then a softmax head. A network computes in the
-dtype of its parameters. From init_params' float64 draw on, a network lives in
-float32, the precision the checkpoint stores: train casts the draw once and
-trains in it, its report scores the best weights as they are, and
-load_checkpoint returns them in the one buffer the file is read into, which
-``g2i eval`` scores and ``g2i explain`` scores its coalitions with. Only the
-gradient checks run in float64, so that their finite differences mean
-something.
+dtype of its parameters. A trained network lives in float32, the precision
+the checkpoint stores: init_params draws in float64 straight into train's
+float32 buffer, train trains in it, and load_checkpoint returns the best
+weights in the one buffer the file is read into, which train's report,
+``g2i eval`` and ``g2i explain``'s coalitions all score. Only the gradient
+checks run in float64, so that their finite differences mean something.
+forward, which inference calls, holds one activation at a time and runs
+each ReLU and bias add in place; loss_and_grad's forward pass runs the same
+layer loop and keeps the activations its backward walk reads.
 
 The conv stack keeps its activations channel-last, (B, H, W, C): the input
 batch is transposed once on the way in, and the last conv output once before
@@ -26,20 +28,24 @@ sums, and the bits, are the same on every machine. loss_and_grad does not
 compute the gradient of the input images, which nothing reads.
 
 A network's parameters are one flat buffer that its per-layer arrays view,
-in checkpoint order (ConvNetParams). train holds three float32 buffers of that
-size: the weights, their velocity and the best weights so far; keeping the
-best weights is one copy. It holds no gradient set. The backward walk that
-loss_and_grad also runs hands each layer's gradient over once the layer's
-weights have served the input gradient, an FC weight gradient in row blocks
-of at most _GRAD_BLOCK_BYTES, and train applies the momentum update to the
-matching slices of the weights and velocity: four in-place ufunc calls per
-block, with the rounding of four calls on the whole buffers.
+in checkpoint order (ConvNetParams). train holds two float32 buffers of that
+size: the weights and their velocity. The best weights so far live in a
+file beside the checkpoint: train rewrites it in place with the start, then
+with the weights of each epoch that lowers the validation loss, renames it
+over the checkpoint at the end and reads the best weights back from it.
+It holds no gradient set. The backward walk that loss_and_grad also runs
+hands each layer's gradient over once the layer's weights have served the
+input gradient, an FC weight gradient in row blocks of at most
+_GRAD_BLOCK_BYTES, and train applies the momentum update to the matching
+slices of the weights and velocity: four in-place ufunc calls per block,
+with the rounding of four calls on the whole buffers.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -55,9 +61,11 @@ PREDICT_CHUNK = 256
 # 256 images it would take 48 MB.
 _COL_BYTES = 1 << 20
 # bytes of one row block of an FC weight gradient, which train applies before
-# the next is computed. Beside the three model-sized buffers, at 512 KB the
-# two blocks of a 1 MB FC layer took half a model more at train's peak.
+# the next is computed. Beside train's model-sized buffers, at 512 KB the
+# two blocks of a 1 MB FC layer took half a model more at its peak.
 _GRAD_BLOCK_BYTES = 1 << 18
+# bytes of the float64 chunk that init_params draws through
+_DRAW_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,23 @@ def _param_table(config):
     return table
 
 
+def _param_count(config):
+    return sum(math.prod(shape) for _, shape in _param_table(config))
+
+
+def raise_heap_thresholds(config):
+    """Allocate and free an untouched float64 block of ``config``'s parameter
+    count, twice a float32 network; no page of it is touched. glibc maps
+    blocks above a size threshold straight from the OS and keeps freed heap
+    space up to twice that size, raising both to the largest mapped block
+    freed so far. After this block, the activations of every later batch
+    reuse heap space instead of being mapped, and faulted in, anew on each
+    call: without it, a reference explain made 990,000 minor page faults
+    against 2,600, and train on the 11x11 images of wide_features 25,600
+    against about 2,000."""
+    np.empty(_param_count(config), dtype=np.float64)
+
+
 class ConvNetParams:
     """``config``'s network as one 1-D buffer, ``flat``, and per-layer arrays
     that view consecutive slices of it in _param_table's order. Every set of
@@ -127,8 +152,7 @@ class ConvNetParams:
     @classmethod
     def zeros(cls, config, dtype):
         """A set of ``config``'s network holding zeros of ``dtype``."""
-        size = sum(math.prod(shape) for _, shape in _param_table(config))
-        return cls(config, np.zeros(size, dtype=dtype))
+        return cls(config, np.zeros(_param_count(config), dtype=dtype))
 
     def arrays(self):
         """(name, array) pairs in checkpoint order."""
@@ -149,19 +173,26 @@ class TrainReport:
     epoch_s: list = field(default_factory=list)     # wall time; not in report.csv
 
 
-def init_params(config, seed=None):
-    """Fan-in uniform weights in +/- sqrt(6/fan_in), drawn in checkpoint
-    order; zero biases, which draw nothing."""
+def init_params(config, seed=None, dtype=np.float64):
+    """Fan-in uniform weights in +/- sqrt(6/fan_in), drawn in float64 in
+    checkpoint order and stored as ``dtype``; zero biases, which draw
+    nothing. The draw passes through one float64 chunk of _DRAW_BYTES, the
+    same stream in the same order, so a float32 network equals the float64
+    one cast, bit for bit, and takes no float64 copy of itself."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    params = ConvNetParams.zeros(config, np.float64)
+    params = ConvNetParams.zeros(config, dtype)
+    chunk = np.empty(_DRAW_BYTES // 8, dtype=np.float64)
     for name, w in params.arrays():
         if name.endswith("_w"):
             bound = np.sqrt(6.0 / np.prod(w.shape[1:]))
-            # rng.uniform(-bound, bound)'s -bound + 2 * bound * U, without a
-            # temporary the size of the layer
-            rng.random(out=w)
-            w *= 2 * bound
-            w -= bound
+            w = w.reshape(-1)
+            for start in range(0, w.size, chunk.size):
+                part = chunk[: w.size - start]
+                # rng.uniform(-bound, bound)'s -bound + 2 * bound * U
+                rng.random(out=part)
+                part *= 2 * bound
+                part -= bound
+                w[start : start + part.size] = part
     return params
 
 
@@ -242,11 +273,13 @@ def _conv_input_grad(w, dout):
     return _conv(dout, w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(k * k * F, C), k)
 
 
-def _forward_cached(params, batch):
-    """Class probabilities of ``batch`` (B, C, H, W), and the activations that
-    loss_and_grad reads: the conv layers' channel-last inputs and ReLU
-    outputs, and the FC layers' inputs. A ReLU output is positive exactly
-    where its input is, so it doubles as the backward pass's mask."""
+def _activations(params, batch):
+    """Yield the activations of ``batch`` (B, C, H, W) layer by layer: the
+    batch channel-last, each conv layer's ReLU output, FC0's input, then
+    each FC layer's output, the last one the logits. Each ReLU and bias add
+    runs in place, so a consumer that drops each activation for the next
+    holds one at a time. A ReLU output is positive exactly where its input
+    is, so it doubles as the backward pass's mask."""
     cfg = params.config
     x = np.asarray(batch, dtype=params.flat.dtype)
     if x.ndim != 4 or x.shape[1:] != (cfg.input_channels, cfg.input_side, cfg.input_side):
@@ -255,29 +288,47 @@ def _forward_cached(params, batch):
             f"{cfg.input_side}, {cfg.input_side})"
         )
     h = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
-    conv_acts = [h]
+    yield h
     for w, b in zip(params.conv_w, params.conv_b):
-        h = np.maximum(_conv_forward(h, w, b), 0.0)
-        conv_acts.append(h)
+        h = _conv_forward(h, w, b)
+        np.maximum(h, 0.0, out=h)
+        yield h
     # FC0 reads its input in (F, H, W) order, as the checkpoint stores it
-    a = h.transpose(0, 3, 1, 2).reshape(h.shape[0], -1)
-    fc_acts = [a]
-    n_fc = len(params.fc_w)
+    h = h.transpose(0, 3, 1, 2).reshape(h.shape[0], -1)
+    yield h
+    last = len(params.fc_w) - 1
     for i, (w, b) in enumerate(zip(params.fc_w, params.fc_b)):
-        a = a @ w.T + b
-        if i < n_fc - 1:
-            a = np.maximum(a, 0.0)
-        fc_acts.append(a)
-    shifted = a - a.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    return probs, (conv_acts, fc_acts)
+        h = h @ w.T
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+        yield h
+
+
+def _softmax(logits):
+    """The rows of ``logits`` as class probabilities, computed in place."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _forward_cached(params, batch):
+    """Class probabilities of ``batch``, and the activations that
+    loss_and_grad reads: (conv_acts, fc_acts), the conv layers' channel-last
+    inputs and ReLU outputs, and the FC layers' inputs and outputs, as
+    _activations yields them (the logits became the probabilities)."""
+    acts = list(_activations(params, batch))
+    n_conv = len(params.conv_w) + 1
+    return _softmax(acts[-1]), (acts[:n_conv], acts[n_conv:])
 
 
 def forward(params, batch):
-    """Class probabilities for a batch of images."""
-    probs, _ = _forward_cached(params, batch)
-    return probs
+    """Class probabilities for a batch of images, holding one activation at
+    a time."""
+    for h in _activations(params, batch):
+        pass
+    return _softmax(h)
 
 
 def _loss_and_blocks(params, batch, labels):
@@ -373,12 +424,15 @@ def _mean_ce(params, X, y):
     return _cross_entropy(probs, y), probs
 
 
-def train(images, split, config):
+def train(images, split, config, checkpoint):
     """SGDM training in float32 with best-validation-loss checkpointing.
 
-    Returns (best params, TrainReport); deterministic for a fixed config seed.
-    The best params are float32, and the report's test metrics score them as
-    they are, as ``g2i eval`` scores them after a checkpoint round trip.
+    The best weights so far live in the file ``checkpoint`` + ``.tmp``, which
+    save_checkpoint rewrites in place: the start, then the weights of each
+    epoch that lowers the validation loss. When training ends it is renamed
+    over ``checkpoint``. Returns (best params, TrainReport), the params read
+    back from that file; deterministic for a fixed config seed. The report's
+    test metrics score them as ``g2i eval`` does.
     """
     for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
         if len(idx) == 0:
@@ -386,9 +440,11 @@ def train(images, split, config):
     dtype = np.float32      # the precision of the checkpoint
     X = np.asarray(images.tensors, dtype=dtype)
     y = np.asarray(images.labels)
-    params = init_params(config).astype(dtype)
+    raise_heap_thresholds(config)
+    params = init_params(config, dtype=dtype)
     velocity = np.zeros_like(params.flat)
-    best = ConvNetParams(config, params.flat.copy())
+    best_path = f"{os.fspath(checkpoint)}.tmp"
+    save_checkpoint(params, best_path)
     shuffle_rng = np.random.default_rng((config.seed, 0x5B1E))
     report = TrainReport()
     best_val = np.inf
@@ -408,9 +464,12 @@ def train(images, split, config):
         report.val_acc.append(val_acc)
         if val_loss < best_val:
             best_val = val_loss
-            np.copyto(best.flat, params.flat)
+            save_checkpoint(params, best_path)
             report.best_epoch = epoch
         report.epoch_s.append(time.perf_counter() - started)
+    del params, velocity    # before the best weights are read back
+    os.replace(best_path, checkpoint)
+    best = load_checkpoint(checkpoint, config)
     report.test_metrics = evaluate(best, images, split.test)
     return best, report
 

@@ -194,13 +194,13 @@ def _separable_images(n=200, side=8, seed=42):
                     labels=labels, channel_names=("a", "b"))
 
 
-def test_criterion_7_cnn_learning():
+def test_criterion_7_cnn_learning(tmp_path):
     t0 = time.time()
     images = _separable_images()
     split = split_dataset(images.labels, seed=5)
     cfg = ConvNetConfig(input_side=8, input_channels=2, classes=2, seed=3)
     assert cfg.learning_rate == 3e-4 and cfg.batch_size == 32 and cfg.max_epochs == 20
-    params, report = train(images, split, cfg)
+    params, report = train(images, split, cfg, tmp_path / "checkpoint.g2t")
     from g2i.cnn import evaluate
 
     train_acc = evaluate(params, images, split.train)["accuracy"]

@@ -308,6 +308,8 @@ class TestPipeline:
         ("run", ["--ratios", "0.7,x"], "--ratios"),
         ("run", ["--modality", "rna"], "--modality: modality 'rna' has no feature file"),
         ("run", ["--config", "modality.rna="], "modality 'rna' has no feature file"),
+        ("run", ["--foo", "1"], "unrecognized arguments: --foo 1"),
+        ("run", ["--max-epoch", "3"], "unrecognized arguments: --max-epoch 3"),
     ])
     def test_bad_setting_is_named(self, tmp_path, capsys, command, flags, name):
         if flags[0] == "--config":      # the setting is a line of a config file

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,6 +311,29 @@ class TestSerialization:
         assert [(n, l, a.shape) for n, l, a in loaded] == [("a", 0, (0, 3)), ("b", 1, (2, 3)),
                                                           ("c", 2, (0,))]
         assert np.array_equal(loaded[1][2], entries[1][2])
+
+    def test_payloads_are_the_float32_bytes_with_no_copy(self, tmp_path):
+        rng = np.random.default_rng(9)
+        wide = rng.normal(size=(6, 10))
+        cases = [("float64", wide), ("non-contiguous", wide.astype(np.float32)[:, ::3]),
+                 ("float32", wide.astype(np.float32))]
+        path = tmp_path / "t.g2t"
+        for what, arr in cases:     # the second overwrites a longer file
+            write_named_tensors([("a", 3, arr)], (), path)
+            payload = np.ascontiguousarray(arr, dtype=np.float32).tobytes()
+            head = b"G2IM" + struct.pack("<HIH", 1, 1, 1) + b"a" + struct.pack("<iB2I", 3, 2,
+                                                                               *arr.shape)
+            assert path.read_bytes() == head + payload + struct.pack("<H", 0), what
+        # a float32 payload goes to the file from its own buffer
+        big = rng.normal(size=(1024, 1024)).astype(np.float32)     # 4 MB
+        tracemalloc.start()
+        try:
+            write_named_tensors([("big", -1, big)], (), tmp_path / "big.g2t")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert (tmp_path / "big.g2t").stat().st_size == big.nbytes + 30
 
 
 @pytest.fixture(scope="module")
