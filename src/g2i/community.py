@@ -3,6 +3,10 @@
 Each node is represented by its adjacency row; nodes are partitioned with
 k-means++ seeding followed by Lloyd iterations, and the fitted centroids yield
 a z-scored inter-community distance matrix used for the structural layout.
+The rows are a graph's sparse ``CSRMatrix`` or any dense array, such as the
+metrics stage's image embedding. The two paths differ only in how a block of
+rows is made dense, how ``rows @ C.T`` is formed and how each community's
+rows are added up.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch, UnknownNodeId
-from .graph import read_int_rows
+from .graph import CSRMatrix, read_int_rows
 
 
 _HEADER = ("node_id", "community")
@@ -62,12 +66,41 @@ def _blocks(rows):
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def _dense(rows, index):
+    """``rows[index]`` as dense float64 rows: a view of a dense array, or a
+    CSRMatrix's rows made dense."""
+    return rows.dense_rows(index) if isinstance(rows, CSRMatrix) else rows[index]
+
+
 def _sq_dists_to(rows, point):
     # np.sum((rows - point) ** 2, axis=1), block by block; each row sums on its
     # own, so the bits do not depend on the blocks. Squared norms at point 0.0.
+    if isinstance(rows, CSRMatrix):
+        return _sparse_sq_dists_to(rows, point)
     out = np.empty(len(rows))
     for blk in _blocks(rows):
         out[blk] = _sum_squares(rows[blk] - point)
+    return out
+
+
+def _sparse_sq_dists_to(A, point):
+    # each block of (row - point) ** 2 is made dense in one reused buffer: a
+    # zero entry's term (0.0 - p) ** 2 has the bits of p * p, and each
+    # nonzero's term is computed as the dense rows compute it
+    point = np.broadcast_to(np.asarray(point, dtype=np.float64), (A.n,))
+    zero_terms = point * point
+    blocks = _blocks(A)
+    buf = np.empty((min(blocks[0].stop, A.n), A.n)) if blocks else None
+    out = np.empty(A.n)
+    for blk in blocks:
+        start, stop, _ = blk.indices(A.n)
+        block = buf[: stop - start]
+        block[...] = zero_terms
+        row, col, w = A.entries(blk)
+        terms = w - point[col]
+        terms *= terms
+        block[row - start, col] = terms
+        out[blk] = np.sum(block, axis=1)
     return out
 
 
@@ -97,16 +130,18 @@ def _has_distinct_rows(rows, P):
     np.unique(rows, axis=0) counts finite rows (0.0 equal to -0.0), one row at
     a time and stopping at the P-th."""
     seen = set()
-    for row in rows:
-        seen.add((row + 0.0).tobytes())     # + 0.0 turns -0.0 into 0.0
-        if len(seen) >= P:
-            return True
+    for blk in _blocks(rows):
+        for row in _dense(rows, blk):
+            seen.add((row + 0.0).tobytes())     # + 0.0 turns -0.0 into 0.0
+            if len(seen) >= P:
+                return True
     return False
 
 
 def kmeanspp_init(rows, P, seed):
-    """k-means++ seeding: first centroid uniform, then proportional to D(a_i)^2."""
-    rows = np.asarray(rows, dtype=np.float64)
+    """k-means++ seeding: first centroid uniform, then proportional to D(a_i)^2.
+    ``rows`` is a CSRMatrix or a dense array."""
+    rows = _as_rows(rows)
     n = rows.shape[0]
     if P > n:
         raise DegenerateData(f"P={P} exceeds number of rows {n}")
@@ -114,25 +149,36 @@ def kmeanspp_init(rows, P, seed):
         raise DegenerateData(f"fewer than P={P} distinct rows")
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists_to(rows, rows[chosen[0]])
+    d2 = _sq_dists_to(rows, _dense(rows, chosen[0]))
     for _ in range(1, P):
         total = d2.sum()
         probs = d2 / total
         idx = int(rng.choice(n, p=probs))
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dists_to(rows, rows[idx]))
-    return rows[chosen]
+        d2 = np.minimum(d2, _sq_dists_to(rows, _dense(rows, idx)))
+    return _dense(rows, np.array(chosen))
+
+
+def _as_rows(rows):
+    return rows if isinstance(rows, CSRMatrix) else np.asarray(rows, dtype=np.float64)
 
 
 def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
-    """Lloyd's algorithm on arbitrary row vectors.
+    """Lloyd's algorithm on arbitrary row vectors: a CSRMatrix or a dense array.
 
     Returns (centroids, assignment, inertia_history). Ties in the assignment
     step go to the lowest community index; a cluster emptied by an update is
     reseeded at the row farthest from its stale centroid. Beyond the rows, it
-    holds O(P * n) arrays and one block of rows at a time.
+    holds O(P * n) arrays, O(nnz) ones for a CSRMatrix, and one block of rows
+    at a time.
+
+    A CSRMatrix and the same matrix dense give the same centroids and
+    assignment, bit for bit, whenever no distance is within rounding of a
+    tie: the seeding, the squared norms and the centroid sums have the same
+    bits on both paths. Only ``rows @ C.T`` adds its products in another
+    order, so the inertia history may differ in the last bits.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = _as_rows(rows)
     if P < 1:
         raise BadArgument(f"community count P must be >= 1, got {P}")
     if max_iter < 1:
@@ -153,20 +199,23 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
         # rows[assignment == c].mean(axis=0) sums them, without a copy of them
         # (numpy sums a single column pairwise, so rows one column wide can
         # differ from that mean in the last bit; no g2i stage clusters such rows)
-        sums = np.zeros((P, rows.shape[1]))
-        for row, c in zip(rows, assignment.tolist()):
-            sums[c] += row
+        if isinstance(rows, CSRMatrix):
+            sums = rows.group_sums(assignment, P)
+        else:
+            sums = np.zeros((P, rows.shape[1]))
+            for row, c in zip(rows, assignment.tolist()):
+                sums[c] += row
         for c in range(P):
             if counts[c]:
                 centroids[c] = sums[c] / counts[c]
             else:
-                centroids[c] = rows[int(np.argmax(_sq_dists_to(rows, centroids[c])))]
+                centroids[c] = _dense(rows, int(np.argmax(_sq_dists_to(rows, centroids[c]))))
     return centroids, assignment, history
 
 
 def fit_communities(graph, P, seed):
     """Cluster the graph's connectivity profiles into P communities."""
-    centroids, assignment, history = kmeans(graph.adjacency, P, seed)
+    centroids, assignment, history = kmeans(graph.csr, P, seed)
     return CommunityModel(
         P=P,
         centroids=centroids,

@@ -8,6 +8,16 @@ File formats:
                  class indices in first-seen order
 
 Every text input is UTF-8, read through ``read_text``.
+
+The adjacency is never an n x n array. ``AttributedGraph.csr`` is a
+``CSRMatrix``: both triangles' nonzero weights, row by row in increasing
+column order, in three numpy arrays (``indptr``, ``indices``, ``weights``).
+``load_graph`` parses the edge list into compact int64/float64 arrays,
+finds an edge listed twice (in either orientation, zero weights included)
+from the sorted pair codes ``min(i, j) * n + max(i, j)``, and names the first
+line that repeats an earlier pair with both weights. When a file holds
+several faults, the one on the earliest line is reported. Zero weights are
+then dropped, and the matrix holds the rest in both triangles.
 """
 
 from __future__ import annotations
@@ -15,7 +25,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +34,7 @@ from .errors import (
     AsymmetricDuplicate,
     BadArgument,
     ClassTooSmall,
+    G2IError,
     MalformedLine,
     SelfLoop,
     UnknownNodeId,
@@ -34,30 +46,187 @@ from .errors import (
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
+# bytes that one block of rows takes: generate_sbm's uniform draws, and the
+# products of CSRMatrix @ a dense array
+_BLOCK_BYTES = 1 << 20
+
+
+@dataclass(frozen=True)
+class CSRMatrix:
+    """A square float64 matrix in compressed sparse row form: row i holds
+    ``weights[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, in increasing column order, and no
+    stored weight is zero."""
+
+    indptr: np.ndarray           # (n + 1,) int64
+    indices: np.ndarray          # (nnz,) int64
+    weights: np.ndarray          # (nnz,) float64
+
+    def __post_init__(self):
+        ptr, idx, w = self.indptr, self.indices, self.weights
+        if not (ptr.ndim == idx.ndim == w.ndim == 1 and len(ptr) >= 1 and ptr[0] == 0
+                and ptr[-1] == len(idx) == len(w) and np.all(np.diff(ptr) >= 0)):
+            raise ValueError("indptr, indices and weights do not describe a CSR matrix")
+        if len(idx):
+            keys = self._keys()
+            if not (0 <= idx.min() and idx.max() < self.n and np.all(keys[1:] > keys[:-1])):
+                raise ValueError("column indices must lie in [0, n) and increase within each row")
+        if np.any(w == 0):
+            raise ValueError("a stored weight is zero")
+        for arr in (ptr, idx, w):
+            arr.setflags(write=False)
+
+    @classmethod
+    def symmetric(cls, n, lo, hi, weights):
+        """Both triangles of the n x n symmetric matrix whose upper-triangle
+        entries ``(lo[e], hi[e]) = weights[e]``, lo < hi, are each given once,
+        in any order."""
+        E = len(lo)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
+        keys = np.concatenate([lo, hi]).astype(np.int64, copy=False)  # row * n + column
+        keys *= n
+        cols = np.concatenate([hi, lo]).astype(np.int64, copy=False)
+        keys += cols
+        order = np.argsort(keys)                     # the keys are distinct
+        del keys
+        indices = cols[order]
+        del cols
+        order[order >= E] -= E                       # entries e and E + e hold weights[e]
+        return cls(indptr, indices, np.asarray(weights, dtype=np.float64)[order])
+
+    @classmethod
+    def from_dense(cls, A):
+        """The nonzeros of the square array ``A``."""
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        rows, cols = np.nonzero(A)                   # row-major
+        indptr = np.zeros(A.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=A.shape[0]), out=indptr[1:])
+        return cls(indptr, cols.astype(np.int64), A[rows, cols])
+
+    @property
+    def n(self):
+        return len(self.indptr) - 1
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+    def entries(self, rows=slice(None)):
+        """(row, column, weight) of each stored entry of a slice of rows, in
+        storage order."""
+        start, stop, _ = rows.indices(self.n)
+        stop = max(start, stop)
+        lo, hi = self.indptr[start], self.indptr[stop]
+        row = np.repeat(np.arange(start, stop), np.diff(self.indptr[start : stop + 1]))
+        return row, self.indices[lo:hi], self.weights[lo:hi]
+
+    def row_blocks(self, max_entries):
+        """Slices of consecutive rows that cover the matrix, each holding
+        about ``max_entries`` stored entries: a block starts at the row of
+        every max_entries-th entry."""
+        cuts = np.searchsorted(self.indptr, np.arange(0, self.nnz, max_entries), side="right") - 1
+        cuts = np.unique(np.append(cuts, [0, self.n])).tolist()
+        return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def _keys(self):
+        # row * n + column of each entry: increasing exactly when the entries
+        # are sorted by row and then by column, with no pair twice
+        keys = self.entries()[0]
+        keys *= self.n
+        keys += self.indices
+        return keys
+
+    def is_symmetric(self):
+        """Whether the matrix equals its transpose (NaN equals nothing)."""
+        transposed = self.indices * self.n
+        transposed += self.entries()[0]
+        order = np.argsort(transposed)
+        transposed = transposed[order]
+        return (np.array_equal(transposed, self._keys())
+                and np.array_equal(self.weights[order], self.weights))
+
+    def diagonal_is_zero(self):
+        return not np.any(self.indices == self.entries()[0])
+
+    def dense_rows(self, index):
+        """``self.toarray()[index]`` for a row number, a slice of step 1 or an
+        array of row numbers, without the whole matrix."""
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self.n)
+            if step != 1:
+                raise ValueError("dense_rows takes slices of step 1")
+            row, col, w = self.entries(index)
+            out = np.zeros((max(stop - start, 0), self.n))
+            out[row - start, col] = w
+            return out
+        rows = np.asarray(index)
+        out = np.zeros((rows.size, self.n))
+        for r, i in enumerate(rows.ravel().tolist()):
+            _, col, w = self.entries(slice(i, i + 1))
+            out[r, col] = w
+        return out.reshape(*rows.shape, self.n)
+
+    def toarray(self):
+        return self.dense_rows(slice(None))
+
+    def __matmul__(self, other):
+        """``self @ other`` for a dense (n, m) array. Each output entry is one
+        ``np.add.reduceat`` over its row's products in column order, so it
+        does not depend on the blocks, and it can differ from a dense
+        product's sum in the last bits. The products are formed about
+        _BLOCK_BYTES at a time."""
+        other_t = np.ascontiguousarray(np.asarray(other, dtype=np.float64).T)   # (m, n)
+        m = other_t.shape[0]
+        out = np.zeros((self.n, m))
+        for blk in self.row_blocks(max(1, _BLOCK_BYTES // (8 * max(m, 1)))):
+            starts = self.indptr[blk.start : blk.stop]
+            nonempty = starts < self.indptr[blk.start + 1 : blk.stop + 1]
+            lo, hi = starts[0], self.indptr[blk.stop]
+            products = np.take(other_t, self.indices[lo:hi], axis=1)
+            products *= self.weights[lo:hi]
+            out[blk][nonempty] = np.add.reduceat(products, starts[nonempty] - lo, axis=1).T
+        return out
+
+    def group_sums(self, groups, n_groups):
+        """(n_groups, n): the sum of the rows of each group, ``groups[i]`` being
+        row i's group. Each entry adds its rows in row order to 0.0, as the
+        dense loop ``sums[groups[i]] += row_i`` does: no weight is zero, so
+        no partial sum is -0.0, and the zeros that loop adds change none."""
+        flat = np.asarray(groups, dtype=np.int64)[self.entries()[0]]
+        flat *= self.n
+        flat += self.indices
+        sums = np.bincount(flat, weights=self.weights, minlength=n_groups * self.n)
+        return sums.reshape(n_groups, self.n)
+
+
 @dataclass(frozen=True)
 class AttributedGraph:
     """Symmetric weighted graph with per-node features and optional labels."""
 
     n: int
     node_ids: tuple
-    adjacency: np.ndarray        # (n, n) float64, symmetric, zero diagonal
+    csr: CSRMatrix               # (n, n), symmetric, zero diagonal, weights > 0
     features: np.ndarray         # (n, k) float64
     feature_names: tuple
     labels: np.ndarray | None = None      # (n,) int class indices
     class_names: tuple | None = None
 
     def __post_init__(self):
-        A = self.adjacency
+        A = self.csr
         if A.shape != (self.n, self.n):
             raise ValueError(f"adjacency shape {A.shape} != ({self.n}, {self.n})")
-        # a band of about 1 MB of rows at a time, with no n x n temporary
-        step = max(1, (1 << 20) // (8 * max(self.n, 1)))
-        for start in range(0, self.n, step):
-            if not np.array_equal(A[start : start + step], A[:, start : start + step].T):
-                raise ValueError("adjacency is not symmetric")
-        if np.any(np.diagonal(A) != 0):
+        if not A.is_symmetric():
+            raise ValueError("adjacency is not symmetric")
+        if not A.diagonal_is_zero():
             raise SelfLoop("adjacency has nonzero diagonal")
-        if A.min(initial=0.0) < 0:
+        if A.weights.min(initial=0.0) < 0:
             raise ValueError("negative edge weight")
         if self.features.shape[0] != self.n:
             raise ValueError("feature row count does not match node count")
@@ -70,7 +239,6 @@ class AttributedGraph:
                 if self.labels.max(initial=-1) >= len(self.class_names):
                     raise ValueError("label index out of range")
         # Graphs are immutable after construction; freeze the arrays.
-        self.adjacency.setflags(write=False)
         self.features.setflags(write=False)
         if self.labels is not None:
             self.labels.setflags(write=False)
@@ -80,7 +248,8 @@ class AttributedGraph:
         return self.features.shape[1]
 
     def degrees(self):
-        return self.adjacency.sum(axis=1)
+        """Each node's weighted degree, its row's weights added in column order."""
+        return np.bincount(self.csr.entries()[0], weights=self.csr.weights, minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -115,58 +284,83 @@ class DatasetSplit:
 def load_graph(edge_path, feature_path, label_path=None):
     """Read edge list + feature CSV (+ optional label CSV) into an AttributedGraph."""
     nodes = load_nodes(feature_path, label_path)
-    index = {nid: i for i, nid in enumerate(nodes.node_ids)}
-    adjacency = np.zeros((nodes.n, nodes.n), dtype=np.float64)
-    # an edge listed before is nonzero in the matrix, or one of these
-    zero_weight = {}        # (i, j), i < j -> the weight, 0.0 or -0.0
-    with read_text(edge_path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) != 3:
-                raise MalformedLine(edge_path, lineno, f"expected 3 fields, got {len(parts)}")
-            src, dst, wtext = parts
-            try:
-                w = float(wtext)
-            except ValueError:
-                raise MalformedLine(edge_path, lineno, f"bad weight {wtext!r}") from None
-            if not math.isfinite(w):
-                raise MalformedLine(edge_path, lineno, f"non-finite weight {wtext!r}")
-            if abs(w) > _F32_MAX:
-                raise MalformedLine(edge_path, lineno, f"weight {wtext!r} exceeds float32's "
-                                                       f"largest finite value")
-            if w < 0:
-                raise MalformedLine(edge_path, lineno, f"negative weight {w}")
-            if src == dst:
-                raise SelfLoop(f"{edge_path}:{lineno}: self loop on {src!r}")
-            for nid in (src, dst):
-                if nid not in index:
-                    raise UnknownNodeId(f"{edge_path}:{lineno}: unknown node id {nid!r}")
-            i, j = index[src], index[dst]
-            pair = (min(i, j), max(i, j))
-            first = float(adjacency[i, j]) or zero_weight.get(pair)
-            if first is not None:
-                raise AsymmetricDuplicate(
-                    f"{edge_path}:{lineno}: edge {(min(src, dst), max(src, dst))} listed "
-                    f"twice (weights {first} and {w})"
-                )
-            if w == 0:
-                zero_weight[pair] = w
-                continue  # zero-weight edges are dropped
-            adjacency[i, j] = w
-            adjacency[j, i] = w
-
     return AttributedGraph(
         n=nodes.n,
         node_ids=nodes.node_ids,
-        adjacency=adjacency,
+        csr=_read_edges(edge_path, nodes.node_ids),
         features=nodes.features,
         feature_names=nodes.feature_names,
         labels=nodes.labels,
         class_names=nodes.class_names,
     )
+
+
+def _read_edges(edge_path, node_ids):
+    """The CSRMatrix of the edge list at ``edge_path`` over ``node_ids``."""
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    pairs, weights, linenos = array("q"), array("d"), array("q")   # per edge, in file order
+    try:
+        with read_text(edge_path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t") if "\t" in line else line.split()
+                if len(parts) != 3:
+                    raise MalformedLine(edge_path, lineno, f"expected 3 fields, got {len(parts)}")
+                src, dst, wtext = parts
+                try:
+                    w = float(wtext)
+                except ValueError:
+                    raise MalformedLine(edge_path, lineno, f"bad weight {wtext!r}") from None
+                if not math.isfinite(w):
+                    raise MalformedLine(edge_path, lineno, f"non-finite weight {wtext!r}")
+                if abs(w) > _F32_MAX:
+                    raise MalformedLine(edge_path, lineno, f"weight {wtext!r} exceeds float32's "
+                                                           f"largest finite value")
+                if w < 0:
+                    raise MalformedLine(edge_path, lineno, f"negative weight {w}")
+                if src == dst:
+                    raise SelfLoop(f"{edge_path}:{lineno}: self loop on {src!r}")
+                i, j = index.get(src), index.get(dst)
+                if i is None or j is None:
+                    raise UnknownNodeId(f"{edge_path}:{lineno}: unknown node id "
+                                        f"{src if i is None else dst!r}")
+                pairs.extend((i, j) if i < j else (j, i))
+                weights.append(w)
+                linenos.append(lineno)
+    except G2IError:
+        # a pair that repeats before the faulty line comes first in the file
+        _check_pairs_once(edge_path, node_ids, pairs, weights, linenos)
+        raise
+    _check_pairs_once(edge_path, node_ids, pairs, weights, linenos)
+    lo_hi = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
+    lo, hi, w = lo_hi[:, 0], lo_hi[:, 1], np.frombuffer(weights, dtype=np.float64)
+    if not w.all():                # zero-weight edges are dropped
+        kept = w != 0
+        lo, hi, w = lo[kept], hi[kept], w[kept]
+    return CSRMatrix.symmetric(len(node_ids), lo, hi, w)
+
+
+def _check_pairs_once(edge_path, node_ids, pairs, weights, linenos):
+    """Raise AsymmetricDuplicate if a line lists a pair of nodes that an
+    earlier line lists too, naming the first such line and both weights.
+    ``pairs`` holds each edge's (lo, hi) node numbers, lo < hi."""
+    lo_hi = np.frombuffer(pairs, dtype=np.int64).reshape(-1, 2)
+    codes = lo_hi[:, 0] * len(node_ids)
+    codes += lo_hi[:, 1]
+    order = np.argsort(codes, kind="stable")       # each pair's lines in file order
+    codes = codes[order]
+    repeats = np.flatnonzero(codes[1:] == codes[:-1])
+    if len(repeats):
+        # the first line that repeats a pair has one earlier line with that pair
+        pos = repeats[np.argmin(order[1:][repeats])]
+        first, second = order[pos], order[pos + 1]
+        pair = tuple(sorted(node_ids[v] for v in lo_hi[second]))
+        raise AsymmetricDuplicate(
+            f"{edge_path}:{linenos[second]}: edge {pair} listed twice "
+            f"(weights {weights[first]} and {weights[second]})"
+        )
 
 
 def load_nodes(feature_path, label_path=None):
@@ -291,14 +485,14 @@ def read_int_rows(path, header):
 
 def write_graph(graph, edge_path, feature_path, label_path=None):
     """Serialize a graph back to the text formats accepted by load_graph."""
-    A, ids = graph.adjacency, graph.node_ids
-    rows, cols = np.nonzero(A)          # row-major, with no n x n temporary
-    upper = rows < cols
-    rows, cols = rows[upper], cols[upper]
-    weights = A[rows, cols].astype(np.float64).tolist()
+    A, ids = graph.csr, graph.node_ids
     with open(edge_path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"{ids[i]}\t{ids[j]}\t{w!r}\n"
-                      for i, j, w in zip(rows.tolist(), cols.tolist(), weights))
+        # the upper triangle, row-major, about 64K entries at a time
+        for blk in A.row_blocks(1 << 16):
+            rows, cols, weights = A.entries(blk)
+            upper = rows < cols
+            fh.writelines(f"{ids[i]}\t{ids[j]}\t{w!r}\n" for i, j, w in
+                          zip(rows[upper].tolist(), cols[upper].tolist(), weights[upper].tolist()))
     with open(feature_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", *graph.feature_names])
@@ -373,9 +567,20 @@ def generate_sbm(blocks, p_in, p_out, feature_dim, signal, seed):
     n = sum(blocks)
     labels = np.repeat(np.arange(len(blocks)), blocks)
 
-    probs = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < probs, k=1)
-    adjacency = (upper | upper.T).astype(np.float64)
+    # an edge i < j where the uniform draw u[i, j] < p; the n x n draw is
+    # taken in blocks of rows from the same stream, which gives the same
+    # doubles, and a block's columns left of its first row are not compared
+    lo, hi = [], []
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        drawn = rng.random((len(rows), n))[:, start:]
+        edge = drawn < np.where(labels[rows, None] == labels[start:], p_in, p_out)
+        edge &= rows[:, None] < np.arange(start, n)
+        i, j = np.nonzero(edge)
+        lo.append(rows[i])
+        hi.append(j + start)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
 
     features = rng.standard_normal((n, feature_dim))
     for b, coords in enumerate(sbm_signal_coords(len(blocks), feature_dim)):
@@ -384,7 +589,7 @@ def generate_sbm(blocks, p_in, p_out, feature_dim, signal, seed):
     return AttributedGraph(
         n=n,
         node_ids=tuple(f"n{i:04d}" for i in range(n)),
-        adjacency=adjacency,
+        csr=CSRMatrix.symmetric(n, lo, hi, np.ones(len(lo))),
         features=features,
         feature_names=tuple(f"f{j:03d}" for j in range(feature_dim)),
         labels=labels,

@@ -14,7 +14,7 @@ from g2i.community import (
     kmeanspp_init,
 )
 from g2i.errors import BadArgument, DegenerateData
-from g2i.graph import generate_sbm
+from g2i.graph import CSRMatrix, generate_sbm
 
 
 def test_community_count_values():
@@ -227,7 +227,7 @@ def _matrices():
     """(name, rows): random, 0/1 and duplicate-row matrices, some with -0.0."""
     rng = np.random.default_rng(21)
     normal = rng.normal(size=(90, 70))
-    sbm = generate_sbm((40, 40, 40), 0.3, 0.05, 4, 0.0, seed=3).adjacency
+    sbm = generate_sbm((40, 40, 40), 0.3, 0.05, 4, 0.0, seed=3).csr.toarray()
     distinct = rng.normal(size=(9, 50)).round(1)       # rounding gives some -0.0
     duplicates = distinct[rng.integers(0, 9, size=80)]
     return [("normal", normal), ("sbm", sbm), ("duplicates", duplicates)]
@@ -243,7 +243,7 @@ class TestBlockedEqualsWholeMatrix:
         assert len(community._blocks(rows)) > 1
 
     def test_default_blocks(self):
-        rows = generate_sbm((150, 150, 150, 150), 0.1, 0.01, 4, 0.0, seed=2).adjacency
+        rows = generate_sbm((150, 150, 150, 150), 0.1, 0.01, 4, 0.0, seed=2).csr.toarray()
         assert len(community._blocks(rows)) == 3
         got, ref = kmeans(rows, 8, 4), _whole_kmeans(rows, 8, 4)
         assert _bits_equal(got[0], ref[0]) and _bits_equal(got[1], ref[1]) and got[2] == ref[2]
@@ -310,7 +310,7 @@ class TestDistinctRows:
 def test_kmeans_holds_no_matrix_sized_temporary():
     # numpy reports its buffers to tracemalloc; the 1000 x 1000 rows are made
     # before tracing starts, so the peak counts only what kmeans allocates
-    rows = generate_sbm((250, 250, 250, 250), 0.1, 0.01, 4, 0.0, seed=0).adjacency
+    rows = generate_sbm((250, 250, 250, 250), 0.1, 0.01, 4, 0.0, seed=0).csr.toarray()
     tracemalloc.start()
     try:
         kmeans(rows, 4, seed=0)
@@ -318,3 +318,55 @@ def test_kmeans_holds_no_matrix_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < rows.nbytes / 4, f"{peak / 2**20:.2f} MB on {rows.nbytes / 2**20:.2f} MB rows"
+
+
+class TestSparseEqualsDense:
+    """kmeans and kmeanspp_init on a CSRMatrix give the centroids, assignment
+    and iteration count of the same matrix dense, bit for bit. Only the
+    inertia history may differ in the last bits: the sparse ``rows @ C.T``
+    adds its products in another order than the dense product."""
+
+    @staticmethod
+    def _assert_same(sparse, dense):
+        assert _bits_equal(sparse[0], dense[0]) and _bits_equal(sparse[1], dense[1])
+        assert len(sparse[2]) == len(dense[2])
+
+    @pytest.mark.parametrize("blocks", [(20, 20, 20), (40,) * 4, (60, 90, 75)])
+    @pytest.mark.parametrize("P", [3, 4, 8])
+    def test_sbm(self, blocks, P):
+        for seed in range(12):
+            csr = generate_sbm(blocks, 0.3, 0.05, 4, 0.0, seed=seed).csr
+            dense = csr.toarray()
+            self._assert_same(kmeans(csr, P, seed), kmeans(dense, P, seed))
+            assert _bits_equal(kmeanspp_init(csr, P, seed), kmeanspp_init(dense, P, seed))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_weighted_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 160))
+        upper = np.triu(rng.uniform(0.0, 3.0, size=(n, n)) * (rng.random((n, n)) < 0.15), 1)
+        if seed % 2:
+            upper = np.round(upper, 1)
+        dense = upper + upper.T
+        dense[int(rng.integers(n))] = 0.0          # an isolated node
+        dense[:, int(rng.integers(n))] = 0.0
+        dense = np.minimum(dense, dense.T)
+        csr = CSRMatrix.from_dense(dense)
+        for P in (2, 5, 9):
+            self._assert_same(kmeans(csr, P, seed), kmeans(dense, P, seed))
+
+    def test_from_centroids_with_an_emptied_community(self):
+        csr = generate_sbm((30, 30, 30), 0.3, 0.05, 4, 0.0, seed=4).csr
+        dense = csr.toarray()
+        # the same row twice leaves a community empty after the first update
+        for init in (dense[:4], dense[[5, 5, 6, 7]]):
+            self._assert_same(kmeans(csr, len(init), 0, init_centroids=init),
+                              kmeans(dense, len(init), 0, init_centroids=init))
+
+    def test_distinct_rows_counted_alike(self):
+        dense = np.zeros((6, 6))
+        dense[0, 1] = dense[1, 0] = 2.0
+        csr = CSRMatrix.from_dense(dense)     # rows 0 and 1 and four empty rows
+        assert _bits_equal(kmeanspp_init(csr, 3, 0), kmeanspp_init(dense, 3, 0))
+        with pytest.raises(DegenerateData, match="fewer than P=4 distinct rows"):
+            kmeanspp_init(csr, 4, 0)

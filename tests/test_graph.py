@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from g2i import graph as graph_module
+from g2i.community import fit_communities
 from g2i.errors import AsymmetricDuplicate, ClassTooSmall, MalformedLine, SelfLoop, UnknownNodeId
 from g2i.graph import (
     AttributedGraph,
+    CSRMatrix,
     generate_sbm,
     load_graph,
     load_nodes,
@@ -32,7 +37,7 @@ def test_edges_are_mirrored(tmp_path):
     feats = _feature_file(tmp_path, ["a", "b", "c"])
     g = load_graph(edges, feats)
     expected = np.array([[0, 1, 0], [1, 0, 2], [0, 2, 0]], dtype=float)
-    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(g.csr.toarray(), expected)
 
 
 def test_self_loop_rejected(tmp_path):
@@ -72,15 +77,42 @@ def test_duplicate_edge_names_line_and_both_weights(tmp_path, lines, message):
     assert str(info.value) == f"{edges}:3: {message}"
 
 
+@pytest.mark.parametrize("text, error, lineno", [
+    ("a\tb\t1.0\nb\ta\t2.0\nc\tb\n", AsymmetricDuplicate, 2),
+    ("c\tb\na\tb\t1.0\nb\ta\t2.0\n", MalformedLine, 1),
+    ("a\tb\t1.0\nc\td\t0\nd\tc\t5\na\tz\t1\n", AsymmetricDuplicate, 3),
+    ("a\tb\t1.0\na\tz\t1\nb\ta\t2.0\n", UnknownNodeId, 2),
+    ("a\tb\t1.0\nb\ta\t2.0\nc\tc\t1\n", AsymmetricDuplicate, 2),
+    ("c\tc\t1\na\tb\t1.0\nb\ta\t2.0\n", SelfLoop, 1),
+])
+def test_first_fault_in_file_order_is_reported(tmp_path, text, error, lineno):
+    edges = _write(tmp_path, "edges.tsv", text)
+    feats = _feature_file(tmp_path, ["a", "b", "c", "d"])
+    with pytest.raises(error) as info:
+        load_graph(edges, feats)
+    assert str(info.value).startswith(f"{edges}:{lineno}: ")
+
+
+def test_first_repeated_pair_is_named_among_many(tmp_path):
+    # pairs repeat on lines 5 and 4; line 4 repeats line 1, whatever the sort order
+    text = "c\td\t1\nb\tc\t2\na\tb\t3\nd\tc\t4\nb\ta\t5\nd\tc\t6\n"
+    edges = _write(tmp_path, "edges.tsv", text)
+    feats = _feature_file(tmp_path, ["a", "b", "c", "d"])
+    with pytest.raises(AsymmetricDuplicate) as info:
+        load_graph(edges, feats)
+    assert str(info.value) == f"{edges}:4: edge ('c', 'd') listed twice (weights 1.0 and 4.0)"
+
+
 def _graph_of(adjacency):
     n = len(adjacency)
-    return AttributedGraph(n=n, node_ids=tuple(map(str, range(n))), adjacency=adjacency,
+    return AttributedGraph(n=n, node_ids=tuple(map(str, range(n))),
+                           csr=CSRMatrix.from_dense(adjacency),
                            features=np.zeros((n, 1)), feature_names=("x",))
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (39, 40), (40, 39), (399, 0), (250, 399)])
 def test_asymmetric_adjacency_rejected_in_every_band(i, j):
-    # 400 nodes are checked in bands of 40 rows
+    # one asymmetric entry anywhere among the 400 x 400 nonzeros
     A = np.ones((400, 400)) - np.eye(400)
     _graph_of(A.copy())
     A[i, j] = 2.0
@@ -116,7 +148,7 @@ def test_comments_and_zero_weights(tmp_path):
     edges = _write(tmp_path, "edges.tsv", "# header\na\tb\t1.0\nb\tc\t0.0\n")
     feats = _feature_file(tmp_path, ["a", "b", "c"])
     g = load_graph(edges, feats)
-    assert g.adjacency[1, 2] == 0
+    assert g.csr.toarray()[1, 2] == 0
 
 
 def test_load_nodes_reads_what_load_graph_reads_without_edges(tmp_path):
@@ -138,7 +170,7 @@ def test_round_trip_is_idempotent(tmp_path):
     e1, f1, l1 = tmp_path / "e1", tmp_path / "f1", tmp_path / "l1"
     write_graph(g, e1, f1, l1)
     g2 = load_graph(e1, f1, l1)
-    assert np.array_equal(g.adjacency, g2.adjacency)
+    assert np.array_equal(g.csr.toarray(), g2.csr.toarray())
     assert np.array_equal(g.features, g2.features)
     assert np.array_equal(g.labels, g2.labels)
     assert g.node_ids == g2.node_ids
@@ -151,10 +183,10 @@ def test_round_trip_is_idempotent(tmp_path):
 
 def _loop_edge_text(graph):
     """Reference: edges.tsv as the double loop over i < j writes it."""
-    lines = []
+    lines, A = [], graph.csr.toarray()
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
-            w = graph.adjacency[i, j]
+            w = A[i, j]
             if w != 0:
                 lines.append(f"{graph.node_ids[i]}\t{graph.node_ids[j]}\t{float(w)!r}\n")
     return "".join(lines)
@@ -168,7 +200,8 @@ def test_edge_file_equals_loop_reference(tmp_path, seed):
     if seed % 2:
         upper = np.round(upper, 1)      # short reprs, and whole numbers such as 1.0
     g = AttributedGraph(n=n, node_ids=tuple(f"v{i:03d}" for i in range(n)),
-                        adjacency=upper + upper.T, features=rng.normal(size=(n, 2)),
+                        csr=CSRMatrix.from_dense(upper + upper.T),
+                        features=rng.normal(size=(n, 2)),
                         feature_names=("x0", "x1"))
     write_graph(g, tmp_path / "e", tmp_path / "f")
     text = (tmp_path / "e").read_text(encoding="utf-8")
@@ -214,16 +247,16 @@ class TestSBM:
     def test_degenerate_probabilities_give_cliques(self):
         g = generate_sbm((20, 20), 1.0, 0.0, 4, 0.0, seed=0)
         block = np.ones((20, 20)) - np.eye(20)
-        assert np.array_equal(g.adjacency[:20, :20], block)
-        assert np.array_equal(g.adjacency[20:, 20:], block)
-        assert np.all(g.adjacency[:20, 20:] == 0)
+        assert np.array_equal(g.csr.toarray()[:20, :20], block)
+        assert np.array_equal(g.csr.toarray()[20:, 20:], block)
+        assert np.all(g.csr.toarray()[:20, 20:] == 0)
 
     def test_within_block_edge_count_moment(self):
         # expected 2 * C(30,2) * 0.5 = 435 within-block edges; check +-3 sigma
         g = generate_sbm((30, 30), 0.5, 0.05, 4, 0.0, seed=5)
         within = 0
         for b in (0, 1):
-            sub = g.adjacency[b * 30 : (b + 1) * 30, b * 30 : (b + 1) * 30]
+            sub = g.csr.toarray()[b * 30 : (b + 1) * 30, b * 30 : (b + 1) * 30]
             within += int(sub.sum()) // 2
         n_trials = 2 * 30 * 29 // 2
         sigma = np.sqrt(n_trials * 0.5 * 0.5)
@@ -231,7 +264,7 @@ class TestSBM:
 
     def test_zero_pout_components_equal_blocks(self):
         g = generate_sbm((7, 9, 5), 0.9, 0.0, 4, 0.0, seed=2)
-        n_comp, comp = connected_components(g.adjacency, directed=False)
+        n_comp, comp = connected_components(g.csr.toarray(), directed=False)
         assert n_comp == 3
         for b in range(3):
             members = comp[np.asarray(g.labels) == b]
@@ -243,3 +276,113 @@ class TestSBM:
         means = np.array([g.features[np.asarray(g.labels) == b].mean(axis=0) for b in (0, 1)])
         for b in (0, 1):
             assert means[b, coords[b]].mean() > means[1 - b, coords[b]].mean() + 1.0
+
+
+class TestCSRMatrix:
+    def _dense(self, seed, n=30):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0.5, 2.0, size=(n, n)) * (rng.random((n, n)) < 0.2)
+        A[3] = 0.0          # an empty row
+        return A
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_products_and_sums_of_the_dense_matrix(self, seed):
+        A = self._dense(seed)
+        csr = CSRMatrix.from_dense(A)
+        assert csr.nnz == np.count_nonzero(A) and np.array_equal(csr.toarray(), A)
+        for index in (0, 3, 29, slice(2, 9), slice(0, 30), slice(5, 5), np.array([4, 3, 4])):
+            assert np.array_equal(csr.dense_rows(index), A[index])
+        B = np.random.default_rng(seed).normal(size=(30, 4))
+        assert np.allclose(csr @ B, A @ B, rtol=1e-13, atol=1e-13)
+        ones = CSRMatrix.from_dense((A > 0).astype(float))       # exact products and sums
+        assert np.array_equal(ones @ np.ones((30, 3)), (A > 0) @ np.ones((30, 3)))
+        groups = np.random.default_rng(seed).integers(0, 3, size=30)
+        sums = np.zeros((3, 30))
+        for row, g in zip(A, groups):
+            sums[g] += row
+        assert csr.group_sums(groups, 3).tobytes() == sums.tobytes()
+
+    def test_products_in_several_blocks(self, monkeypatch):
+        A = self._dense(7, n=60)
+        csr = CSRMatrix.from_dense(A)
+        B = np.random.default_rng(7).normal(size=(60, 5))
+        whole = csr @ B
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 8 * 5 * 7)
+        assert (csr @ B).tobytes() == whole.tobytes()
+
+    def test_symmetric_builds_both_triangles(self):
+        csr = CSRMatrix.symmetric(4, np.array([2, 0]), np.array([3, 1]), np.array([5.0, 7.0]))
+        expected = np.array([[0, 7, 0, 0], [7, 0, 0, 0], [0, 0, 0, 5], [0, 0, 5, 0]], float)
+        assert np.array_equal(csr.toarray(), expected) and csr.is_symmetric()
+
+    @pytest.mark.parametrize("indptr, indices, weights, message", [
+        ([0, 2, 1], [0, 1], [1.0, 1.0], "do not describe a CSR matrix"),
+        ([0, 1, 2], [0, 1], [1.0], "do not describe a CSR matrix"),
+        ([0, 2, 2], [1, 0], [1.0, 1.0], "increase within each row"),
+        ([0, 2, 2], [1, 1], [1.0, 1.0], "increase within each row"),
+        ([0, 1, 1], [2], [1.0], "lie in \\[0, n\\)"),
+        ([0, 1, 1], [-1], [1.0], "lie in \\[0, n\\)"),
+        ([0, 1, 1], [1], [0.0], "a stored weight is zero"),
+    ])
+    def test_malformed_arrays_are_rejected(self, indptr, indices, weights, message):
+        with pytest.raises(ValueError, match=message):
+            CSRMatrix(np.array(indptr), np.array(indices), np.array(weights))
+
+    def test_from_dense_takes_square_matrices(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            CSRMatrix.from_dense(np.ones((3, 2)))
+
+
+def _dense_sbm(blocks, p_in, p_out, feature_dim, signal, seed):
+    """Reference: generate_sbm's draw with the whole n x n uniform matrix."""
+    rng = np.random.default_rng(seed)
+    n = sum(blocks)
+    labels = np.repeat(np.arange(len(blocks)), blocks)
+    probs = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    upper = np.triu(rng.random((n, n)) < probs, k=1)
+    adjacency = (upper | upper.T).astype(np.float64)
+    features = rng.standard_normal((n, feature_dim))
+    for b, coords in enumerate(sbm_signal_coords(len(blocks), feature_dim)):
+        features[np.ix_(labels == b, coords)] += signal
+    return adjacency, features, labels
+
+
+@pytest.mark.parametrize("blocks, p_in, p_out, seed", [
+    ((5, 6), 0.6, 0.2, 11),
+    ((60, 60, 60, 60), 0.3, 0.02, 7),
+    ((300, 250, 350), 0.1, 0.01, 3),
+    ((20, 20), 1.0, 0.0, 0),
+    ((1, 40, 7), 0.0, 1.0, 5),
+])
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_sbm_equals_the_whole_matrix_draw(monkeypatch, blocks, p_in, p_out, seed, block_rows):
+    if block_rows:
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 8 * sum(blocks) * block_rows)
+    g = generate_sbm(blocks, p_in, p_out, 6, 1.5, seed)
+    adjacency, features, labels = _dense_sbm(blocks, p_in, p_out, 6, 1.5, seed)
+    assert np.array_equal(g.csr.toarray(), adjacency)
+    assert g.features.tobytes() == features.tobytes()
+    assert np.array_equal(g.labels, labels)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_n_by_n_matrix_in_synth_ingest_or_cluster(tmp_path):
+    # a dense adjacency would be 128 MB at 4,000 nodes and 512 MB at 8,000;
+    # numpy reports its buffers to tracemalloc
+    limit = 16 * 2**20
+    peak = _traced_peak(lambda: generate_sbm((2000,) * 4, 0.01, 0.001, 4, 1.0, seed=1))
+    assert peak < limit, f"generate_sbm at 8,000 nodes: {peak / 2**20:.1f} MB"
+    g = generate_sbm((1000,) * 4, 0.05, 0.005, 16, 1.0, seed=2)
+    e, f = tmp_path / "edges.tsv", tmp_path / "features.csv"
+    write_graph(g, e, f)
+    del g
+    peak = _traced_peak(lambda: fit_communities(load_graph(e, f), 4, seed=3))
+    assert peak < limit, f"load_graph and fit_communities at 4,000 nodes: {peak / 2**20:.1f} MB"

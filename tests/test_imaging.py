@@ -169,7 +169,7 @@ class TestRender:
         from g2i.community import CommunityModel
 
         g = generate_sbm((3, 3), 0.9, 0.1, 1, 0.0, seed=0)
-        model = CommunityModel(P=1, centroids=g.adjacency[:1].copy(),
+        model = CommunityModel(P=1, centroids=g.csr.toarray()[:1].copy(),
                                assignment=np.zeros(g.n, dtype=np.int64),
                                inertia_history=(), seed=0)
         assoc = association_matrix(model)

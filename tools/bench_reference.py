@@ -15,7 +15,9 @@ reference run is ``g2i synth`` followed by every stage, each in its own
 that drift on a shared machine affects each tree alike. For every stage the
 file records the wall time, CPU time and peak RSS of its process (median and
 quartiles over the runs; CPU time sums the process and the workers it reaped,
-such as explain's, and peak RSS is the largest of them), and for every tree
+such as explain's, and peak RSS is the largest of them), the machine's
+1-minute load average when the process ended, which shows a run that other
+load disturbed, and for every tree
 the sha256 of each file under ``--out`` and whether the runs wrote the same
 bytes; the exit code is 1 when they did not. The kernel microbenchmarks time
 the conv forward, weight-gradient and input-gradient kernels and the FC
@@ -24,8 +26,10 @@ float32, one train batch of the reference network and of many_nodes' 4x4
 one (the per-layer SGDM step of ``cnn.train`` on 32 images) in float64 and
 float32, ``shapley_sample`` on one image of the reference shape with every
 feature cell a player and M=4, and
-``kmeans`` and ``silhouette`` at the node counts of the reference run (240)
-and of the many_nodes workload (1,200), and ``resolve_assignment`` on a
+``kmeans`` (on the SBM graph's sparse matrix, ``generate_sbm(...).csr``, or
+on its dense ``adjacency`` in a tree that has no ``csr``) and ``silhouette`` at
+the node counts of the reference run (240) and of the many_nodes workload
+(1,200), and ``resolve_assignment`` on a
 permutation plan and a dense plan at the feature counts of the reference run
 (64) and of the wide_features workload (121): each round times every kernel in a
 fresh process per tree, the rounds alternate between the trees, and the file
@@ -117,7 +121,8 @@ def file_sha256(directory):
 
 
 def timed_process(argv, env):
-    """(wall s, CPU s, peak RSS MB) of one child process, which must succeed."""
+    """(wall s, CPU s, peak RSS MB, 1-minute load average at its end) of one
+    child process, which must succeed."""
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
@@ -129,11 +134,11 @@ def timed_process(argv, env):
             err.seek(0)
             message = err.read().decode(errors="replace")[-2000:]
             raise RuntimeError(f"{' '.join(argv)} exited with {code}: {message}")
-    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0, os.getloadavg()[0]
 
 
 def reference_run(src, out):
-    """Per-stage (wall s, CPU s, peak RSS MB) of one reference run into ``out``,
+    """Per-stage ``timed_process`` tuples of one reference run into ``out``,
     and the sha256 of every file it wrote."""
     env = child_env(src)
     data = ["--edges", str(out / "edges.tsv"), "--features", str(out / "features.csv"),
@@ -274,7 +279,8 @@ def kernel_benchmarks():
             lambda batch: cnn.predict_proba(params, batch), image, 1, background, players,
             4, 0))}
     for n, P, p_in, p_out, width in CLUSTER_SHAPES:
-        adjacency = graph.generate_sbm((n // 4,) * 4, p_in, p_out, 4, 0.0, seed=0).adjacency
+        sbm = graph.generate_sbm((n // 4,) * 4, p_in, p_out, 4, 0.0, seed=0)
+        adjacency = getattr(sbm, "csr", None) or sbm.adjacency
         embedding = rng.normal(size=(n, width))
         labels = np.repeat(np.arange(4), n // 4)
         for name, shape, call in (
@@ -336,7 +342,7 @@ def main(argv=None):
                 samples[label].append(stages)
                 hashes[label].append(files)
                 total = sum(s[0] for s in stages.values())
-                explain_wall, explain_cpu, _ = stages["explain"]
+                explain_wall, explain_cpu = stages["explain"][:2]
                 print(f"run {run + 1} {label}: {total:.2f} s, explain {explain_wall:.2f} s"
                       f" (CPU {explain_cpu:.2f} s), train {stages['train'][0]:.2f} s",
                       file=sys.stderr)
@@ -346,13 +352,14 @@ def main(argv=None):
                         "seed 7, default settings, OPENBLAS_NUM_THREADS=1; wall time from "
                         "process start to exit (interpreter start and imports included), "
                         "CPU time and peak RSS from os.wait4 of that process, which counts the "
-                        "worker processes it reaped",
+                        "worker processes it reaped; loadavg_1m is os.getloadavg()[0] when the "
+                        "process ended",
               "trees": {}}
     for label, src in trees.items():
         runs = samples[label]
         stages = {
             stage: {metric: summary([r[stage][i] for r in runs])
-                    for i, metric in enumerate(("wall_s", "cpu_s", "peak_rss_mb"))}
+                    for i, metric in enumerate(("wall_s", "cpu_s", "peak_rss_mb", "loadavg_1m"))}
             for stage in STAGES
         }
         stages["sum"] = {"wall_s": summary([sum(s[0] for s in r.values()) for r in runs])}
