@@ -15,7 +15,6 @@ average linkage.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import math
 import multiprocessing
@@ -28,6 +27,7 @@ import numpy as np
 
 from .cnn import PREDICT_CHUNK
 from .errors import BadArgument, DegenerateData, LayoutMismatch
+from .graph import write_rows
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,11 @@ class FeatureImportanceTable:
         return np.divide(self.raw, peak, out=np.zeros_like(self.raw), where=peak > 0)
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "modality", "class", "shap_raw", "shap_normalized"])
-            rows = zip(self.features, self.modalities, self.raw.tolist(), self.normalized.tolist())
-            for feature, modality, raw, normalized in rows:
-                for cname, r, n in zip(self.class_names, raw, normalized):
-                    writer.writerow([feature, modality, cname, repr(r), repr(n)])
+        rows = zip(self.features, self.modalities, self.raw.tolist(), self.normalized.tolist())
+        write_rows(path, ("feature", "modality", "class", "shap_raw", "shap_normalized"),
+                   ([feature, modality, cname, repr(r), repr(n)]
+                    for feature, modality, raw, normalized in rows
+                    for cname, r, n in zip(self.class_names, raw, normalized)))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import attribution, cnn, community, imaging, metrics, transport  # noqa: F401
-from .errors import BadArgument, G2IError, UnknownNodeId
-from .graph import generate_sbm, load_graph, load_nodes, read_text, split_dataset, write_graph
+from .errors import BadArgument, G2IError
+from .graph import (generate_sbm, load_graph, load_nodes, read_features, read_text, split_dataset,
+                    write_graph)
 
 
 def stage_seed(root, name):
@@ -195,17 +196,9 @@ def _input(cfg, key):
 def _modality_list(cfg, nodes):
     """(name, feature matrix, feature names) per modality, primary first; the
     rows of each --modality file in ``nodes``' order."""
-    from .graph import _read_features
-
-    mods = [("features", nodes.features, list(nodes.feature_names))]
+    mods = [("features", nodes.features, nodes.feature_names)]
     for name, path in sorted(cfg.modalities.items()):
-        ids, F, fnames = _read_features(path)
-        index = {nid: i for i, nid in enumerate(ids)}
-        missing = [nid for nid in nodes.node_ids if nid not in index]
-        if missing:
-            raise UnknownNodeId(f"{path}: no row for {len(missing)} node id(s), first "
-                                f"{', '.join(map(repr, missing[:5]))}")
-        mods.append((name, F[[index[nid] for nid in nodes.node_ids]], fnames))
+        mods.append((name, *read_features(path, nodes.node_ids)[1:]))
     return mods
 
 

@@ -43,7 +43,6 @@ with the rounding of four calls on the whole buffers.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import time
@@ -52,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadArgument, EmptySplit, ShapeMismatch
+from .graph import write_rows
 
 # images per forward call in predict_proba; the batch size can change BLAS sums
 PREDICT_CHUNK = 256
@@ -542,8 +542,6 @@ def load_checkpoint(path, config):
 
 
 def write_report(report, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "val_acc"])
-        for e, (tl, vl, va) in enumerate(zip(report.train_loss, report.val_loss, report.val_acc)):
-            writer.writerow([e, repr(float(tl)), repr(float(vl)), repr(float(va))])
+    write_rows(path, ("epoch", "train_loss", "val_loss", "val_acc"),
+               ([e, repr(float(tl)), repr(float(vl)), repr(float(va))] for e, (tl, vl, va)
+                in enumerate(zip(report.train_loss, report.val_loss, report.val_acc))))

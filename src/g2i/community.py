@@ -11,14 +11,13 @@ rows are added up.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch, UnknownNodeId
-from .graph import CSRMatrix, read_int_rows
+from .errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch
+from .graph import CSRMatrix, node_rows, read_rows, write_rows
 
 
 _HEADER = ("node_id", "community")
@@ -245,11 +244,7 @@ def association_matrix(model):
 
 
 def write_communities(model, graph, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for nid, c in zip(graph.node_ids, model.assignment):
-            writer.writerow([nid, int(c)])
+    write_rows(path, _HEADER, zip(graph.node_ids, model.assignment.tolist()))
 
 
 def read_centroids(path, n):
@@ -269,16 +264,8 @@ def read_centroids(path, n):
 def read_assignment(path, node_ids, P):
     """Community index in [0, P) of each of ``node_ids``, from a
     ``node_id,community`` file with one line per node."""
-    by_id, line_of = {}, {}       # node id -> community, line number
-    for lineno, nid, (c,) in read_int_rows(path, _HEADER):
+    rows = read_rows(path, _HEADER, int)
+    for line, c in zip(rows.lines, rows.values):
         if not 0 <= c < P:
-            raise MalformedLine(path, lineno, f"community {c} outside [0, {P})")
-        if nid in line_of:
-            raise MalformedLine(path, lineno, f"duplicate node id {nid!r}, "
-                                              f"first on line {line_of[nid]}")
-        by_id[nid], line_of[nid] = c, lineno
-    missing = [nid for nid in node_ids if nid not in by_id]
-    if missing:
-        raise UnknownNodeId(f"{path}: no community for {len(missing)} node id(s), first "
-                            f"{', '.join(map(repr, missing[:5]))}")
-    return np.array([by_id[nid] for nid in node_ids], dtype=np.int64)
+            raise MalformedLine(path, line, f"community {c} outside [0, {P})")
+    return np.array(rows.values, dtype=np.int64)[node_rows(path, rows, node_ids, "community")]

@@ -3,11 +3,18 @@
 File formats:
   edge list   -- one edge per line, ``src dst weight`` (tab or space separated),
                  ``#`` comment lines ignored
-  features    -- CSV with header ``node_id,<feat_1>,...,<feat_k>``
+  features    -- CSV with header ``node_id,<feat_1>,...,<feat_k>``, no column
+                 named twice
   labels      -- CSV with header ``node_id,label``; label strings are mapped to
-                 class indices in first-seen order
+                 class indices in the order of the lines that first name them
 
-Every text input is UTF-8, read through ``read_text``.
+Every text input is UTF-8, read through ``read_text``. ``write_rows`` writes
+every CSV table but ``eval.csv``, and ``read_rows`` reads each one that a
+stage reads back. A table keyed by node id (features, labels, a modality's
+features, communities) lists each node on exactly one line, in any order:
+``node_rows`` rejects an id listed twice, an id the graph lacks and a node
+without a line. The feature file read first defines the nodes and their
+order.
 
 The adjacency is never an n x n array. ``AttributedGraph.csr`` is a
 ``CSRMatrix``: both triangles' nonzero weights, row by row in increasing
@@ -44,6 +51,14 @@ from .errors import (
 # every number read from a text input must fit the float32 that images.g2t
 # and centroids.g2t store
 _F32_MAX = float(np.finfo(np.float32).max)
+
+
+# the header of a feature file, and of a label file
+FEATURE_HEADER = ("node_id", "...")        # then one column per feature
+LABEL_HEADER = ("node_id", "label")
+
+# what read_rows' ``convert`` makes of the values after a row's name
+_VALUES = {int: "integers", float: "numbers"}
 
 
 # bytes that one block of rows takes: generate_sbm's uniform draws, and the
@@ -207,49 +222,13 @@ class CSRMatrix:
 
 
 @dataclass(frozen=True)
-class AttributedGraph:
-    """Symmetric weighted graph with per-node features and optional labels."""
+class Rows:
+    """A CSV table as read_rows reads it."""
 
-    n: int
-    node_ids: tuple
-    csr: CSRMatrix               # (n, n), symmetric, zero diagonal, weights > 0
-    features: np.ndarray         # (n, k) float64
-    feature_names: tuple
-    labels: np.ndarray | None = None      # (n,) int class indices
-    class_names: tuple | None = None
-
-    def __post_init__(self):
-        A = self.csr
-        if A.shape != (self.n, self.n):
-            raise ValueError(f"adjacency shape {A.shape} != ({self.n}, {self.n})")
-        if not A.is_symmetric():
-            raise ValueError("adjacency is not symmetric")
-        if not A.diagonal_is_zero():
-            raise SelfLoop("adjacency has nonzero diagonal")
-        if A.weights.min(initial=0.0) < 0:
-            raise ValueError("negative edge weight")
-        if self.features.shape[0] != self.n:
-            raise ValueError("feature row count does not match node count")
-        if len(self.feature_names) != self.features.shape[1]:
-            raise ValueError("feature name count does not match feature columns")
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError("label count does not match node count")
-            if self.class_names is not None and len(self.class_names) > 0:
-                if self.labels.max(initial=-1) >= len(self.class_names):
-                    raise ValueError("label index out of range")
-        # Graphs are immutable after construction; freeze the arrays.
-        self.features.setflags(write=False)
-        if self.labels is not None:
-            self.labels.setflags(write=False)
-
-    @property
-    def k(self):
-        return self.features.shape[1]
-
-    def degrees(self):
-        """Each node's weighted degree, its row's weights added in column order."""
-        return np.bincount(self.csr.entries()[0], weights=self.csr.weights, minlength=self.n)
+    columns: tuple               # the fields of its header
+    lines: list                  # the line number of each row
+    names: list                  # the first field of each row
+    values: list                 # the later fields of each row, converted, row after row
 
 
 @dataclass(frozen=True)
@@ -263,9 +242,52 @@ class NodeTable:
     labels: np.ndarray | None = None      # (n,) int class indices
     class_names: tuple | None = None
 
+    def __post_init__(self):
+        if self.features.shape[0] != self.n:
+            raise ValueError("feature row count does not match node count")
+        if len(self.feature_names) != self.features.shape[1]:
+            raise ValueError("feature name count does not match feature columns")
+        if self.labels is not None:
+            if len(self.labels) != self.n:
+                raise ValueError("label count does not match node count")
+            if self.class_names is not None and len(self.class_names) > 0:
+                if self.labels.max(initial=-1) >= len(self.class_names):
+                    raise ValueError("label index out of range")
+        # Node tables are immutable after construction; freeze the arrays.
+        self.features.setflags(write=False)
+        if self.labels is not None:
+            self.labels.setflags(write=False)
+
     @property
     def n(self):
         return len(self.node_ids)
+
+    @property
+    def k(self):
+        return self.features.shape[1]
+
+
+@dataclass(frozen=True, kw_only=True)
+class AttributedGraph(NodeTable):
+    """Symmetric weighted graph with per-node features and optional labels."""
+
+    csr: CSRMatrix               # (n, n), symmetric, zero diagonal, weights > 0
+
+    def __post_init__(self):
+        A = self.csr
+        if A.shape != (self.n, self.n):
+            raise ValueError(f"adjacency shape {A.shape} != ({self.n}, {self.n})")
+        if not A.is_symmetric():
+            raise ValueError("adjacency is not symmetric")
+        if not A.diagonal_is_zero():
+            raise SelfLoop("adjacency has nonzero diagonal")
+        if A.weights.min(initial=0.0) < 0:
+            raise ValueError("negative edge weight")
+        super().__post_init__()
+
+    def degrees(self):
+        """Each node's weighted degree, its row's weights added in column order."""
+        return np.bincount(self.csr.entries()[0], weights=self.csr.weights, minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -284,15 +306,7 @@ class DatasetSplit:
 def load_graph(edge_path, feature_path, label_path=None):
     """Read edge list + feature CSV (+ optional label CSV) into an AttributedGraph."""
     nodes = load_nodes(feature_path, label_path)
-    return AttributedGraph(
-        n=nodes.n,
-        node_ids=nodes.node_ids,
-        csr=_read_edges(edge_path, nodes.node_ids),
-        features=nodes.features,
-        feature_names=nodes.feature_names,
-        labels=nodes.labels,
-        class_names=nodes.class_names,
-    )
+    return AttributedGraph(**vars(nodes), csr=_read_edges(edge_path, nodes.node_ids))
 
 
 def _read_edges(edge_path, node_ids):
@@ -366,76 +380,37 @@ def _check_pairs_once(edge_path, node_ids, pairs, weights, linenos):
 def load_nodes(feature_path, label_path=None):
     """Read the feature CSV (+ optional label CSV) into a NodeTable; no edge
     list is read."""
-    node_ids, features, feature_names = _read_features(feature_path)
+    node_ids, features, feature_names = read_features(feature_path)
     labels = class_names = None
     if label_path is not None:
-        labels, class_names = _read_labels(label_path, {nid: i for i, nid in enumerate(node_ids)})
-    return NodeTable(node_ids=tuple(node_ids), features=features,
-                     feature_names=tuple(feature_names), labels=labels, class_names=class_names)
+        rows = read_rows(label_path, LABEL_HEADER, str)
+        # class indices in the order of the lines that first name each class
+        class_index = {name: i for i, name in enumerate(dict.fromkeys(rows.values))}
+        labels = np.array([class_index[name] for name in rows.values], dtype=np.int64)
+        labels = labels[node_rows(label_path, rows, node_ids, "label")]
+        class_names = tuple(class_index)
+    return NodeTable(node_ids=node_ids, features=features, feature_names=feature_names,
+                     labels=labels, class_names=class_names)
 
 
-def _read_features(path):
-    with read_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedLine(path, 1, "empty feature file") from None
-        if not header or header[0] != "node_id":
-            raise MalformedLine(path, 1, "feature header must start with 'node_id'")
-        feature_names = header[1:]
-        line_of, rows = {}, []       # node id -> line number, in file order
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MalformedLine(path, lineno, f"expected {len(header)} fields, got {len(row)}")
-            if row[0] in line_of:
-                raise MalformedLine(path, lineno, f"duplicate node id {row[0]!r}, "
-                                                  f"first on line {line_of[row[0]]}")
-            line_of[row[0]] = lineno
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise MalformedLine(path, lineno, "non-numeric feature value") from None
-    node_ids = list(line_of)
-    features = np.asarray(rows, dtype=np.float64).reshape(len(node_ids), len(feature_names))
+def read_features(path, node_ids=None):
+    """(node ids, (n, k) float64 features, feature names) of a feature file,
+    its rows in the order of ``node_ids``, or in file order when that is None.
+    Every value must fit a float32."""
+    rows = read_rows(path, FEATURE_HEADER, float)
+    order = node_rows(path, rows, rows.names if node_ids is None else node_ids, "row")
+    names = rows.columns[1:]
+    features = np.array(rows.values, dtype=np.float64).reshape(len(rows.names), len(names))
     # min and max take no temporary, and NaN fails the test
     if not -_F32_MAX <= features.min(initial=0.0) <= features.max(initial=0.0) <= _F32_MAX:
         r, c = np.argwhere(~(np.abs(features) <= _F32_MAX))[0]
-        value, where = float(features[r, c]), f"in column {feature_names[c]!r}"
-        raise MalformedLine(path, line_of[node_ids[r]],
+        value, where = float(features[r, c]), f"in column {names[c]!r}"
+        raise MalformedLine(path, rows.lines[r],
                             f"value {value!r} {where} exceeds float32's largest finite value"
                             if math.isfinite(value) else f"non-finite value {value} {where}")
-    return node_ids, features, feature_names
-
-
-def _read_labels(path, index):
-    labels = np.full(len(index), -1, dtype=np.int64)
-    class_names = []
-    class_index = {}
-    with read_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["node_id", "label"]:
-            raise MalformedLine(path, 1, "label header must be 'node_id,label'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise MalformedLine(path, lineno, "expected 2 fields")
-            nid, name = row
-            if nid not in index:
-                raise UnknownNodeId(f"{path}:{lineno}: unknown node id {nid!r}")
-            if name not in class_index:
-                class_index[name] = len(class_names)
-                class_names.append(name)
-            labels[index[nid]] = class_index[name]
-    if np.any(labels < 0):
-        missing = [nid for nid, i in index.items() if labels[i] < 0]
-        raise UnknownNodeId(f"{path}: no label for {len(missing)} node id(s), first "
-                            f"{', '.join(map(repr, missing[:5]))}")
-    return labels, tuple(class_names)
+    if node_ids is None:         # the file's order is the nodes' order
+        return tuple(rows.names), features, names
+    return node_ids, features[order], names
 
 
 @contextlib.contextmanager
@@ -458,29 +433,69 @@ def read_text(path, newline=None):
             raise
 
 
-def read_int_rows(path, header):
-    """(line number, name, ints) of each line after the ``header`` line of a
-    CSV file whose lines hold a name and ``len(header) - 1`` integers; blank
-    lines are skipped."""
-    n_fields = len(header)
-    rows = []
+def read_rows(path, header, convert):
+    """The Rows of a CSV file whose first line is ``header``, in which a
+    trailing "..." stands for any further columns; no column may be named
+    twice. Each later line holds one field per column, and ``convert`` turns
+    every field after its first into a value; blank lines are skipped."""
     with read_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        first = next(reader, [])
-        if first != list(header):
-            raise MalformedLine(path, 1, f"expected header {','.join(header)!r}, "
-                                         f"got {','.join(first)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_fields:
-                raise MalformedLine(path, lineno, f"expected {n_fields} fields, got {len(row)}")
-            try:
-                rows.append((lineno, row[0], tuple(int(v) for v in row[1:])))
-            except ValueError:
-                raise MalformedLine(path, lineno, f"expected integers after the name, "
-                                                  f"got {row[1:]}") from None
-    return rows
+        try:
+            columns = tuple(next(reader, ()))
+            open_ended = header[-1] == "..."
+            fixed = header[:-1] if open_ended else header
+            if columns[: len(fixed)] != fixed or (not open_ended and len(columns) != len(fixed)):
+                raise MalformedLine(path, 1, f"expected header {','.join(header)!r}, "
+                                             f"got {','.join(columns)!r}")
+            if len(set(columns)) != len(columns):
+                repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
+                raise MalformedLine(path, 1, f"column {repeated!r} named twice")
+            lines, names, values = [], [], []
+            for row in reader:
+                if len(row) != len(columns):
+                    if not row:
+                        continue
+                    raise MalformedLine(path, reader.line_num,
+                                        f"expected {len(columns)} fields, got {len(row)}")
+                try:
+                    values += map(convert, row[1:])
+                except ValueError:
+                    raise MalformedLine(path, reader.line_num,
+                                        f"expected {_VALUES[convert]} after the name, "
+                                        f"got {row[1:]}") from None
+                lines.append(reader.line_num)
+                names.append(row[0])
+        except csv.Error as exc:
+            raise MalformedLine(path, reader.line_num, f"not a CSV line: {exc}") from None
+    return Rows(columns, lines, names, values)
+
+
+def node_rows(path, rows, node_ids, what):
+    """The index in ``rows`` of the line of each of ``node_ids``, in that
+    order, for a table that lists each node on one line, named by its id. An
+    id listed twice, an id not in ``node_ids`` and a node without a line each
+    raise an error that names the file."""
+    found = dict.fromkeys(node_ids)      # node id -> index of its line
+    for i, (line, nid) in enumerate(zip(rows.lines, rows.names)):
+        if nid not in found:
+            raise UnknownNodeId(f"{path}:{line}: unknown node id {nid!r}")
+        if found[nid] is not None:
+            raise MalformedLine(path, line, f"duplicate node id {nid!r}, "
+                                            f"first on line {rows.lines[found[nid]]}")
+        found[nid] = i
+    if len(rows.names) < len(found):
+        missing = [nid for nid, i in found.items() if i is None]
+        raise UnknownNodeId(f"{path}: no {what} for {len(missing)} node id(s), first "
+                            f"{', '.join(map(repr, missing[:5]))}")
+    return list(found.values())
+
+
+def write_rows(path, header, rows):
+    """Write a CSV file: the ``header`` line, then one line per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_graph(graph, edge_path, feature_path, label_path=None):
@@ -493,17 +508,11 @@ def write_graph(graph, edge_path, feature_path, label_path=None):
             upper = rows < cols
             fh.writelines(f"{ids[i]}\t{ids[j]}\t{w!r}\n" for i, j, w in
                           zip(rows[upper].tolist(), cols[upper].tolist(), weights[upper].tolist()))
-    with open(feature_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", *graph.feature_names])
-        for i in range(graph.n):
-            writer.writerow([graph.node_ids[i], *(repr(float(v)) for v in graph.features[i])])
+    write_rows(feature_path, (*FEATURE_HEADER[:-1], *graph.feature_names),
+               ([nid, *map(repr, row.tolist())] for nid, row in zip(ids, graph.features)))
     if label_path is not None and graph.labels is not None:
-        with open(label_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node_id", "label"])
-            for i in range(graph.n):
-                writer.writerow([graph.node_ids[i], graph.class_names[graph.labels[i]]])
+        write_rows(label_path, LABEL_HEADER,
+                   zip(ids, (graph.class_names[c] for c in graph.labels.tolist())))
 
 
 def split_dataset(labels, ratios=(0.70, 0.15, 0.15), seed=0):
@@ -587,7 +596,6 @@ def generate_sbm(blocks, p_in, p_out, feature_dim, signal, seed):
         features[np.ix_(labels == b, coords)] += signal
 
     return AttributedGraph(
-        n=n,
         node_ids=tuple(f"n{i:04d}" for i in range(n)),
         csr=CSRMatrix.symmetric(n, lo, hi, np.ones(len(lo))),
         features=features,

@@ -16,7 +16,6 @@ Binary tensor container (little-endian):
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import struct
@@ -27,7 +26,7 @@ import numpy as np
 from .community import association_matrix, community_count
 from .errors import (BadMagic, DegenerateData, G2IError, LayoutMismatch, MalformedLine,
                      ShapeMismatch, ShapeOverflow, TruncatedFile)
-from .graph import read_int_rows
+from .graph import read_rows, write_rows
 from .transport import grid_cost, pad_to_square, resolve_assignment, solve_gw
 
 MAGIC = b"G2IM"
@@ -274,19 +273,17 @@ def read_tensor(path):
 
 def write_layout(cells, item_names, path):
     """Write one ``item_name,row,col`` line per item of an (n, 2) cell array."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_LAYOUT_HEADER)
-        for name, (r, c) in zip(item_names, cells.tolist()):
-            writer.writerow([name, r, c])
+    write_rows(path, _LAYOUT_HEADER, 
+               ([name, *cell] for name, cell in zip(item_names, cells.tolist())))
 
 
 def read_layout(path, grid_side, item_names):
     """(n, 2) cells of a layout file that places each of ``item_names``, in
     order, on its own cell of a grid_side x grid_side grid."""
-    rows = read_int_rows(path, _LAYOUT_HEADER)
+    rows = read_rows(path, _LAYOUT_HEADER, int)
+    cells = list(zip(rows.values[0::2], rows.values[1::2]))
     line_of = {}                  # cell -> line number
-    for (lineno, name, cell), expected in zip(rows, item_names):
+    for lineno, name, cell, expected in zip(rows.lines, rows.names, cells, item_names):
         if name != expected:
             raise MalformedLine(path, lineno, f"item {name!r} where {expected!r} belongs")
         if not (0 <= min(cell) and max(cell) < grid_side):
@@ -295,6 +292,6 @@ def read_layout(path, grid_side, item_names):
         if cell in line_of:
             raise MalformedLine(path, lineno, f"cell {cell} already taken on line {line_of[cell]}")
         line_of[cell] = lineno
-    if len(rows) != len(item_names):
-        raise LayoutMismatch(f"{path}: {len(rows)} items, expected {len(item_names)}")
-    return np.array([cell for _, _, cell in rows], dtype=np.int64).reshape(-1, 2)
+    if len(cells) != len(item_names):
+        raise LayoutMismatch(f"{path}: {len(cells)} items, expected {len(item_names)}")
+    return np.array(cells, dtype=np.int64).reshape(-1, 2)

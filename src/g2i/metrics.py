@@ -6,13 +6,13 @@ degenerate zero-entropy cases follow the conventions stated on each function.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingleCluster
+from .graph import write_rows
 
 
 @dataclass(frozen=True)
@@ -160,11 +160,7 @@ def score_embedding(embedding, true_labels, seed=0):
 
 
 def write_scores(scores_by_model, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "ari", "nmi", "homogeneity", "completeness",
-                         "v_measure", "silhouette"])
-        for model, s in scores_by_model.items():
-            writer.writerow([model, repr(float(s.ari)), repr(float(s.nmi)),
-                             repr(float(s.homogeneity)), repr(float(s.completeness)),
-                             repr(float(s.v_measure)), repr(float(s.silhouette))])
+    columns = ("ari", "nmi", "homogeneity", "completeness", "v_measure", "silhouette")
+    write_rows(path, ("model", *columns),
+               ([model, *(repr(float(getattr(s, c))) for c in columns)]
+                for model, s in scores_by_model.items()))

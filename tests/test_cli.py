@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,28 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{features}:3" in err and "'a'" in err and "line 2" in err
 
+    def test_label_listed_twice_stops_ingest(self, tmp_path, capsys):
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        labels = tmp_path / "labels.csv"
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join([*lines, "n0000,block3"]) + "\n")
+        out = tmp_path / "out"
+        assert main(["ingest", *_small_args(out), *_data_args(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error in stage ingest: {labels}:{len(lines) + 1}: duplicate node id "
+                       f"'n0000', first on line 2\n")
+        assert not (out / "labels.csv").exists()
+
+    def test_repeated_feature_column_stops_ingest(self, tmp_path, capsys):
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        features = tmp_path / "features.csv"
+        lines = features.read_text().splitlines()
+        lines[0] = lines[0].replace("f001", "f000")
+        features.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", *_small_args(tmp_path / "out"), *_data_args(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage ingest: {features}:1: column 'f000' named twice\n"
+
     def test_unlabeled_node_names_label_file(self, tmp_path, capsys):
         edges, features, labels = tmp_path / "e.tsv", tmp_path / "f.csv", tmp_path / "l.csv"
         edges.write_text("a\tb\t1\n")
@@ -499,6 +522,54 @@ class TestBadStageFiles:
         assert main([stage, *_small_args(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error in stage {stage}: {path}:2: item 'f008' where 'f000' belongs\n"
+
+    def test_unknown_community_node_stops_layout(self, laid_out, tmp_path, capsys):
+        out, path = self._rewrite(laid_out, tmp_path, "communities.csv",
+                                  lambda lines: [*lines, "zzz,0"])
+        assert main(["layout", *_small_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage layout: {path}:26: unknown node id 'zzz'\n"
+
+    def test_unknown_modality_node_stops_layout(self, laid_out, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(laid_out, out)
+        extra = tmp_path / "extra.csv"
+        lines = (out / "features.csv").read_text().splitlines()
+        extra.write_text("\n".join([*lines, "zzz" + ",1.0" * 9]) + "\n")
+        assert main(["layout", *_small_args(out), "--modality", f"extra={extra}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error in stage layout: {extra}:26: unknown node id 'zzz'\n"
+
+    # each table, and the first stage that reads it
+    @pytest.mark.parametrize("name, stage", [
+        ("features.csv", "layout"),
+        ("labels.csv", "render"),
+        ("communities.csv", "layout"),
+        ("structural_layout.csv", "render"),
+        ("feature_layout_features.csv", "render"),
+    ])
+    @given(index=st.integers(min_value=0, max_value=30),
+           text=st.text(st.characters(blacklist_categories=("Cs",),
+                                      blacklist_characters="\r\n")))
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_line_is_read_or_named(self, laid_out, capsys, name, stage, index, text):
+        # one line of the table replaced by any text: the stage runs, or it
+        # stops with one line that names a file of the run, never with a
+        # traceback. A feature line that loses its node id leaves that id
+        # unknown in labels.csv, which is the file named then.
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            shutil.copytree(laid_out, out)
+            path = out / name
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines[index % len(lines)] = text
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            capsys.readouterr()
+            rc = main([stage, *_small_args(out)])
+            err = capsys.readouterr().err
+        assert rc == 0 or (rc == 1 and err.startswith(f"error in stage {stage}: {out}/")
+                           and err.count("\n") == 1), err
 
     def test_short_layout_names_count(self, laid_out, tmp_path, capsys):
         out, path = self._rewrite(laid_out, tmp_path, "feature_layout_features.csv",

@@ -105,7 +105,7 @@ def test_first_repeated_pair_is_named_among_many(tmp_path):
 
 def _graph_of(adjacency):
     n = len(adjacency)
-    return AttributedGraph(n=n, node_ids=tuple(map(str, range(n))),
+    return AttributedGraph(node_ids=tuple(map(str, range(n))),
                            csr=CSRMatrix.from_dense(adjacency),
                            features=np.zeros((n, 1)), feature_names=("x",))
 
@@ -165,6 +165,36 @@ def test_load_nodes_reads_what_load_graph_reads_without_edges(tmp_path):
     assert load_nodes(f).labels is None
 
 
+def test_class_indices_follow_label_file_line_order(tmp_path):
+    # the label file lists the nodes in another order than the feature file
+    feats = _feature_file(tmp_path, ["a", "b", "c", "d"])
+    labels = _write(tmp_path, "labels.csv", "node_id,label\nd,y\nb,x\na,y\nc,z\n")
+    nodes = load_nodes(feats, labels)
+    assert nodes.class_names == ("y", "x", "z")
+    assert nodes.labels.tolist() == [0, 1, 2, 0]
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("node_id,label\na,x\nb,y\na,y\n", MalformedLine, ":4: duplicate node id 'a', first on line 2"),
+    ("node_id,label\na,x\n\nzz,y\nb,y\n", UnknownNodeId, ":4: unknown node id 'zz'"),
+    ("node_id,label\nb,y\n", UnknownNodeId, ": no label for 1 node id(s), first 'a'"),
+])
+def test_label_file_holds_each_node_once(tmp_path, text, error, message):
+    feats = _feature_file(tmp_path, ["a", "b"])
+    labels = _write(tmp_path, "labels.csv", text)
+    with pytest.raises(error) as info:
+        load_nodes(feats, labels)
+    assert str(info.value) == f"{labels}{message}"
+
+
+def test_field_beyond_csv_limit_names_line(tmp_path):
+    # an unclosed quote takes the rest of the file into one field
+    feats = _write(tmp_path, "features.csv", 'node_id,x\na,1\nb,"' + "1" * 140_000 + "\n")
+    with pytest.raises(MalformedLine) as info:
+        load_nodes(feats)
+    assert str(info.value) == f"{feats}:3: not a CSV line: field larger than field limit (131072)"
+
+
 def test_round_trip_is_idempotent(tmp_path):
     g = generate_sbm((5, 6), 0.6, 0.2, 4, 1.0, seed=11)
     e1, f1, l1 = tmp_path / "e1", tmp_path / "f1", tmp_path / "l1"
@@ -199,7 +229,7 @@ def test_edge_file_equals_loop_reference(tmp_path, seed):
     upper = np.triu(rng.uniform(0.0, 3.0, size=(n, n)) * (rng.random((n, n)) < 0.3), 1)
     if seed % 2:
         upper = np.round(upper, 1)      # short reprs, and whole numbers such as 1.0
-    g = AttributedGraph(n=n, node_ids=tuple(f"v{i:03d}" for i in range(n)),
+    g = AttributedGraph(node_ids=tuple(f"v{i:03d}" for i in range(n)),
                         csr=CSRMatrix.from_dense(upper + upper.T),
                         features=rng.normal(size=(n, 2)),
                         feature_names=("x0", "x1"))
