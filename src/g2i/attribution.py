@@ -9,8 +9,10 @@ subset-enumeration mode (<= 8 players) serves as the verification oracle.
 Class means are one (n_classes, n_players) array, reported per feature as a
 (n_features, n_classes) table. Test images are sampled on every CPU this
 process may run on (``taskset`` limits them), with the same bytes for any
-count. The classes' profiles are clustered into a dendrogram by scipy's
-average linkage.
+count. The classes' profiles are clustered into a dendrogram by average
+linkage, a port of scipy's nearest-neighbour-chain algorithm that gives
+``scipy.cluster.hierarchy.linkage``'s bits without importing scipy.cluster and
+scipy.spatial.
 """
 
 from __future__ import annotations
@@ -253,13 +255,11 @@ def map_to_features(values, feature_sets, feature_names_per_modality, class_name
 
 def cluster_profiles(profiles, labels=None):
     """Agglomerative clustering with unweighted average linkage on Euclidean
-    distances, by ``scipy.cluster.hierarchy.linkage``. Each merge is (left,
-    right, height, size) with left < right, and the cluster it makes takes
-    the next id after the n leaves; equal distances merge in scipy's order.
-    A profile with a NaN or infinite value raises ``DegenerateData``."""
-    from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import pdist
-
+    distances. Each merge is (left, right, height, size) with left < right,
+    and the cluster it makes takes the next id after the n leaves. The merges
+    equal ``scipy.cluster.hierarchy.linkage(pdist(profiles), "average")``,
+    equal distances merging in its order. A profile with a NaN or infinite
+    value raises ``DegenerateData``."""
     X = np.asarray(profiles, dtype=np.float64)
     n = X.shape[0]
     if n < 2:
@@ -270,9 +270,60 @@ def cluster_profiles(profiles, labels=None):
     if len(bad):
         raise DegenerateData("cannot cluster profiles with NaN or infinite values: "
                              + ", ".join(str(labels[i]) for i in bad))
-    merges = tuple((int(i), int(j), d, int(size))
-                   for i, j, d, size in linkage(pdist(X), "average").tolist())
-    return Dendrogram(merges=merges, leaf_labels=tuple(labels))
+    left, right = np.triu_indices(n, 1)
+    squares = np.zeros(len(left))
+    with np.errstate(over="ignore"):         # an overflow is caught below
+        for column in (X[left] - X[right]).T:    # summed in column order, as pdist does
+            squares += column * column
+    D = np.zeros((n, n))
+    D[left, right] = D[right, left] = np.sqrt(squares)
+    if not np.isfinite(D).all():
+        raise DegenerateData("cannot cluster profiles whose distances exceed float64's range")
+    return Dendrogram(merges=_average_linkage(D.tolist()), leaf_labels=tuple(labels))
+
+
+def _average_linkage(D):
+    """The merges of scipy's ``nn_chain`` average linkage over the full
+    distance matrix ``D`` (nested lists, updated in place): follow nearest
+    neighbours from the first live cluster until two are each other's, the
+    chain's previous cluster winning a tie; merge them into the slot of the
+    larger index; then sort the merges stably by height and renumber their
+    clusters by union-find, as scipy does."""
+    n = len(D)
+    size = [1] * n           # 0 once a slot's cluster has merged away
+    chain, merges = [], []
+    for _ in range(n - 1):
+        if not chain:
+            chain = [next(i for i in range(n) if size[i])]
+        while True:
+            x = chain[-1]
+            y, best = (chain[-2], D[x][chain[-2]]) if len(chain) > 1 else (None, math.inf)
+            for i in range(n):
+                if size[i] and i != x and D[x][i] < best:
+                    y, best = i, D[x][i]
+            if len(chain) > 1 and y == chain[-2]:
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        merges.append((x, y, best))
+        size[x], size[y] = 0, nx + ny
+        for i in range(n):
+            if size[i] and i != y:
+                D[i][y] = D[y][i] = (nx * D[i][x] + ny * D[i][y]) / (nx + ny)
+    parent = list(range(2 * n - 1))
+    count = [1] * (2 * n - 1)
+    out = []
+    for new, (x, y, height) in enumerate(sorted(merges, key=lambda m: m[2]), start=n):
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        parent[x] = parent[y] = new
+        count[new] = count[x] + count[y]
+        out.append((min(x, y), max(x, y), height, count[new]))
+    return tuple(out)
 
 
 def dendrogram_to_newick(dendrogram):

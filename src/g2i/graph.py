@@ -12,8 +12,9 @@ Every text input is UTF-8, read through ``read_text``. ``write_rows`` writes
 every CSV table but ``eval.csv``, and ``read_rows`` reads each one that a
 stage reads back. A table keyed by node id (features, labels, a modality's
 features, communities) lists each node on exactly one line, in any order:
-``node_rows`` rejects an id listed twice, an id the graph lacks and a node
-without a line. The feature file read first defines the nodes and their
+``node_rows`` rejects an id listed twice, an id the graph lacks, a node
+without a line and an id that starts with ``#``, which the edge list reserves
+for comments. The feature file read first defines the nodes and their
 order.
 
 The adjacency is never an n x n array. ``AttributedGraph.csr`` is a
@@ -473,10 +474,14 @@ def read_rows(path, header, convert):
 def node_rows(path, rows, node_ids, what):
     """The index in ``rows`` of the line of each of ``node_ids``, in that
     order, for a table that lists each node on one line, named by its id. An
-    id listed twice, an id not in ``node_ids`` and a node without a line each
-    raise an error that names the file."""
+    id that starts with "#" (after blanks), which the edge list would read as
+    a comment, an id listed twice, an id not in ``node_ids`` and a node
+    without a line each raise an error that names the file."""
     found = dict.fromkeys(node_ids)      # node id -> index of its line
     for i, (line, nid) in enumerate(zip(rows.lines, rows.names)):
+        if nid.lstrip().startswith("#"):
+            raise MalformedLine(path, line, f"node id {nid!r} starts with '#', which "
+                                            f"begins a comment in the edge list")
         if nid not in found:
             raise UnknownNodeId(f"{path}:{line}: unknown node id {nid!r}")
         if found[nid] is not None:

@@ -9,16 +9,24 @@ with an exact linear sum assignment. Ties go to the lexicographically smallest
 permutation of tight entries, whose reduced costs under that assignment's dual
 potentials are within the tie tolerance; its mass may thus fall short of the
 maximum by up to m tolerances.
+
+The exact assignments are scipy's ``linear_sum_assignment``, taken from its
+compiled extension alone (``_assignment_solver``): ``scipy.optimize`` imports
+scipy.sparse, scipy.linalg and scipy.special, which would double the memory of
+every g2i process.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
+import scipy
 
 from .errors import (
     BadArgument,
@@ -33,11 +41,39 @@ _REL_TOL = 1e-9         # relative objective change that counts as converged
 _TIE_SCALE = 1e-9       # reduced costs within this times max(1, max |M|) are tight
 
 
+def _assignment_solver(optimize_dir):
+    """``linear_sum_assignment`` of the extension module ``_lsap`` in scipy's
+    ``optimize_dir``, loaded on its own as ``scipy.optimize._lsap``, so that
+    ``scipy/optimize/__init__.py`` does not run; a later ``import
+    scipy.optimize`` finds the module in ``sys.modules`` and exports the same
+    function. Where ``optimize_dir`` holds no such file, scipy.optimize's."""
+    name = "scipy.optimize._lsap"
+    paths = (os.path.join(optimize_dir, "_lsap" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name].linear_sum_assignment
+
+
+linear_sum_assignment = _assignment_solver(os.path.join(os.path.dirname(scipy.__file__),
+                                                        "optimize"))
+
+
 def grid_cost(side):
     """(g*g, g*g) squared Euclidean distances between the cells of a g x g
-    unit lattice, cells in row-major order."""
-    coords = np.column_stack(np.divmod(np.arange(side * side), side)).astype(np.float64)
-    return cdist(coords, coords, "sqeuclidean")
+    unit lattice, cells in row-major order. The coordinates are small
+    integers, so every distance is exact."""
+    rows, cols = (a.astype(np.float64) for a in np.divmod(np.arange(side * side), side))
+    cost = np.square(np.subtract.outer(rows, rows))
+    cost += np.square(np.subtract.outer(cols, cols))
+    return cost
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import pdist
 
 from g2i import attribution
 from g2i.attribution import (
@@ -742,6 +744,46 @@ class TestClusterProfilesReference:
         X[2, 1] = value
         with pytest.raises(DegenerateData, match="NaN or infinite values: c$"):
             cluster_profiles(X, labels=["a", "b", "c", "d"])
+
+
+class TestClusterProfilesScipy:
+    """cluster_profiles against the scipy routines it ports, bit for bit."""
+
+    @staticmethod
+    def _assert_equal(X):
+        got = np.array([list(merge) for merge in cluster_profiles(X).merges]).reshape(-1, 4)
+        assert np.array_equal(got, linkage(pdist(X), "average")), X
+
+    def test_random_profiles(self):
+        rng = np.random.default_rng(2029)
+        for _ in range(400):
+            n, d = int(rng.integers(2, 13)), int(rng.integers(1, 200))
+            self._assert_equal(rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3]))
+
+    def test_up_to_five_zero_rows(self):
+        rng = np.random.default_rng(2030)
+        for n in range(2, 13):
+            for zeros in range(min(n, 5) + 1):
+                for _ in range(5):
+                    X = rng.normal(size=(n, 4))
+                    X[rng.choice(n, zeros, replace=False)] = 0.0
+                    self._assert_equal(X)
+
+    def test_integer_lattice_ties(self):
+        rng = np.random.default_rng(2031)
+        for _ in range(400):
+            n, d = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+            self._assert_equal(rng.integers(-2, 3, size=(n, d)).astype(np.float64))
+
+    def test_rounded_profiles(self):
+        rng = np.random.default_rng(2032)
+        for _ in range(200):
+            n, d = int(rng.integers(2, 13)), int(rng.integers(1, 6))
+            self._assert_equal(np.round(rng.normal(size=(n, d)), 1))
+
+    def test_overflowing_distance_is_degenerate(self):
+        with pytest.raises(DegenerateData, match="exceed float64's range"):
+            cluster_profiles(np.array([[1e300], [-1e300], [0.0]]))
 
 
 class TestPlayers:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from g2i import cli
-from g2i.cli import SETTINGS, build_config, main, make_parser, stage_seed
+from g2i.cli import SETTINGS, STAGES, build_config, main, make_parser, stage_seed
 from g2i.errors import G2IError
 from g2i.imaging import read_named_tensors, write_named_tensors
 
@@ -439,6 +439,67 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error in stage layout") and "at least 2 nodes" in err
         assert err.count("\n") == 1
+
+
+# scipy subpackages that scipy.optimize, scipy.spatial or scipy.cluster would
+# load; together they more than doubled the peak memory of every stage
+HEAVY_SCIPY = ("scipy.optimize", "scipy.spatial", "scipy.cluster", "scipy.sparse",
+               "scipy.linalg", "scipy.special")
+
+
+def _scipy_modules_after(code, *argvs):
+    """The scipy modules loaded in a fresh interpreter after running ``code``
+    and then ``main`` on each of ``argvs``, which must all succeed."""
+    script = ("import json, sys\n"
+              f"{code}\n"
+              "from g2i import cli\n"
+              "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'scipy')]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    return set(modules)
+
+
+class TestScipyImports:
+    """A g2i process loads scipy's top-level package and its assignment
+    solver's extension module, and no other scipy code."""
+
+    @pytest.fixture(scope="class")
+    def allowed(self):
+        return _scipy_modules_after("import scipy") | {"scipy.optimize._lsap"}
+
+    @pytest.fixture(scope="class")
+    def synth_and_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("imports")
+        loaded = _scipy_modules_after("", ["synth", *_small_args(out)],
+                                      ["run", *_small_args(out), *_data_args(out)])
+        return out, loaded
+
+    @staticmethod
+    def _assert_light(loaded, allowed):
+        assert "scipy.optimize._lsap" in loaded
+        assert [m for m in loaded if m.startswith(HEAVY_SCIPY)] == ["scipy.optimize._lsap"]
+        assert loaded <= allowed, sorted(loaded - allowed)
+
+    def test_synth_then_run(self, synth_and_run, allowed):
+        self._assert_light(synth_and_run[1], allowed)
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_each_stage(self, synth_and_run, allowed, stage):
+        out, _ = synth_and_run
+        argv = [stage, *_small_args(out)] + ([] if stage == "synth" else _data_args(out))
+        self._assert_light(_scipy_modules_after("", argv), allowed)
+
+    def test_solver_is_scipy_optimizes_after_both_import(self):
+        code = ("from g2i import transport\n"
+                "import scipy.optimize\n"
+                "assert transport.linear_sum_assignment is "
+                "scipy.optimize.linear_sum_assignment\n")
+        assert "scipy.optimize" in _scipy_modules_after(code)
 
 
 @pytest.fixture(scope="module")

@@ -187,6 +187,17 @@ def test_label_file_holds_each_node_once(tmp_path, text, error, message):
     assert str(info.value) == f"{labels}{message}"
 
 
+@pytest.mark.parametrize("node_id", ["#a", " #a"])
+def test_node_id_read_as_edge_comment_is_rejected(tmp_path, node_id):
+    # the edge line "#a<TAB>b<TAB>1" is a comment, so the edge would vanish
+    feats = _write(tmp_path, "features.csv", f"node_id,x\n{node_id},1\nb,2\n")
+    edges = _write(tmp_path, "edges.tsv", f"{node_id}\tb\t1\n")
+    with pytest.raises(MalformedLine) as info:
+        load_graph(edges, feats)
+    assert str(info.value) == (f"{feats}:2: node id {node_id!r} starts with '#', "
+                               f"which begins a comment in the edge list")
+
+
 def test_field_beyond_csv_limit_names_line(tmp_path):
     # an unclosed quote takes the rest of the file into one field
     feats = _write(tmp_path, "features.csv", 'node_id,x\na,1\nb,"' + "1" * 140_000 + "\n")

@@ -1,5 +1,12 @@
+import itertools
+import os
+import sys
+import types
+
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.spatial.distance import cdist
 
 from g2i import imaging, transport
 from g2i.errors import DimensionMismatch, GridTooSmall, NonConvergence, TooLarge
@@ -38,6 +45,11 @@ class TestGrid:
             diff = coords[:, None, :] - coords[None, :, :]
             assert np.array_equal(grid_cost(side), np.sum(diff**2, axis=2)), side
 
+    def test_equals_cdist(self):
+        for side in range(1, 34):
+            coords = np.column_stack(np.divmod(np.arange(side * side), side)).astype(np.float64)
+            assert np.array_equal(grid_cost(side), cdist(coords, coords, "sqeuclidean")), side
+
     def test_square_cost_formula(self):
         cost = grid_cost(3)
         assert cost.shape == (9, 9)
@@ -45,6 +57,35 @@ class TestGrid:
         assert cost[1, 5] == (0 - 1) ** 2 + (1 - 2) ** 2
         assert np.array_equal(cost, cost.T)
         assert np.all(np.diag(cost) == 0)
+
+
+class TestAssignmentSolver:
+    def test_is_scipys_function(self):
+        assert transport.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+
+    def test_equals_scipy_and_brute_force_on_tied_integer_costs(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            m = int(rng.integers(1, 7))
+            cost = rng.integers(0, 3, size=(m, m)).astype(np.float64)
+            rows, cols = transport.linear_sum_assignment(cost)
+            want_rows, want_cols = scipy.optimize.linear_sum_assignment(cost)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            assert np.array_equal(rows, np.arange(m))
+            best = min(cost[np.arange(m), list(p)].sum()
+                       for p in itertools.permutations(range(m)))
+            assert cost[rows, cols].sum() == best
+
+    def test_directory_without_extension_falls_back_to_scipy_optimize(self, tmp_path,
+                                                                      monkeypatch):
+        fallback = types.ModuleType("scipy.optimize")
+        fallback.linear_sum_assignment = object()
+        monkeypatch.setitem(sys.modules, "scipy.optimize", fallback)
+        assert transport._assignment_solver(tmp_path) is fallback.linear_sum_assignment
+
+    def test_loaded_module_is_reused(self):
+        optimize_dir = os.path.dirname(sys.modules["scipy.optimize._lsap"].__file__)
+        assert transport._assignment_solver(optimize_dir) is transport.linear_sum_assignment
 
 
 class TestObjective:
