@@ -88,7 +88,11 @@ def _read_config(path):
             if "=" not in line:
                 raise G2IError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = (lineno, value.strip())
+            key = key.strip()
+            if key in values:
+                raise G2IError(f"{path}:{lineno}: key {key!r} given twice, "
+                               f"first on line {values[key][0]}")
+            values[key] = (lineno, value.strip())
     return values
 
 

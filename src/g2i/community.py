@@ -4,9 +4,13 @@ Each node is represented by its adjacency row; nodes are partitioned with
 k-means++ seeding followed by Lloyd iterations, and the fitted centroids yield
 a z-scored inter-community distance matrix used for the structural layout.
 The rows are a graph's sparse ``CSRMatrix`` or any dense array, such as the
-metrics stage's image embedding. The two paths differ only in how a block of
-rows is made dense, how ``rows @ C.T`` is formed and how each community's
-rows are added up.
+metrics stage's image embedding. Every squared distance (k-means++ seeding,
+the reseed of an emptied community, Lloyd's assignment and the distances
+between centroids) is ``|a|^2 - a.(2c) + |c|^2``, from the rows' squared
+norms and one product ``rows @ C.T``. The two paths differ only in how those
+norms and that product are formed and how each community's rows are added
+up. A CSRMatrix row is made dense only as a seed or a reseeded centroid, or
+while the rows are scanned for P distinct ones.
 """
 
 from __future__ import annotations
@@ -71,43 +75,17 @@ def _dense(rows, index):
     return rows.dense_rows(index) if isinstance(rows, CSRMatrix) else rows[index]
 
 
-def _sq_dists_to(rows, point):
-    # np.sum((rows - point) ** 2, axis=1), block by block; each row sums on its
-    # own, so the bits do not depend on the blocks. Squared norms at point 0.0.
+def _row_norms(rows):
+    """Each row's squared norm: a CSRMatrix row's stored weights squared and
+    added in column order, a dense row's ``np.sum(row ** 2)``, block by block
+    (each row sums on its own, so the bits do not depend on the blocks)."""
     if isinstance(rows, CSRMatrix):
-        return _sparse_sq_dists_to(rows, point)
+        row, _, w = rows.entries()
+        return np.bincount(row, weights=w * w, minlength=rows.n)
     out = np.empty(len(rows))
     for blk in _blocks(rows):
-        out[blk] = _sum_squares(rows[blk] - point)
+        out[blk] = np.sum(rows[blk] ** 2, axis=1)
     return out
-
-
-def _sparse_sq_dists_to(A, point):
-    # each block of (row - point) ** 2 is made dense in one reused buffer: a
-    # zero entry's term (0.0 - p) ** 2 has the bits of p * p, and each
-    # nonzero's term is computed as the dense rows compute it
-    point = np.broadcast_to(np.asarray(point, dtype=np.float64), (A.n,))
-    zero_terms = point * point
-    blocks = _blocks(A)
-    buf = np.empty((min(blocks[0].stop, A.n), A.n)) if blocks else None
-    out = np.empty(A.n)
-    for blk in blocks:
-        start, stop, _ = blk.indices(A.n)
-        block = buf[: stop - start]
-        block[...] = zero_terms
-        row, col, w = A.entries(blk)
-        terms = w - point[col]
-        terms *= terms
-        block[row - start, col] = terms
-        out[blk] = np.sum(block, axis=1)
-    return out
-
-
-def _sum_squares(x):
-    # np.sum(x**2, axis=1), squaring x in place; a temporary passed in is
-    # freed on return, before the next block's is made
-    x *= x
-    return np.sum(x, axis=1)
 
 
 def _sq_dists(rows, centroids, row_norms):
@@ -147,14 +125,14 @@ def kmeanspp_init(rows, P, seed):
     if not _has_distinct_rows(rows, P):
         raise DegenerateData(f"fewer than P={P} distinct rows")
     rng = np.random.default_rng(seed)
+    row_norms = _row_norms(rows)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists_to(rows, _dense(rows, chosen[0]))
+    d2 = np.inf
     for _ in range(1, P):
-        total = d2.sum()
-        probs = d2 / total
-        idx = int(rng.choice(n, p=probs))
-        chosen.append(idx)
-        d2 = np.minimum(d2, _sq_dists_to(rows, _dense(rows, idx)))
+        # clamped at 0: rounding can leave a row's distance to its copy below 0
+        to_last = _sq_dists(rows, _dense(rows, chosen[-1:]), row_norms)[:, 0]
+        d2 = np.minimum(d2, np.maximum(to_last, 0.0))
+        chosen.append(int(rng.choice(n, p=d2 / d2.sum())))
     return _dense(rows, np.array(chosen))
 
 
@@ -173,9 +151,12 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
 
     A CSRMatrix and the same matrix dense give the same centroids and
     assignment, bit for bit, whenever no distance is within rounding of a
-    tie: the seeding, the squared norms and the centroid sums have the same
-    bits on both paths. Only ``rows @ C.T`` adds its products in another
-    order, so the inertia history may differ in the last bits.
+    tie, and the centroid sums have the same bits on both paths. On integer
+    weights, as on every unweighted graph, the seeding is exact on both
+    paths. On other weights the squared norms and ``rows @ C.T`` add in
+    another order on the two paths, so the seeds agree unless a k-means++
+    draw falls within rounding of a cumulative-probability boundary. The
+    inertia history may differ in the last bits.
     """
     rows = _as_rows(rows)
     if P < 1:
@@ -183,7 +164,7 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
     if max_iter < 1:
         raise BadArgument(f"max_iter must be >= 1, got {max_iter}")
     centroids = kmeanspp_init(rows, P, seed) if init_centroids is None else np.array(init_centroids, dtype=np.float64)
-    row_norms = _sq_dists_to(rows, 0.0)
+    row_norms = _row_norms(rows)
     assignment = None
     history = []
     for _ in range(max_iter):
@@ -208,7 +189,7 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
             if counts[c]:
                 centroids[c] = sums[c] / counts[c]
             else:
-                centroids[c] = _dense(rows, int(np.argmax(_sq_dists_to(rows, centroids[c]))))
+                centroids[c] = _dense(rows, int(np.argmax(np.maximum(d2[:, c], 0.0))))
     return centroids, assignment, history
 
 
@@ -231,7 +212,7 @@ def association_matrix(model):
     (sigma 0) the z-scored matrix is all zeros.
     """
     C = model.centroids
-    D = np.sqrt(np.maximum(_sq_dists(C, C, _sq_dists_to(C, 0.0)), 0.0))
+    D = np.sqrt(np.maximum(_sq_dists(C, C, _row_norms(C)), 0.0))
     D = (D + D.T) / 2.0
     np.fill_diagonal(D, 0.0)
     mu = float(D.mean())

@@ -13,9 +13,10 @@ every CSV table but ``eval.csv``, and ``read_rows`` reads each one that a
 stage reads back. A table keyed by node id (features, labels, a modality's
 features, communities) lists each node on exactly one line, in any order:
 ``node_rows`` rejects an id listed twice, an id the graph lacks, a node
-without a line and an id that starts with ``#``, which the edge list reserves
-for comments. The feature file read first defines the nodes and their
-order.
+without a line and an id that no edge line can name: an empty id, one that
+starts or ends with whitespace (the edge list strips each line), one that
+starts with ``#`` (a comment line) and one that holds a tab, CR or LF. The
+feature file read first defines the nodes and their order.
 
 The adjacency is never an n x n array. ``AttributedGraph.csr`` is a
 ``CSRMatrix``: both triangles' nonzero weights, row by row in increasing
@@ -471,17 +472,31 @@ def read_rows(path, header, convert):
     return Rows(columns, lines, names, values)
 
 
+def _unnameable(nid):
+    """Why an edge line cannot name the node id ``nid``, or None if it can."""
+    if not nid:
+        return "is empty"
+    if nid != nid.strip():
+        return "starts or ends with whitespace, which the edge list strips"
+    if nid.startswith("#"):
+        return "starts with '#', which begins a comment in the edge list"
+    if any(c in nid for c in "\t\r\n"):
+        return "holds a tab, CR or LF, which end a field or a line in the edge list"
+    return None
+
+
 def node_rows(path, rows, node_ids, what):
     """The index in ``rows`` of the line of each of ``node_ids``, in that
     order, for a table that lists each node on one line, named by its id. An
-    id that starts with "#" (after blanks), which the edge list would read as
-    a comment, an id listed twice, an id not in ``node_ids`` and a node
-    without a line each raise an error that names the file."""
+    id that no edge line can name (empty, with whitespace at either end,
+    starting with "#" or holding a tab, CR or LF), an id listed twice, an id
+    not in ``node_ids`` and a node without a line each raise an error that
+    names the file."""
     found = dict.fromkeys(node_ids)      # node id -> index of its line
     for i, (line, nid) in enumerate(zip(rows.lines, rows.names)):
-        if nid.lstrip().startswith("#"):
-            raise MalformedLine(path, line, f"node id {nid!r} starts with '#', which "
-                                            f"begins a comment in the edge list")
+        fault = _unnameable(nid)
+        if fault:
+            raise MalformedLine(path, line, f"node id {nid!r} {fault}")
         if nid not in found:
             raise UnknownNodeId(f"{path}:{line}: unknown node id {nid!r}")
         if found[nid] is not None:

@@ -250,13 +250,14 @@ def write_tensor(image_set, path):
 
 def read_tensor(path):
     """The ImageSet that write_tensor wrote: its labels are all -1, read as
-    None, or all class indices; a mix of the two is an error."""
-    entries, channel_names = read_named_tensors(path)
-    shapes = sorted({arr.shape for _, _, arr in entries})
+    None, or all class indices; a mix of the two is an error. The images are
+    read_named_buffer's one buffer, viewed as (n, C, P, P)."""
+    heads, flat, channel_names = read_named_buffer(path)
+    shapes = sorted({shape for _, _, shape in heads})
     if len(shapes) != 1 or len(shapes[0]) != 3:
         raise ShapeMismatch(f"{path}: expected images of one 3-D shape, found "
                             f"{len(shapes)} shape(s), e.g. {shapes[:3]}")
-    node_ids, labels, tensors = zip(*entries)
+    node_ids, labels, _ = zip(*heads)
     labels = np.asarray(labels, dtype=np.int64)
     if np.all(labels == -1):
         labels = None
@@ -265,8 +266,8 @@ def read_tensor(path):
         i = int(np.argmax(labels < (0 if labels.max() >= 0 else -1)))
         raise G2IError(f"{path}: node {node_ids[i]!r} has label {labels[i]}; the labels must "
                        f"be all -1 (unlabeled) or all class indices >= 0")
-    return ImageSet(node_ids=node_ids, tensors=np.stack(tensors), labels=labels,
-                    channel_names=channel_names)
+    return ImageSet(node_ids=node_ids, tensors=flat.reshape(len(heads), *shapes[0]),
+                    labels=labels, channel_names=channel_names)
 
 
 # --- layout CSV I/O ---

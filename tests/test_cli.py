@@ -51,6 +51,12 @@ class TestConfig:
         with pytest.raises(G2IError):
             build_config(args)
 
+    def test_key_given_twice_names_file_key_and_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "cfg"
+        path.write_text("seed=3\nrestarts=5\n seed = 5\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: key 'seed' given twice, first on line 1\n"
+
     def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys):
         path = tmp_path / "cfg"
         path.write_text("seed=1\nrestarts=abc\n")
@@ -395,6 +401,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert f"{features}:3" in err and "'a'" in err and "line 2" in err
 
+    def test_node_id_the_edge_list_strips_stops_ingest(self, tmp_path, capsys):
+        # the edge line names ' a', which reading the line would turn into 'a'
+        edges, features = tmp_path / "edges.tsv", tmp_path / "features.csv"
+        edges.write_text(" a\tb\t1\n")
+        features.write_text("node_id,x\n a,1\na,2\nb,3\n")
+        rc = main(["ingest", "--out", str(tmp_path / "out"),
+                   "--edges", str(edges), "--features", str(features)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error in stage ingest: {features}:2: node id ' a' starts or ends with "
+            f"whitespace, which the edge list strips\n")
+
     def test_label_listed_twice_stops_ingest(self, tmp_path, capsys):
         assert main(["synth", *_small_args(tmp_path)]) == 0
         labels = tmp_path / "labels.csv"
@@ -603,6 +621,7 @@ class TestBadStageFiles:
 
     # each table, and the first stage that reads it
     @pytest.mark.parametrize("name, stage", [
+        ("edges.tsv", "cluster"),
         ("features.csv", "layout"),
         ("labels.csv", "render"),
         ("communities.csv", "layout"),

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -370,3 +371,15 @@ class TestSparseEqualsDense:
         assert _bits_equal(kmeanspp_init(csr, 3, 0), kmeanspp_init(dense, 3, 0))
         with pytest.raises(DegenerateData, match="fewer than P=4 distinct rows"):
             kmeanspp_init(csr, 4, 0)
+
+
+def test_kmeanspp_init_makes_no_sparse_row_dense_but_the_seeds():
+    # a 20,000-node path graph: seeding that made every row dense once per seed
+    # did 16 passes over 3.2 GB of dense rows (about 5 s); the rows' norms and
+    # products touch only the 40,000 stored entries
+    n = 20_000
+    csr = CSRMatrix.symmetric(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+    start = time.perf_counter()
+    seeds = kmeanspp_init(csr, 16, seed=0)
+    elapsed = time.perf_counter() - start
+    assert seeds.shape == (16, n) and elapsed < 1.0, f"{elapsed:.2f} s"

@@ -187,15 +187,39 @@ def test_label_file_holds_each_node_once(tmp_path, text, error, message):
     assert str(info.value) == f"{labels}{message}"
 
 
-@pytest.mark.parametrize("node_id", ["#a", " #a"])
-def test_node_id_read_as_edge_comment_is_rejected(tmp_path, node_id):
+_COMMENT = "starts with '#', which begins a comment in the edge list"
+_BLANK_END = "starts or ends with whitespace, which the edge list strips"
+
+
+@pytest.mark.parametrize("node_id, fault", [("#a", _COMMENT), (" #a", _BLANK_END)],
+                         ids=["#a", " #a"])
+def test_node_id_read_as_edge_comment_is_rejected(tmp_path, node_id, fault):
     # the edge line "#a<TAB>b<TAB>1" is a comment, so the edge would vanish
     feats = _write(tmp_path, "features.csv", f"node_id,x\n{node_id},1\nb,2\n")
     edges = _write(tmp_path, "edges.tsv", f"{node_id}\tb\t1\n")
     with pytest.raises(MalformedLine) as info:
         load_graph(edges, feats)
-    assert str(info.value) == (f"{feats}:2: node id {node_id!r} starts with '#', "
-                               f"which begins a comment in the edge list")
+    assert str(info.value) == f"{feats}:2: node id {node_id!r} {fault}"
+
+
+@pytest.mark.parametrize("field, node_id, fault", [
+    ("", "", "is empty"),
+    (" a", " a", _BLANK_END),
+    ("a ", "a ", _BLANK_END),
+    ("a\t", "a\t", _BLANK_END),
+    ('"a\n"', "a\n", _BLANK_END),
+    ("a\tb", "a\tb", "holds a tab, CR or LF, which end a field or a line in the edge list"),
+    ('"a\rb"', "a\rb", "holds a tab, CR or LF, which end a field or a line in the edge list"),
+    ('"a\nb"', "a\nb", "holds a tab, CR or LF, which end a field or a line in the edge list"),
+])
+def test_node_id_no_edge_line_can_name_is_rejected(tmp_path, field, node_id, fault):
+    # the edge line " a<TAB>b<TAB>1" is stripped and names 'a', not ' a'
+    feats = _write(tmp_path, "features.csv", f"node_id,x\n{field},1\na,2\nb,3\n")
+    edges = _write(tmp_path, "edges.tsv", "a\tb\t1\n")
+    with pytest.raises(MalformedLine) as info:
+        load_graph(edges, feats)
+    line = 2 + field.count("\n") + field.count("\r")    # a CSV record is named by its last line
+    assert str(info.value) == f"{feats}:{line}: node id {node_id!r} {fault}"
 
 
 def test_field_beyond_csv_limit_names_line(tmp_path):
