@@ -29,7 +29,7 @@ import numpy as np
 
 from .cnn import PREDICT_CHUNK
 from .errors import BadArgument, DegenerateData, LayoutMismatch
-from .graph import write_rows
+from .formats import write_rows
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import attribution, cnn, community, imaging, metrics, transport  # noqa: F401
 from .errors import BadArgument, G2IError
-from .graph import (generate_sbm, load_graph, load_nodes, read_features, read_text, split_dataset,
-                    write_graph)
+from .formats import read_text, write_named_tensors
+from .graph import generate_sbm, load_graph, load_nodes, read_features, split_dataset, write_graph
 
 
 def stage_seed(root, name):
@@ -274,8 +274,7 @@ def stage_cluster(cfg):
                               f"modality's ceil(sqrt(k))")
     model = community.fit_communities(graph, P, stage_seed(cfg.seed, "cluster"))
     community.write_communities(model, graph, _path(cfg, "communities"))
-    imaging.write_named_tensors([("centroids", -1, model.centroids)], (),
-                                _path(cfg, "centroids"))
+    write_named_tensors([("centroids", -1, model.centroids)], (), _path(cfg, "centroids"))
     return model
 
 

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadArgument, EmptySplit, ShapeMismatch
-from .graph import write_rows
+from .errors import BadArgument, EmptySplit, ShapeMismatch, TrainingDiverged
+from .formats import read_named_buffer, write_named_tensors, write_rows
 
 # images per forward call in predict_proba; the batch size can change BLAS sums
 PREDICT_CHUNK = 256
@@ -432,7 +432,8 @@ def train(images, split, config, checkpoint):
     epoch that lowers the validation loss. When training ends it is renamed
     over ``checkpoint``. Returns (best params, TrainReport), the params read
     back from that file; deterministic for a fixed config seed. The report's
-    test metrics score them as ``g2i eval`` does.
+    test metrics score them as ``g2i eval`` does. A batch or validation loss
+    that is not finite raises TrainingDiverged, without numpy's warnings.
     """
     for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
         if len(idx) == 0:
@@ -449,24 +450,33 @@ def train(images, split, config, checkpoint):
     report = TrainReport()
     best_val = np.inf
     lr, mom = dtype(config.learning_rate), dtype(config.momentum)
-    for epoch in range(config.max_epochs):
-        started = time.perf_counter()
-        order = shuffle_rng.permutation(split.train)
-        epoch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
-            epoch_losses.append(
-                _sgdm_step(params, velocity, X[batch_idx], y[batch_idx], lr, mom))
-        val_loss, val_probs = _mean_ce(params, X[split.val], y[split.val])
-        val_acc = float((val_probs.argmax(axis=1) == y[split.val]).mean())
-        report.train_loss.append(float(np.mean(epoch_losses)))
-        report.val_loss.append(val_loss)
-        report.val_acc.append(val_acc)
-        if val_loss < best_val:
-            best_val = val_loss
-            save_checkpoint(params, best_path)
-            report.best_epoch = epoch
-        report.epoch_s.append(time.perf_counter() - started)
+    diverged = lambda which, loss: TrainingDiverged(
+        f"training diverged: {which} is {loss}; the images' largest |value| is "
+        f"{float(np.abs(X).max()):.6g}")
+    # a diverging network overflows; its loss, not numpy's warnings, reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            started = time.perf_counter()
+            order = shuffle_rng.permutation(split.train)
+            epoch_losses = []
+            for batch, start in enumerate(range(0, len(order), config.batch_size)):
+                batch_idx = order[start : start + config.batch_size]
+                loss = _sgdm_step(params, velocity, X[batch_idx], y[batch_idx], lr, mom)
+                if not math.isfinite(loss):
+                    raise diverged(f"the loss of epoch {epoch}, batch {batch}", loss)
+                epoch_losses.append(loss)
+            val_loss, val_probs = _mean_ce(params, X[split.val], y[split.val])
+            if not math.isfinite(val_loss):
+                raise diverged(f"the validation loss of epoch {epoch}", val_loss)
+            val_acc = float((val_probs.argmax(axis=1) == y[split.val]).mean())
+            report.train_loss.append(float(np.mean(epoch_losses)))
+            report.val_loss.append(val_loss)
+            report.val_acc.append(val_acc)
+            if val_loss < best_val:
+                best_val = val_loss
+                save_checkpoint(params, best_path)
+                report.best_epoch = epoch
+            report.epoch_s.append(time.perf_counter() - started)
     del params, velocity    # before the best weights are read back
     os.replace(best_path, checkpoint)
     best = load_checkpoint(checkpoint, config)
@@ -512,8 +522,6 @@ def evaluate(params, images, indices):
 # --- checkpoint / report I/O ---
 
 def save_checkpoint(params, path):
-    from .imaging import write_named_tensors
-
     entries = [(name, -1, arr) for name, arr in params.arrays()]
     write_named_tensors(entries, (), path)
 
@@ -524,8 +532,6 @@ def load_checkpoint(path, config):
     with the shape the config gives it, in checkpoint order, as
     save_checkpoint writes them. read_named_buffer rejects a NaN or infinite
     weight, with which a diverged network would score every input NaN."""
-    from .imaging import read_named_buffer
-
     heads, flat, _ = read_named_buffer(path)
     stored = {name: shape for name, _, shape in heads}
     table = _param_table(config)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch
-from .graph import CSRMatrix, node_rows, read_rows, write_rows
+from .formats import node_rows, read_named_tensors, read_rows, write_rows
+from .graph import CSRMatrix
 
 
 _HEADER = ("node_id", "community")
@@ -132,7 +133,13 @@ def kmeanspp_init(rows, P, seed):
         # clamped at 0: rounding can leave a row's distance to its copy below 0
         to_last = _sq_dists(rows, _dense(rows, chosen[-1:]), row_norms)[:, 0]
         d2 = np.minimum(d2, np.maximum(to_last, 0.0))
-        chosen.append(int(rng.choice(n, p=d2 / d2.sum())))
+        total = d2.sum()
+        if not 0.0 < total < math.inf:
+            # P distinct rows make the exact sum positive: it cancelled or overflowed
+            peak = np.abs(rows.weights if isinstance(rows, CSRMatrix) else rows).max(initial=0.0)
+            raise DegenerateData(f"k-means++ distances to {len(chosen)} seed(s) cancel or "
+                                 f"overflow: the rows' largest |value| is {peak:.6g}")
+        chosen.append(int(rng.choice(n, p=d2 / total)))
     return _dense(rows, np.array(chosen))
 
 
@@ -232,8 +239,6 @@ def read_centroids(path, n):
     """The (P, n) centroids of a centroids.g2t file: one 2-D array with P >= 1
     rows and one column per node. read_named_tensors rejects NaN or infinite
     values."""
-    from .imaging import read_named_tensors
-
     entries, _ = read_named_tensors(path)
     shapes = [arr.shape for _, _, arr in entries]
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] < 1 or shapes[0][1] != n:

@@ -64,10 +64,6 @@ class NumericalUnderflow(G2IError):
     pass
 
 
-class TooLarge(G2IError):
-    pass
-
-
 class GridTooSmall(G2IError):
     pass
 
@@ -97,4 +93,8 @@ class ShapeMismatch(G2IError):
 
 
 class EmptySplit(G2IError):
+    pass
+
+
+class TrainingDiverged(G2IError):
     pass

@@ -8,15 +8,9 @@ File formats:
   labels      -- CSV with header ``node_id,label``; label strings are mapped to
                  class indices in the order of the lines that first name them
 
-Every text input is UTF-8, read through ``read_text``. ``write_rows`` writes
-every CSV table but ``eval.csv``, and ``read_rows`` reads each one that a
-stage reads back. A table keyed by node id (features, labels, a modality's
-features, communities) lists each node on exactly one line, in any order:
-``node_rows`` rejects an id listed twice, an id the graph lacks, a node
-without a line and an id that no edge line can name: an empty id, one that
-starts or ends with whitespace (the edge list strips each line), one that
-starts with ``#`` (a comment line) and one that holds a tab, CR or LF. The
-feature file read first defines the nodes and their order.
+The CSV tables are read and written through ``g2i.formats``, which states
+their rules: one line per node in a node-keyed table, and node ids that an
+edge line can name.
 
 The adjacency is never an n x n array. ``AttributedGraph.csr`` is a
 ``CSRMatrix``: both triangles' nonzero weights, row by row in increasing
@@ -31,8 +25,6 @@ then dropped, and the matrix holds the rest in both triangles.
 
 from __future__ import annotations
 
-import contextlib
-import csv
 import math
 from array import array
 from dataclasses import dataclass
@@ -48,6 +40,7 @@ from .errors import (
     SelfLoop,
     UnknownNodeId,
 )
+from .formats import node_rows, read_rows, read_text, write_rows
 
 
 # every number read from a text input must fit the float32 that images.g2t
@@ -58,10 +51,6 @@ _F32_MAX = float(np.finfo(np.float32).max)
 # the header of a feature file, and of a label file
 FEATURE_HEADER = ("node_id", "...")        # then one column per feature
 LABEL_HEADER = ("node_id", "label")
-
-# what read_rows' ``convert`` makes of the values after a row's name
-_VALUES = {int: "integers", float: "numbers"}
-
 
 # bytes that one block of rows takes: generate_sbm's uniform draws, and the
 # products of CSRMatrix @ a dense array
@@ -221,16 +210,6 @@ class CSRMatrix:
         flat += self.indices
         sums = np.bincount(flat, weights=self.weights, minlength=n_groups * self.n)
         return sums.reshape(n_groups, self.n)
-
-
-@dataclass(frozen=True)
-class Rows:
-    """A CSV table as read_rows reads it."""
-
-    columns: tuple               # the fields of its header
-    lines: list                  # the line number of each row
-    names: list                  # the first field of each row
-    values: list                 # the later fields of each row, converted, row after row
 
 
 @dataclass(frozen=True)
@@ -413,109 +392,6 @@ def read_features(path, node_ids=None):
     if node_ids is None:         # the file's order is the nodes' order
         return tuple(rows.names), features, names
     return node_ids, features[order], names
-
-
-@contextlib.contextmanager
-def read_text(path, newline=None):
-    """``open(path, newline=newline)`` on a UTF-8 text file; a byte that is
-    not UTF-8 raises MalformedLine naming the line of the first one."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            # the decoder reads ahead in blocks, so find the byte in the file
-            with open(path, "rb") as raw:
-                data = raw.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MalformedLine(path, data.count(b"\n", 0, exc.start) + 1,
-                                    f"not UTF-8 text: {exc.reason} "
-                                    f"0x{data[exc.start]:02x}") from None
-            raise
-
-
-def read_rows(path, header, convert):
-    """The Rows of a CSV file whose first line is ``header``, in which a
-    trailing "..." stands for any further columns; no column may be named
-    twice. Each later line holds one field per column, and ``convert`` turns
-    every field after its first into a value; blank lines are skipped."""
-    with read_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            columns = tuple(next(reader, ()))
-            open_ended = header[-1] == "..."
-            fixed = header[:-1] if open_ended else header
-            if columns[: len(fixed)] != fixed or (not open_ended and len(columns) != len(fixed)):
-                raise MalformedLine(path, 1, f"expected header {','.join(header)!r}, "
-                                             f"got {','.join(columns)!r}")
-            if len(set(columns)) != len(columns):
-                repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
-                raise MalformedLine(path, 1, f"column {repeated!r} named twice")
-            lines, names, values = [], [], []
-            for row in reader:
-                if len(row) != len(columns):
-                    if not row:
-                        continue
-                    raise MalformedLine(path, reader.line_num,
-                                        f"expected {len(columns)} fields, got {len(row)}")
-                try:
-                    values += map(convert, row[1:])
-                except ValueError:
-                    raise MalformedLine(path, reader.line_num,
-                                        f"expected {_VALUES[convert]} after the name, "
-                                        f"got {row[1:]}") from None
-                lines.append(reader.line_num)
-                names.append(row[0])
-        except csv.Error as exc:
-            raise MalformedLine(path, reader.line_num, f"not a CSV line: {exc}") from None
-    return Rows(columns, lines, names, values)
-
-
-def _unnameable(nid):
-    """Why an edge line cannot name the node id ``nid``, or None if it can."""
-    if not nid:
-        return "is empty"
-    if nid != nid.strip():
-        return "starts or ends with whitespace, which the edge list strips"
-    if nid.startswith("#"):
-        return "starts with '#', which begins a comment in the edge list"
-    if any(c in nid for c in "\t\r\n"):
-        return "holds a tab, CR or LF, which end a field or a line in the edge list"
-    return None
-
-
-def node_rows(path, rows, node_ids, what):
-    """The index in ``rows`` of the line of each of ``node_ids``, in that
-    order, for a table that lists each node on one line, named by its id. An
-    id that no edge line can name (empty, with whitespace at either end,
-    starting with "#" or holding a tab, CR or LF), an id listed twice, an id
-    not in ``node_ids`` and a node without a line each raise an error that
-    names the file."""
-    found = dict.fromkeys(node_ids)      # node id -> index of its line
-    for i, (line, nid) in enumerate(zip(rows.lines, rows.names)):
-        fault = _unnameable(nid)
-        if fault:
-            raise MalformedLine(path, line, f"node id {nid!r} {fault}")
-        if nid not in found:
-            raise UnknownNodeId(f"{path}:{line}: unknown node id {nid!r}")
-        if found[nid] is not None:
-            raise MalformedLine(path, line, f"duplicate node id {nid!r}, "
-                                            f"first on line {rows.lines[found[nid]]}")
-        found[nid] = i
-    if len(rows.names) < len(found):
-        missing = [nid for nid, i in found.items() if i is None]
-        raise UnknownNodeId(f"{path}: no {what} for {len(missing)} node id(s), first "
-                            f"{', '.join(map(repr, missing[:5]))}")
-    return list(found.values())
-
-
-def write_rows(path, header, rows):
-    """Write a CSV file: the ``header`` line, then one line per row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def write_graph(graph, edge_path, feature_path, label_path=None):

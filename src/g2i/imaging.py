@@ -6,31 +6,21 @@ distances to every community, placed on the master structural layout and
 center-padded; each further channel carries one modality's raw feature values
 at the cells chosen by that modality's feature layout.
 
-Binary tensor container (little-endian):
-  magic 'G2IM', version u16 = 1, image count u32, then per image:
-  node-id length u16 + UTF-8 bytes, label i32 (-1 if absent), dim count u8,
-  that many u32 dims, then float32 payload (channel-major, row-major for
-  3-D image tensors). A channel-name table follows all images:
-  count u16, then u16-length-prefixed UTF-8 strings.
+The images, like the centroids and the checkpoint, are stored in the
+``.g2t`` container of ``g2i.formats``.
 """
 
 from __future__ import annotations
 
-import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .community import association_matrix, community_count
-from .errors import (BadMagic, DegenerateData, G2IError, LayoutMismatch, MalformedLine,
-                     ShapeMismatch, ShapeOverflow, TruncatedFile)
-from .graph import read_rows, write_rows
+from .errors import DegenerateData, G2IError, LayoutMismatch, MalformedLine, ShapeMismatch
+from .formats import read_named_buffer, read_rows, write_named_tensors, write_rows
 from .transport import grid_cost, pad_to_square, resolve_assignment, solve_gw
 
-MAGIC = b"G2IM"
-VERSION = 1
 _LAYOUT_HEADER = ("item_name", "row", "col")
 
 
@@ -122,124 +112,6 @@ def render_all(graph, model, s_layout, f_layouts, modalities=None, channel_names
 
 
 # --- serialization ---
-
-_MAX_DIM = 2**32 - 1
-# numpy (2.0 and later) makes arrays of at most 64 dimensions, whose nonzero
-# dimensions take at most intp-max bytes
-_MAX_NDIM = 64
-_MAX_BYTES = np.iinfo(np.intp).max
-
-
-def write_named_tensors(entries, channel_names, path):
-    """Write (name, label, array) entries into the binary tensor container.
-    A C-contiguous little-endian float32 array is written from its own
-    buffer; any other array is converted to one first. An existing file is
-    rewritten in place, which reuses its pages: on ext4, train rewrote the
-    reference run's 4.8 MB checkpoint in about 1 ms, against about 5.5 ms
-    for a new file each time."""
-    # no O_TRUNC; the truncate at the end drops what a longer file held
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HI", VERSION, len(entries)))
-        for name, label, arr in entries:
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            if arr.ndim > 255 or any(d > _MAX_DIM for d in arr.shape):
-                raise ShapeOverflow(f"tensor {name!r} shape {arr.shape} exceeds format limits")
-            nid = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nid)))
-            fh.write(nid)
-            fh.write(struct.pack("<iB", int(label), arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr)
-        fh.write(struct.pack("<H", len(channel_names)))
-        for cname in channel_names:
-            data = cname.encode("utf-8")
-            fh.write(struct.pack("<H", len(data)))
-            fh.write(data)
-        fh.truncate()
-
-
-def read_named_buffer(path):
-    """(heads, flat, channel_names) of a file write_named_tensors wrote:
-    ``(name, label, shape)`` of each tensor, and every tensor's values back
-    to back in ``flat``, one float32 buffer that each payload is read into
-    straight from the file, in file order. A file it cannot read raises a
-    G2IError that names the file and the byte, and a NaN or infinite value
-    one that names the file and the tensor."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}")
-        pos = 4
-
-        def take(fmt):
-            nonlocal pos
-            n = struct.calcsize(fmt)
-            if pos + n > size:
-                raise TruncatedFile(f"{path}: truncated at byte {pos}")
-            pos += n
-            return struct.unpack(fmt, fh.read(n))
-
-        def text(what):
-            nonlocal pos
-            (length,) = take("<H")
-            if pos + length > size:
-                raise TruncatedFile(f"{path}: truncated {what} at byte {pos}")
-            try:
-                out = fh.read(length).decode("utf-8")
-            except UnicodeDecodeError:
-                raise BadMagic(f"{path}: {what} at byte {pos} is not UTF-8") from None
-            pos += length
-            return out
-
-        version, count = take("<HI")
-        if version != VERSION:
-            raise BadMagic(f"{path}: unsupported version {version}")
-        # the payloads fit in the file; pages past the last are never touched
-        flat = np.empty(size // 4, dtype="<f4")
-        heads, filled = [], 0      # (name, label, shape) of each tensor; values read
-        for _ in range(count):
-            start = pos
-            name = text("tensor name")
-            label, ndim = take("<iB")
-            if ndim > _MAX_NDIM:
-                raise ShapeOverflow(f"{path}: tensor {name!r} at byte {start} has {ndim} "
-                                    f"dimensions, more than numpy's {_MAX_NDIM}")
-            shape = take(f"<{ndim}I")
-            # exact products: an int64 one can wrap past the size check
-            n_values = math.prod(shape)
-            if n_values * 4 > size or math.prod(filter(None, shape)) * 4 > _MAX_BYTES:
-                raise ShapeOverflow(f"{path}: tensor {name!r} at byte {start} has shape "
-                                    f"{shape}, too large")
-            if pos + n_values * 4 > size or \
-                    fh.readinto(flat[filled : filled + n_values]) != n_values * 4:
-                raise TruncatedFile(f"{path}: truncated payload for {name!r} at byte {pos}")
-            heads.append((name, label, shape))
-            pos += n_values * 4
-            filled += n_values
-        (ncn,) = take("<H")
-        channel_names = tuple(text("channel name") for _ in range(ncn))
-    flat = flat[:filled]
-    # its min and max take no temporary, and are finite exactly when every value is
-    if not (math.isfinite(flat.min(initial=0.0)) and math.isfinite(flat.max(initial=0.0))):
-        ends = np.cumsum([math.prod(shape) for _, _, shape in heads])
-        name = heads[np.searchsorted(ends, np.argmin(np.isfinite(flat)), side="right")][0]
-        raise DegenerateData(f"{path}: {name} holds NaN or infinite values")
-    return heads, flat, channel_names
-
-
-def read_named_tensors(path):
-    """Inverse of write_named_tensors; returns (entries, channel_names), each
-    entry's array a view of read_named_buffer's one buffer."""
-    heads, flat, channel_names = read_named_buffer(path)
-    entries, start = [], 0
-    for name, label, shape in heads:
-        stop = start + math.prod(shape)
-        entries.append((name, label, flat[start:stop].reshape(shape)))
-        start = stop
-    return entries, channel_names
-
 
 def write_tensor(image_set, path):
     """Serialize an ImageSet bit-exactly."""

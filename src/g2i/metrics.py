@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingleCluster
-from .graph import write_rows
+from .formats import write_rows
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,8 @@ def silhouette(points, assignment):
 
 def score_embedding(embedding, true_labels, seed=0):
     """Cluster the embedding with k-means at the true class count and score it."""
+    # imported at each call: perfbench's tracer wraps community.kmeans, and its
+    # community.kmeans_calls counts this stage's call only through this lookup
     from .community import kmeans
 
     true_labels = np.asarray(true_labels)

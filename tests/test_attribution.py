@@ -24,9 +24,9 @@ from g2i.attribution import (
     shapley_sample,
 )
 from g2i.cnn import ConvNetConfig, init_params, predict_proba
-from g2i.errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch, TooLarge
+from g2i.errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch
 from g2i.imaging import ImageSet
-from oracles import shapley_exact
+from oracles import TooLarge, shapley_exact
 
 
 def _linear_predict(weights):

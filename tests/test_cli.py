@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from g2i import cli
 from g2i.cli import SETTINGS, STAGES, build_config, main, make_parser, stage_seed
 from g2i.errors import G2IError
-from g2i.imaging import read_named_tensors, write_named_tensors
+from g2i.formats import read_named_tensors, write_named_tensors
 
 
 def _small_args(out, seed=3):
@@ -458,6 +458,17 @@ class TestPipeline:
         assert err.startswith("error in stage layout") and "at least 2 nodes" in err
         assert err.count("\n") == 1
 
+    def test_weights_whose_squares_underflow_stop_cluster(self, tmp_path, capsys):
+        assert main(["synth", *_small_args(tmp_path)]) == 0
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("".join(line.rsplit("\t", 1)[0] + "\t1e-200\n"
+                                 for line in edges.read_text().splitlines()))
+        capsys.readouterr()
+        assert main(["run", *_small_args(tmp_path), *_data_args(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error in stage cluster: k-means++ distances") and "1e-200" in err
+        assert err.count("\n") == 1
+
 
 # scipy subpackages that scipy.optimize, scipy.spatial or scipy.cluster would
 # load; together they more than doubled the peak memory of every stage
@@ -518,6 +529,21 @@ class TestScipyImports:
                 "assert transport.linear_sum_assignment is "
                 "scipy.optimize.linear_sum_assignment\n")
         assert "scipy.optimize" in _scipy_modules_after(code)
+
+
+def test_formats_imports_no_other_g2i_module_and_no_scipy():
+    # the package's __init__ imports the stages, so the script stands in an
+    # empty package for it: what loads is what g2i.formats itself imports
+    script = ("import json, sys, types\n"
+              "package = types.ModuleType('g2i')\n"
+              f"package.__path__ = [{str(Path(cli.__file__).resolve().parent)!r}]\n"
+              "sys.modules['g2i'] = package\n"
+              "import g2i.formats\n"
+              "print(json.dumps(sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('g2i', 'scipy'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert json.loads(proc.stdout) == ["g2i", "g2i.errors", "g2i.formats"]
 
 
 @pytest.fixture(scope="module")

@@ -21,9 +21,10 @@ from g2i.cnn import (
     train,
     write_report,
 )
-from g2i.errors import DegenerateData, EmptySplit, ShapeMismatch
+from g2i.errors import DegenerateData, EmptySplit, ShapeMismatch, TrainingDiverged
+from g2i.formats import read_named_tensors, write_named_tensors
 from g2i.graph import split_dataset
-from g2i.imaging import ImageSet, read_named_tensors, write_named_tensors
+from g2i.imaging import ImageSet
 
 
 def _tiny_config(**kw):
@@ -658,6 +659,22 @@ class TestTrain:
         save_checkpoint(params, tmp_path / "saved.g2t")
         assert (tmp_path / "checkpoint.g2t").read_bytes() == (tmp_path / "saved.g2t").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.g2t", "saved.g2t"]
+
+    def test_diverging_run_stops_without_warnings(self, tmp_path):
+        # images 1e6 times larger overflow the float32 activations in the
+        # first epochs: train names the loss, not numpy's warnings
+        images = _image_fixture(n=40)
+        images = dataclasses.replace(images, tensors=images.tensors * np.float32(1e6))
+        split = split_dataset(images.labels, seed=0)
+        cfg = _tiny_config(input_side=8, classes=2, max_epochs=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged) as info:
+                train(images, split, cfg, tmp_path / "checkpoint.g2t")
+        peak = re.escape(f"{float(np.abs(images.tensors).max()):.6g}")
+        assert re.fullmatch(rf"training diverged: the (loss of epoch \d+, batch \d+|validation "
+                            rf"loss of epoch \d+) is (nan|inf); the images' largest \|value\| "
+                            rf"is {peak}", str(info.value)), str(info.value)
 
     def test_empty_split(self, tmp_path):
         images = _image_fixture(n=20)

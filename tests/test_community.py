@@ -63,6 +63,21 @@ class TestInit:
         with pytest.raises(DegenerateData):
             kmeanspp_init(np.ones((5, 2)), 2, seed=0)
 
+    def test_distances_that_cancel_are_degenerate(self):
+        # five distinct rows beside a common 1e10: |a|^2 - 2a.c + |c|^2 rounds
+        # to 0 for every pair, though the rows differ
+        rows = np.column_stack([np.arange(30.0) % 5, np.full(30, 1e10)])
+        with pytest.raises(DegenerateData, match=r"cancel or overflow: the rows' largest "
+                                                 r"\|value\| is 1e\+10$"):
+            kmeanspp_init(rows, 3, seed=0)
+
+    def test_weights_whose_squares_underflow_are_degenerate(self):
+        csr = generate_sbm((10, 10), 0.5, 0.1, 2, 0.0, seed=0).csr
+        rows = CSRMatrix(csr.indptr, csr.indices, csr.weights * 1e-200)
+        with pytest.raises(DegenerateData, match=r"cancel or overflow: the rows' largest "
+                                                 r"\|value\| is 1e-200$"):
+            kmeanspp_init(rows, 3, seed=0)
+
     def test_deterministic(self):
         rows = np.random.default_rng(1).normal(size=(20, 4))
         a = kmeanspp_init(rows, 3, seed=42)

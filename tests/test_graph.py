@@ -218,8 +218,21 @@ def test_node_id_no_edge_line_can_name_is_rejected(tmp_path, field, node_id, fau
     edges = _write(tmp_path, "edges.tsv", "a\tb\t1\n")
     with pytest.raises(MalformedLine) as info:
         load_graph(edges, feats)
-    line = 2 + field.count("\n") + field.count("\r")    # a CSV record is named by its last line
-    assert str(info.value) == f"{feats}:{line}: node id {node_id!r} {fault}"
+    # a CSV record is named by the line it starts on, however many it spans
+    assert str(info.value) == f"{feats}:2: node id {node_id!r} {fault}"
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ('node_id,x\n"a\nb",q\n', 2, "expected numbers after the name, got ['q']"),
+    ('node_id,x\na,1\n"b\n\nc",1,2\n', 3, "expected 2 fields, got 3"),
+    ('node_id,x\na,1\nb,"\n' + "1" * 140_000 + "\n", 3,
+     "not a CSV line: field larger than field limit (131072)"),
+], ids=["bad value", "field count", "field limit"])
+def test_record_spanning_lines_is_named_by_its_first_line(tmp_path, text, lineno, message):
+    feats = _write(tmp_path, "features.csv", text)
+    with pytest.raises(MalformedLine) as info:
+        load_nodes(feats)
+    assert str(info.value) == f"{feats}:{lineno}: {message}"
 
 
 def test_field_beyond_csv_limit_names_line(tmp_path):

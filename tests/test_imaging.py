@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from g2i.community import association_matrix, community_count, fit_communities
 from g2i.errors import (BadMagic, DegenerateData, G2IError, LayoutMismatch, ShapeOverflow,
                         TruncatedFile)
+from g2i.formats import read_named_tensors, write_named_tensors
 from g2i.graph import generate_sbm
 from g2i.imaging import (
     build_feature_layout,
     build_structural_layout,
     feature_association,
-    read_named_tensors,
     read_tensor,
     render_all,
-    write_named_tensors,
     write_tensor,
 )
 

@@ -9,7 +9,7 @@ import scipy.optimize
 from scipy.spatial.distance import cdist
 
 from g2i import imaging, transport
-from g2i.errors import DimensionMismatch, GridTooSmall, NonConvergence, TooLarge
+from g2i.errors import DimensionMismatch, GridTooSmall, NonConvergence
 from g2i.imaging import build_feature_layout
 from g2i.transport import (
     TransportPlan,
@@ -22,7 +22,7 @@ from g2i.transport import (
     sinkhorn,
     solve_gw,
 )
-from oracles import brute_force_gw, gw_objective, lexmin_max_assignment
+from oracles import TooLarge, brute_force_gw, gw_objective, lexmin_max_assignment
 
 
 def _uniform_plan(m):
