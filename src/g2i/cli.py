@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attribution, cnn, community, imaging, metrics, transport  # noqa: F401
+from . import attribution, cnn, community, imaging, metrics
 from .errors import BadArgument, G2IError
-from .formats import read_text, write_named_tensors
+from .formats import read_text
 from .graph import generate_sbm, load_graph, load_nodes, read_features, split_dataset, write_graph
 
 
@@ -212,7 +212,7 @@ def _read_model(cfg, nodes):
     P = len(centroids)
     assignment = community.read_assignment(_input(cfg, "communities"), nodes.node_ids, P)
     return community.CommunityModel(P=P, centroids=centroids, assignment=assignment,
-                                    inertia_history=(), seed=stage_seed(cfg.seed, "cluster"))
+                                    inertia_history=())
 
 
 def _read_feature_layouts(cfg, mods):
@@ -247,7 +247,6 @@ def stage_synth(cfg):
     graph = generate_sbm(cfg.blocks, cfg.p_in, cfg.p_out, cfg.k, cfg.signal,
                          stage_seed(cfg.seed, "synth"))
     write_graph(graph, *(_path(cfg, key) for key in ("edges", "features", "labels")))
-    return graph
 
 
 def stage_ingest(cfg):
@@ -258,7 +257,6 @@ def stage_ingest(cfg):
     write_graph(graph, *(_path(cfg, key) for key in ("edges", "features", "labels")))
     if not cfg.labels:  # the later stages would read an earlier ingest's labels
         _path(cfg, "labels").unlink(missing_ok=True)
-    return graph
 
 
 def stage_cluster(cfg):
@@ -274,8 +272,7 @@ def stage_cluster(cfg):
                               f"modality's ceil(sqrt(k))")
     model = community.fit_communities(graph, P, stage_seed(cfg.seed, "cluster"))
     community.write_communities(model, graph, _path(cfg, "communities"))
-    write_named_tensors([("centroids", -1, model.centroids)], (), _path(cfg, "centroids"))
-    return model
+    community.write_centroids(model, _path(cfg, "centroids"))
 
 
 def _image_side(mods):
@@ -284,19 +281,21 @@ def _image_side(mods):
 
 
 def stage_layout(cfg):
+    # every input is read before the first layout is written, so a bad
+    # modality file leaves the earlier layouts as they were
     nodes = load_nodes(_input(cfg, "features"), _input(cfg, "labels"))
     model = _read_model(cfg, nodes)
-    assoc = community.association_matrix(model)
-    seed = stage_seed(cfg.seed, "layout")
-    s_layout = imaging.build_structural_layout(assoc, seed, cfg.epsilon, cfg.restarts)
-    imaging.write_layout(s_layout, _community_names(model.P), _path(cfg, "s_layout"))
     mods = _modality_list(cfg, nodes)
     side = _image_side(mods)
-    for name, F, fnames in mods:
-        cells = imaging.build_feature_layout(F, stage_seed(cfg.seed, f"layout.{name}"),
-                                             cfg.epsilon, cfg.restarts, grid_side=side)
+    s_layout = imaging.build_structural_layout(community.association_matrix(model),
+                                               stage_seed(cfg.seed, "layout"),
+                                               cfg.epsilon, cfg.restarts)
+    f_layouts = [imaging.build_feature_layout(F, stage_seed(cfg.seed, f"layout.{name}"),
+                                              cfg.epsilon, cfg.restarts, grid_side=side)
+                 for name, F, _ in mods]
+    imaging.write_layout(s_layout, _community_names(model.P), _path(cfg, "s_layout"))
+    for (name, _, fnames), cells in zip(mods, f_layouts):
         imaging.write_layout(cells, fnames, _f_layout_path(cfg, name))
-    return s_layout
 
 
 def _community_names(P):
@@ -316,7 +315,6 @@ def stage_render(cfg):
     )
     imaging.write_tensor(image_set, _path(cfg, "images"))
     _dump_debug_image(image_set, _path(cfg, "debug_image"))
-    return image_set
 
 
 def _dump_debug_image(image_set, path):
@@ -329,9 +327,8 @@ def _dump_debug_image(image_set, path):
 
 
 def stage_train(cfg):
-    params, report = cnn.train(*_read_dataset(cfg), _path(cfg, "checkpoint"))
+    _, report = cnn.train(*_read_dataset(cfg), _path(cfg, "checkpoint"))
     cnn.write_report(report, _path(cfg, "report"))
-    return params, report
 
 
 def stage_eval(cfg):
@@ -342,7 +339,6 @@ def stage_eval(cfg):
         fh.write("metric,value\n")
         for key in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
             fh.write(f"{key},{result[key]!r}\n")
-    return result
 
 
 def stage_explain(cfg):
@@ -375,7 +371,6 @@ def stage_explain(cfg):
         dend = attribution.cluster_profiles(table.raw.T, labels=list(class_names))
         with open(_path(cfg, "dendrogram"), "w", encoding="utf-8") as fh:
             fh.write(attribution.dendrogram_to_newick(dend) + "\n")
-    return table
 
 
 def stage_metrics(cfg):
@@ -386,15 +381,16 @@ def stage_metrics(cfg):
     scores = metrics.score_embedding(embedding, image_set.labels,
                                      seed=stage_seed(cfg.seed, "metrics"))
     metrics.write_scores({"g2i": scores}, _path(cfg, "metrics"))
-    return scores
 
 
 def _run_stage(name, fn, cfg):
+    """Run stage ``name``; its exit code, 1 after one stderr line on failure."""
     try:
-        return fn(cfg)
+        fn(cfg)
     except (G2IError, OSError) as exc:
         print(f"error in stage {name}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from exc
+        return 1
+    return 0
 
 
 # every stage in pipeline order; `run` executes all of them after synth
@@ -448,11 +444,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     names = list(STAGES)[1:] if args.command == "run" else [args.command]
-    try:
-        for name in names:
-            _run_stage(name, STAGES[name], cfg)
-    except SystemExit as exc:
-        return exc.code
+    for name in names:
+        code = _run_stage(name, STAGES[name], cfg)
+        if code:
+            return code
     return 0
 
 

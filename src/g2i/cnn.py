@@ -173,13 +173,13 @@ class TrainReport:
     epoch_s: list = field(default_factory=list)     # wall time; not in report.csv
 
 
-def init_params(config, seed=None, dtype=np.float64):
+def init_params(config, dtype=np.float64):
     """Fan-in uniform weights in +/- sqrt(6/fan_in), drawn in float64 in
     checkpoint order and stored as ``dtype``; zero biases, which draw
     nothing. The draw passes through one float64 chunk of _DRAW_BYTES, the
     same stream in the same order, so a float32 network equals the float64
     one cast, bit for bit, and takes no float64 copy of itself."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     params = ConvNetParams.zeros(config, dtype)
     chunk = np.empty(_DRAW_BYTES // 8, dtype=np.float64)
     for name, w in params.arrays():
@@ -430,10 +430,11 @@ def train(images, split, config, checkpoint):
     The best weights so far live in the file ``checkpoint`` + ``.tmp``, which
     save_checkpoint rewrites in place: the start, then the weights of each
     epoch that lowers the validation loss. When training ends it is renamed
-    over ``checkpoint``. Returns (best params, TrainReport), the params read
-    back from that file; deterministic for a fixed config seed. The report's
-    test metrics score them as ``g2i eval`` does. A batch or validation loss
-    that is not finite raises TrainingDiverged, without numpy's warnings.
+    over ``checkpoint``; a run that raises removes it. Returns (best params,
+    TrainReport), the params read back from that file; deterministic for a
+    fixed config seed. The report's test metrics score them as ``g2i eval``
+    does. A batch or validation loss that is not finite raises
+    TrainingDiverged, without numpy's warnings.
     """
     for name, idx in (("train", split.train), ("val", split.val), ("test", split.test)):
         if len(idx) == 0:
@@ -453,30 +454,35 @@ def train(images, split, config, checkpoint):
     diverged = lambda which, loss: TrainingDiverged(
         f"training diverged: {which} is {loss}; the images' largest |value| is "
         f"{float(np.abs(X).max()):.6g}")
-    # a diverging network overflows; its loss, not numpy's warnings, reports that
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.max_epochs):
-            started = time.perf_counter()
-            order = shuffle_rng.permutation(split.train)
-            epoch_losses = []
-            for batch, start in enumerate(range(0, len(order), config.batch_size)):
-                batch_idx = order[start : start + config.batch_size]
-                loss = _sgdm_step(params, velocity, X[batch_idx], y[batch_idx], lr, mom)
-                if not math.isfinite(loss):
-                    raise diverged(f"the loss of epoch {epoch}, batch {batch}", loss)
-                epoch_losses.append(loss)
-            val_loss, val_probs = _mean_ce(params, X[split.val], y[split.val])
-            if not math.isfinite(val_loss):
-                raise diverged(f"the validation loss of epoch {epoch}", val_loss)
-            val_acc = float((val_probs.argmax(axis=1) == y[split.val]).mean())
-            report.train_loss.append(float(np.mean(epoch_losses)))
-            report.val_loss.append(val_loss)
-            report.val_acc.append(val_acc)
-            if val_loss < best_val:
-                best_val = val_loss
-                save_checkpoint(params, best_path)
-                report.best_epoch = epoch
-            report.epoch_s.append(time.perf_counter() - started)
+    try:
+        # a diverging network overflows; its loss, not numpy's warnings, reports that
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(config.max_epochs):
+                started = time.perf_counter()
+                order = shuffle_rng.permutation(split.train)
+                epoch_losses = []
+                for batch, start in enumerate(range(0, len(order), config.batch_size)):
+                    batch_idx = order[start : start + config.batch_size]
+                    loss = _sgdm_step(params, velocity, X[batch_idx], y[batch_idx], lr, mom)
+                    if not math.isfinite(loss):
+                        raise diverged(f"the loss of epoch {epoch}, batch {batch}", loss)
+                    epoch_losses.append(loss)
+                val_loss, val_probs = _mean_ce(params, X[split.val], y[split.val])
+                if not math.isfinite(val_loss):
+                    raise diverged(f"the validation loss of epoch {epoch}", val_loss)
+                val_acc = float((val_probs.argmax(axis=1) == y[split.val]).mean())
+                report.train_loss.append(float(np.mean(epoch_losses)))
+                report.val_loss.append(val_loss)
+                report.val_acc.append(val_acc)
+                if val_loss < best_val:
+                    best_val = val_loss
+                    save_checkpoint(params, best_path)
+                    report.best_epoch = epoch
+                report.epoch_s.append(time.perf_counter() - started)
+    except BaseException:
+        # the directory keeps what it held before training
+        os.remove(best_path)
+        raise
     del params, velocity    # before the best weights are read back
     os.replace(best_path, checkpoint)
     best = load_checkpoint(checkpoint, config)

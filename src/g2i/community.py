@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadArgument, DegenerateData, MalformedLine, ShapeMismatch
-from .formats import node_rows, read_named_tensors, read_rows, write_rows
+from .formats import node_rows, read_named_tensors, read_rows, write_named_tensors, write_rows
 from .graph import CSRMatrix
 
 
@@ -34,7 +34,6 @@ class CommunityModel:
     centroids: np.ndarray        # (P, n)
     assignment: np.ndarray       # (n,) community indices
     inertia_history: tuple
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,9 @@ def community_count(k):
     s = math.isqrt(k)
     return s if s * s == k else s + 1
 
+
+# Lloyd iterations at most; k-means stops earlier when the assignment repeats
+_MAX_ITER = 300
 
 # bytes of adjacency rows that each blocked pass over the rows takes at a time,
 # so that its temporaries stay O(block * n) instead of n x n
@@ -147,7 +149,7 @@ def _as_rows(rows):
     return rows if isinstance(rows, CSRMatrix) else np.asarray(rows, dtype=np.float64)
 
 
-def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
+def kmeans(rows, P, seed, init_centroids=None):
     """Lloyd's algorithm on arbitrary row vectors: a CSRMatrix or a dense array.
 
     Returns (centroids, assignment, inertia_history). Ties in the assignment
@@ -168,13 +170,11 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
     rows = _as_rows(rows)
     if P < 1:
         raise BadArgument(f"community count P must be >= 1, got {P}")
-    if max_iter < 1:
-        raise BadArgument(f"max_iter must be >= 1, got {max_iter}")
     centroids = kmeanspp_init(rows, P, seed) if init_centroids is None else np.array(init_centroids, dtype=np.float64)
     row_norms = _row_norms(rows)
     assignment = None
     history = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = _sq_dists(rows, centroids, row_norms)
         new_assignment = np.argmin(d2, axis=1)
         history.append(float(np.take_along_axis(d2, new_assignment[:, None], axis=1).sum()))
@@ -203,13 +203,8 @@ def kmeans(rows, P, seed, max_iter=300, init_centroids=None):
 def fit_communities(graph, P, seed):
     """Cluster the graph's connectivity profiles into P communities."""
     centroids, assignment, history = kmeans(graph.csr, P, seed)
-    return CommunityModel(
-        P=P,
-        centroids=centroids,
-        assignment=assignment,
-        inertia_history=tuple(history),
-        seed=seed,
-    )
+    return CommunityModel(P=P, centroids=centroids, assignment=assignment,
+                          inertia_history=tuple(history))
 
 
 def association_matrix(model):
@@ -233,6 +228,10 @@ def association_matrix(model):
 
 def write_communities(model, graph, path):
     write_rows(path, _HEADER, zip(graph.node_ids, model.assignment.tolist()))
+
+
+def write_centroids(model, path):
+    write_named_tensors([("centroids", -1, model.centroids)], (), path)
 
 
 def read_centroids(path, n):

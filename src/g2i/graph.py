@@ -276,7 +276,6 @@ class DatasetSplit:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
 
     def __post_init__(self):
         all_idx = np.concatenate([self.train, self.val, self.test])
@@ -445,7 +444,7 @@ def split_dataset(labels, ratios=(0.70, 0.15, 0.15), seed=0):
         parts[1].append(members[counts[0] : counts[0] + counts[1]])
         parts[2].append(members[counts[0] + counts[1] :])
     cat = lambda chunks: np.sort(np.concatenate(chunks)) if chunks else np.array([], dtype=np.int64)
-    return DatasetSplit(train=cat(parts[0]), val=cat(parts[1]), test=cat(parts[2]), seed=seed)
+    return DatasetSplit(train=cat(parts[0]), val=cat(parts[1]), test=cat(parts[2]))
 
 
 def sbm_signal_coords(n_blocks, feature_dim):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import community
 from .errors import SingleCluster
 from .formats import write_rows
 
@@ -142,13 +143,9 @@ def silhouette(points, assignment):
 
 def score_embedding(embedding, true_labels, seed=0):
     """Cluster the embedding with k-means at the true class count and score it."""
-    # imported at each call: perfbench's tracer wraps community.kmeans, and its
-    # community.kmeans_calls counts this stage's call only through this lookup
-    from .community import kmeans
-
     true_labels = np.asarray(true_labels)
     n_classes = len(np.unique(true_labels))
-    _, pred, _ = kmeans(np.asarray(embedding, dtype=np.float64), n_classes, seed)
+    _, pred, _ = community.kmeans(np.asarray(embedding, dtype=np.float64), n_classes, seed)
     table = ContingencyTable.from_labels(true_labels, pred)
     h, c, v = homogeneity_completeness_v(table)
     return ClusteringScores(

@@ -100,7 +100,7 @@ def _linear_term(C1, C2, T):
     return (C1**2) @ row[:, None] + ((C2**2) @ col)[None, :] - 2.0 * C1 @ T @ C2
 
 
-def sinkhorn(cost, p, q, epsilon, max_iter=10000, tol=1e-9):
+def sinkhorn(cost, p, q, epsilon, max_iter, tol):
     """Entropic-regularized plan diag(u) exp(-cost/epsilon) diag(v).
 
     Runs in the log domain (potentials f, g) so peaked kernels stay finite.

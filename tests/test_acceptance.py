@@ -94,7 +94,7 @@ def test_criterion_4_zscore_contract():
         centroids = rng.normal(size=(P, 5))
         model = CommunityModel(P=P, centroids=centroids,
                                assignment=np.zeros(P, dtype=np.int64),
-                               inertia_history=(), seed=0)
+                               inertia_history=())
         assoc = association_matrix(model)
         if assoc.sigma == 0.0:
             if not np.all(assoc.values == 0.0):
@@ -105,7 +105,7 @@ def test_criterion_4_zscore_contract():
     # explicit degenerate case: identical centroids
     model = CommunityModel(P=3, centroids=np.ones((3, 4)),
                            assignment=np.zeros(3, dtype=np.int64),
-                           inertia_history=(), seed=0)
+                           inertia_history=())
     if not np.all(association_matrix(model).values == 0.0):
         ok = False
     _report(4, "association z-score contract", ok)

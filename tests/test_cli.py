@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -531,19 +532,37 @@ class TestScipyImports:
         assert "scipy.optimize" in _scipy_modules_after(code)
 
 
-def test_formats_imports_no_other_g2i_module_and_no_scipy():
-    # the package's __init__ imports the stages, so the script stands in an
-    # empty package for it: what loads is what g2i.formats itself imports
-    script = ("import json, sys, types\n"
-              "package = types.ModuleType('g2i')\n"
-              f"package.__path__ = [{str(Path(cli.__file__).resolve().parent)!r}]\n"
-              "sys.modules['g2i'] = package\n"
-              "import g2i.formats\n"
+def _modules_after_import(module):
+    """The g2i and scipy modules a fresh interpreter holds after ``import module``."""
+    script = ("import json, sys\n"
+              f"import {module}\n"
               "print(json.dumps(sorted(m for m in sys.modules "
               "if m.split('.')[0] in ('g2i', 'scipy'))))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert json.loads(proc.stdout) == ["g2i", "g2i.errors", "g2i.formats"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_formats_imports_no_other_g2i_module_and_no_scipy():
+    assert _modules_after_import("g2i.formats") == ["g2i", "g2i.errors", "g2i.formats"]
+
+
+def test_graph_imports_only_errors_and_formats_and_no_scipy():
+    assert _modules_after_import("g2i.graph") == ["g2i", "g2i.errors", "g2i.formats",
+                                                  "g2i.graph"]
+
+
+def test_no_module_imports_inside_a_function():
+    # a module's imports are its import lines; the one exception loads
+    # scipy.optimize only where the assignment solver's extension is missing
+    found = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(fn)):
+                    found.add(f"{path.stem}.{fn.name}")
+    assert found == {"transport._assignment_solver"}
 
 
 @pytest.fixture(scope="module")
@@ -636,14 +655,19 @@ class TestBadStageFiles:
         assert err == f"error in stage layout: {path}:26: unknown node id 'zzz'\n"
 
     def test_unknown_modality_node_stops_layout(self, laid_out, tmp_path, capsys):
+        # at epsilon 0.5 each layout would get other bytes than laid_out's
+        # epsilon 0 ones: the stage reads every input before it writes any
         out = tmp_path / "out"
         shutil.copytree(laid_out, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         extra = tmp_path / "extra.csv"
         lines = (out / "features.csv").read_text().splitlines()
         extra.write_text("\n".join([*lines, "zzz" + ",1.0" * 9]) + "\n")
-        assert main(["layout", *_small_args(out), "--modality", f"extra={extra}"]) == 1
+        assert main(["layout", *_small_args(out), "--epsilon", "0.5",
+                     "--modality", f"extra={extra}"]) == 1
         err = capsys.readouterr().err
         assert err == f"error in stage layout: {extra}:26: unknown node id 'zzz'\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     # each table, and the first stage that reads it
     @pytest.mark.parametrize("name, stage", [

@@ -675,13 +675,15 @@ class TestTrain:
         assert re.fullmatch(rf"training diverged: the (loss of epoch \d+, batch \d+|validation "
                             rf"loss of epoch \d+) is (nan|inf); the images' largest \|value\| "
                             rf"is {peak}", str(info.value)), str(info.value)
+        # the best-weights file goes with the failed run
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_split(self, tmp_path):
         images = _image_fixture(n=20)
         from g2i.graph import DatasetSplit
 
         bad = DatasetSplit(train=np.arange(10), val=np.array([], dtype=int),
-                           test=np.arange(10, 20), seed=0)
+                           test=np.arange(10, 20))
         with pytest.raises(EmptySplit):
             train(images, bad, _tiny_config(input_side=8, classes=2), tmp_path / "checkpoint.g2t")
 

@@ -127,15 +127,14 @@ class TestKmeans:
         mapped = {frozenset(pi[np.flatnonzero(a_perm == c)].tolist()) for c in range(3)}
         assert original == mapped
 
-    @pytest.mark.parametrize("P, max_iter, name", [
-        (0, 300, "P must be >= 1"),
-        (-1, 300, "P must be >= 1"),
-        (2, 0, "max_iter must be >= 1"),
+    @pytest.mark.parametrize("P, name", [
+        (0, "P must be >= 1"),
+        (-1, "P must be >= 1"),
     ])
-    def test_bad_setting_is_named(self, P, max_iter, name):
+    def test_bad_setting_is_named(self, P, name):
         rows = np.arange(10.0).reshape(5, 2)
         with pytest.raises(BadArgument, match=name):
-            kmeans(rows, P, seed=0, max_iter=max_iter)
+            kmeans(rows, P, seed=0)
 
 
 class TestAssociation:
@@ -146,7 +145,7 @@ class TestAssociation:
         return CommunityModel(
             P=centroids.shape[0], centroids=centroids,
             assignment=np.zeros(centroids.shape[0], dtype=np.int64),
-            inertia_history=(), seed=0,
+            inertia_history=(),
         )
 
     def test_hand_example(self):
@@ -299,7 +298,7 @@ class TestBlockedEqualsWholeMatrix:
         # centroids that are the rows' own buffer, and fitted centroids
         for C in (rows[:20], rows, kmeans(rows, 5, 0)[0]):
             model = CommunityModel(P=len(C), centroids=C, assignment=np.zeros(len(C), int),
-                                   inertia_history=(), seed=0)
+                                   inertia_history=())
             D = _whole_distances(C)
             assoc = association_matrix(model)
             assert _bits_equal(assoc.raw_distances, D)

@@ -101,7 +101,7 @@ class TestStructuralLayoutBuild:
 
         model = CommunityModel(P=1, centroids=np.zeros((1, 3)),
                                assignment=np.zeros(3, dtype=np.int64),
-                               inertia_history=(), seed=0)
+                               inertia_history=())
         s = build_structural_layout(association_matrix(model), seed=0)
         assert s.tolist() == [[0, 0]]
 
@@ -170,7 +170,7 @@ class TestRender:
         g = generate_sbm((3, 3), 0.9, 0.1, 1, 0.0, seed=0)
         model = CommunityModel(P=1, centroids=g.csr.toarray()[:1].copy(),
                                assignment=np.zeros(g.n, dtype=np.int64),
-                               inertia_history=(), seed=0)
+                               inertia_history=())
         assoc = association_matrix(model)
         s_layout = build_structural_layout(assoc, seed=0)
         f_layout = build_feature_layout(g.features, seed=0)

@@ -25,20 +25,19 @@ products at the shapes that explain and train give them, in float64 and
 float32, one train batch of the reference network and of many_nodes' 4x4
 one (the per-layer SGDM step of ``cnn.train`` on 32 images) in float64 and
 float32, ``shapley_sample`` on one image of the reference shape with every
-feature cell a player and M=4, and
-``kmeans`` (on the SBM graph's sparse matrix, ``generate_sbm(...).csr``, or
-on its dense ``adjacency`` in a tree that has no ``csr``) and ``silhouette`` at
-the node counts of the reference run (240) and of the many_nodes workload
-(1,200), and ``resolve_assignment`` on a
-permutation plan and a dense plan at the feature counts of the reference run
-(64) and of the wide_features workload (121): each round times every kernel in a
-fresh process per tree, the rounds alternate between the trees, and the file
-keeps each kernel's median over the rounds. The k-means and silhouette rows
-also hold ``peak_mb``, the most memory one call allocates, as numpy reports
-its buffers to tracemalloc. The FC products call numpy alone, not g2i, so
-their differences between trees show the noise of the machine. The script
-times the im2col conv kernels and the ``ConvNetParams.flat`` buffers, so it
-measures no tree older than those.
+feature cell a player and M=4, ``kmeans`` (on the SBM graph's sparse matrix,
+``generate_sbm(...).csr``) and ``silhouette`` at the node counts of the
+reference run (240) and of the many_nodes workload (1,200), and
+``resolve_assignment`` on a permutation plan and a dense plan at the feature
+counts of the reference run (64) and of the wide_features workload (121): each
+round times every kernel in a fresh process per tree, the rounds alternate
+between the trees, and the file keeps each kernel's median over the rounds.
+The k-means and silhouette rows also hold ``peak_mb``, the most memory one
+call allocates, as numpy reports its buffers to tracemalloc. The FC products
+call numpy alone, not g2i, so their differences between trees show the noise
+of the machine. The script times the im2col conv kernels, the
+``ConvNetParams.flat`` buffers, the per-layer SGDM step ``cnn._sgdm_step`` and
+the graph's ``csr``, so it measures no tree older than those.
 
 This script is not part of the test suite; a default run takes several
 minutes.
@@ -199,27 +198,14 @@ def _peak_mb(fn):
 def train_batch(cnn, config, dtype, X, y):
     """One batch of ``cnn.train`` as a call: ``cnn._sgdm_step``, which applies
     the momentum update to the weights and velocity block by block as the
-    backward walk hands the gradient over. A tree without it, before the
-    per-layer step, gets its own batch: ``loss_and_grad`` into one gradient
-    set that every batch refills, then the update on the whole flat buffers."""
+    backward walk hands the gradient over."""
     import numpy as np
 
-    params = cnn.init_params(config, seed=0).astype(dtype)
+    params = cnn.init_params(config).astype(dtype)
     velocity = np.zeros_like(params.flat)
     scalar = np.dtype(dtype).type
     lr, mom = scalar(config.learning_rate), scalar(config.momentum)
-    if hasattr(cnn, "_sgdm_step"):
-        return lambda: cnn._sgdm_step(params, velocity, X, y, lr, mom)
-    grads = cnn.ConvNetParams.zeros(config, dtype)
-
-    def call():
-        cnn.loss_and_grad(params, X, y, out=grads)
-        grads.flat *= lr
-        np.multiply(velocity, mom, out=velocity)
-        np.subtract(velocity, grads.flat, out=velocity)
-        params.flat += velocity
-
-    return call
+    return lambda: cnn._sgdm_step(params, velocity, X, y, lr, mom)
 
 
 def kernel_benchmarks():
@@ -269,7 +255,7 @@ def kernel_benchmarks():
     # one image's Shapley sampling as explain runs it: the reference network in
     # float32, a 2x8x8 image, every one of the k=64 feature cells a player
     config = cnn.ConvNetConfig(input_side=8, input_channels=2, classes=4)
-    params = cnn.init_params(config, seed=0).astype(np.float32)
+    params = cnn.init_params(config).astype(np.float32)
     image = rng.normal(size=(2, 8, 8)).astype(np.float32)
     background = rng.normal(size=(2, 8, 8))
     players = np.column_stack([np.ones(64, dtype=np.int64), *np.divmod(np.arange(64), 8)])
@@ -280,12 +266,11 @@ def kernel_benchmarks():
             4, 0))}
     for n, P, p_in, p_out, width in CLUSTER_SHAPES:
         sbm = graph.generate_sbm((n // 4,) * 4, p_in, p_out, 4, 0.0, seed=0)
-        adjacency = getattr(sbm, "csr", None) or sbm.adjacency
         embedding = rng.normal(size=(n, width))
         labels = np.repeat(np.arange(4), n // 4)
         for name, shape, call in (
             (f"kmeans n={n}", f"{n}x{n} adjacency P={P}",
-             lambda: community.kmeans(adjacency, P, seed=0)),
+             lambda: community.kmeans(sbm.csr, P, seed=0)),
             (f"silhouette n={n}", f"{n}x{width} embedding, 4 classes",
              lambda: metrics.silhouette(embedding, labels)),
         ):
